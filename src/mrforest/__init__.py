@@ -42,7 +42,7 @@ from .splitsel import (
     softmax_scaled,
     value_region_bound,
 )
-from .tree import Tree, TreeNode, build_tree, leaf_distribution, predict_tree, tree_depth
+from .tree import Tree, TreeNode, build_tree, leaf_distribution
 
 __version__ = "0.1.0"
 
@@ -69,8 +69,6 @@ __all__ = [
     "TreeNode",
     "build_tree",
     "leaf_distribution",
-    "predict_tree",
-    "tree_depth",
     "MrfConfig",
     "BaselineConfig",
     "Forest",

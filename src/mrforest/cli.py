@@ -1,7 +1,7 @@
 """Command-line interface: train, predict, cv, sweep, audit, budget, tree-dist.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 a privacy
-audit bound was violated.
+Exit codes: 0 success, 2 configuration error, 3 data error (bad rows or a
+corrupt model included), 4 a privacy audit bound was violated.
 """
 
 from __future__ import annotations
@@ -130,17 +130,7 @@ def _config_from_args(args: argparse.Namespace, n: int | None = None) -> MrfConf
         budget = allocate_budget(
             args.epsilon, args.trees, estimation, args.min_leaf, args.budget_split
         )
-        config = MrfConfig(
-            b1=budget.b1,
-            b2=budget.b2,
-            b3=budget.b3,
-            k=args.min_leaf,
-            t=args.trees,
-            partition_rate=args.partition_rate,
-            criterion=args.criterion,
-            max_depth=budget.d,
-            seed=args.seed,
-        )
+        config = replace(config, b1=budget.b1, b2=budget.b2, b3=budget.b3, max_depth=budget.d)
     return config
 
 
@@ -192,26 +182,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _read_feature_rows(path: str, delimiter: str) -> np.ndarray:
+    """Rows of a feature-only CSV after its header; ``predict_batch`` checks them."""
     with open(path, "r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        header = next(reader, None)
-        if header is None:
-            raise errors.EmptyError("input has no header row")
-        rows = []
-        for line_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise errors.ParseError(
-                    f"row {line_no}: expected {len(header)} cells, got {len(row)}"
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise errors.ParseError(f"row {line_no}: non-numeric cell") from None
+        rows = [row for row in csv.reader(handle, delimiter=delimiter) if row][1:]
     if not rows:
         raise errors.EmptyError("input has no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    try:
+        return np.array(rows, dtype=np.float64)
+    except ValueError:  # a ragged row or a cell that is not a number
+        raise errors.ParseError(f"{path}: every row must hold one number per column") from None
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
@@ -223,10 +202,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         labels = dataset.labels if dataset.label_values == forest.label_values else None
     else:
         features = _read_feature_rows(args.data, args.delimiter)
-    if features.shape[1] != len(forest.feature_names):
-        raise errors.SchemaError(
-            f"model expects {len(forest.feature_names)} features, got {features.shape[1]}"
-        )
     rng = np.random.default_rng(args.eval_seed)
     classes, _ = predict_batch(forest, features, rng)
     result = {

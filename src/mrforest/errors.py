@@ -6,11 +6,11 @@ class MrfError(Exception):
 
 
 class ParseError(MrfError):
-    """A cell could not be parsed as a finite number, or a row is ragged."""
+    """A cell or row value is not a finite number, a row is ragged, or a model is corrupt."""
 
 
 class SchemaError(MrfError):
-    """Label column missing, or fewer than two classes present."""
+    """Label column missing, fewer than two classes, or rows of the wrong width."""
 
 
 class EmptyError(MrfError):

@@ -5,21 +5,27 @@ B1 = B2 = 0 completely-random limit, and a greedy bootstrap baseline whose
 trees vote their majority class. Per-tree randomness comes from counter
 -derived substreams of the master seed, so training is reproducible no
 matter how trees are scheduled.
+
+:func:`predict_batch` rejects rows of the wrong width or with NaN or inf, then
+runs all trees at once on the forest's compiled trees (see
+:mod:`mrforest.tree`), built on its first prediction and kept: its trees must
+not be mutated after that. Model documents are checked as they load.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .data import Dataset, partition
-from .errors import ConfigError
-from .tree import Tree, build_baseline_tree, build_tree, tree_votes
+from .errors import ConfigError, ParseError, SchemaError
+from .tree import CompiledTrees, Tree, build_baseline_tree, build_tree, compile_trees, tree_votes
 
 __all__ = [
     "MrfConfig",
@@ -110,11 +116,16 @@ class Forest:
     config: MrfConfig | BaselineConfig
     class_count: int
     label_values: tuple[str, ...]
-    feature_names: tuple[str, ...] = field(default=())
+    feature_names: tuple[str, ...]
 
     @property
     def b3(self) -> float:
         return self.config.b3 if isinstance(self.config, MrfConfig) else math.inf
+
+    @cached_property
+    def compiled(self) -> CompiledTrees:
+        """The trees in flat arrays, compiled on first use and then kept."""
+        return compile_trees(self.trees, self.class_count)
 
     def to_dict(self) -> dict[str, Any]:
         config = {
@@ -137,27 +148,39 @@ class Forest:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "Forest":
-        if doc.get("format") != FOREST_FORMAT:
+        """Forest of a :meth:`to_dict` document; :class:`ParseError` if it is malformed."""
+        if not isinstance(doc, dict) or doc.get("format") != FOREST_FORMAT:
             raise ConfigError("not a mrforest model document")
         if doc.get("version") != FOREST_VERSION:
             raise ConfigError(f"unsupported model version {doc.get('version')!r}")
-        raw = {
-            key: (math.inf if value == "inf" else value)
-            for key, value in doc["config"].items()
-        }
-        config_cls = BaselineConfig if doc["variant"] == "breiman" else MrfConfig
-        return cls(
-            trees=[Tree.from_dict(t) for t in doc["trees"]],
-            variant=doc["variant"],
-            config=config_cls(**raw),
-            class_count=int(doc["class_count"]),
-            label_values=tuple(doc["label_values"]),
-            feature_names=tuple(doc["feature_names"]),
-        )
+        try:
+            raw = {
+                key: (math.inf if value == "inf" else value)
+                for key, value in doc["config"].items()
+            }
+            config_cls = BaselineConfig if doc["variant"] == "breiman" else MrfConfig
+            class_count, width = int(doc["class_count"]), len(doc["feature_names"])
+            forest = cls(
+                trees=[Tree.from_dict(t, class_count, width) for t in doc["trees"]],
+                variant=doc["variant"],
+                config=config_cls(**raw),
+                class_count=class_count,
+                label_values=tuple(doc["label_values"]),
+                feature_names=tuple(doc["feature_names"]),
+            )
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed model document: {exc!r}") from exc
+        if len(forest.trees) != forest.config.t or not 2 <= class_count == len(forest.label_values):
+            raise ParseError("model's tree or class count disagrees with its config or labels")
+        return forest
 
     @classmethod
-    def from_json(cls, text: str) -> "Forest":
-        return cls.from_dict(json.loads(text))
+    def from_json(cls, text: str | bytes) -> "Forest":
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # truncated, not JSON, or not UTF-8
+            raise ParseError(f"model is not a JSON document: {exc}") from exc
+        return cls.from_dict(doc)
 
 
 def train_mrf(dataset: Dataset, config: MrfConfig) -> Forest:
@@ -225,26 +248,27 @@ def predict_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classes and the (t, n) per-tree vote matrix for a batch of rows.
 
-    Votes are drawn tree by tree in row order, so a single-row batch consumes
-    the rng identically to :func:`predict`. Ensemble ties break toward the
-    lowest class index.
+    Rows need one finite value per feature of the forest; a wrong width
+    raises :class:`SchemaError` and NaN or inf raises :class:`ParseError`.
+    Finite-b3 votes draw one uniform each, tree by tree in row order, so a
+    single-row batch consumes the rng identically to :func:`predict`.
+    Ensemble ties break toward the lowest class index.
     """
-    x = np.asarray(rows, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(1, -1) if x.size else x.reshape(0, 0)
+    x = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    if x.ndim != 2 or x.shape[1] != len(forest.feature_names):
+        raise SchemaError(
+            f"model expects rows of {len(forest.feature_names)} features, got shape {x.shape}"
+        )
+    if not np.isfinite(x).all():
+        raise ParseError("rows contain NaN or infinite values")
     b3 = forest.b3
     if not math.isinf(b3) and rng is None:
         raise ConfigError("finite b3 prediction requires an rng")
     n = x.shape[0]
-    votes = np.empty((len(forest.trees), n), dtype=np.int64)
-    if n == 0:
-        return np.empty(0, dtype=np.int64), votes
-    for i, tree in enumerate(forest.trees):
-        votes[i] = tree_votes(tree, x, b3, rng)
-    tallies = np.zeros((forest.class_count, n), dtype=np.int64)
-    cols = np.arange(n)
-    for i in range(votes.shape[0]):
-        tallies[votes[i], cols] += 1
+    votes = tree_votes(forest.compiled, x, b3, rng)
+    tallies = np.bincount(
+        (votes * n + np.arange(n)).ravel(), minlength=forest.class_count * n
+    ).reshape(forest.class_count, n)
     return np.argmax(tallies, axis=0), votes
 
 
@@ -252,7 +276,7 @@ def predict(
     forest: Forest, x: np.ndarray, rng: np.random.Generator | None = None
 ) -> int:
     """Majority vote over all trees for one row."""
-    classes, _ = predict_batch(forest, np.atleast_2d(np.asarray(x, dtype=np.float64)), rng)
+    classes, _ = predict_batch(forest, x, rng)
     return int(classes[0])
 
 
@@ -261,9 +285,4 @@ def save_forest(forest: Forest, path: str | Path) -> None:
 
 
 def load_forest(path: str | Path) -> Forest:
-    return Forest.from_json(Path(path).read_text(encoding="utf-8"))
-
-
-def config_with_budget(config: MrfConfig, b1: float, b2: float, b3: float, depth_cap: int) -> MrfConfig:
-    """Copy a config with mechanism budgets and the privacy depth cap applied."""
-    return replace(config, b1=b1, b2=b2, b3=b3, max_depth=depth_cap)
+    return Forest.from_json(Path(path).read_bytes())

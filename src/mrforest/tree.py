@@ -7,16 +7,23 @@ scan is one vectorized pass. Split selection composes the two multinomial
 mechanisms; a sampled split is accepted only if both children keep at least
 ``k`` estimation rows and one structure row, with resampling (value first,
 then feature, ten attempts total) before giving up and emitting a leaf.
+
+The ``TreeNode`` graph under ``Tree.root`` is the one stored form of a tree.
+Prediction runs on a compiled form: :func:`compile_trees` copies all trees of
+a forest into flat per-node arrays, built on the forest's first prediction
+and kept, so its trees must not be mutated after that. :func:`route_eta`
+moves all rows down all trees a level per round; :func:`tree_votes` votes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
+from .errors import ParseError
 from .impurity import scan_features
 from .splitsel import select_feature, select_value
 
@@ -30,8 +37,8 @@ __all__ = [
     "build_tree",
     "build_baseline_tree",
     "leaf_distribution",
-    "predict_tree",
-    "tree_depth",
+    "CompiledTrees",
+    "compile_trees",
     "route_eta",
     "tree_votes",
 ]
@@ -112,18 +119,31 @@ class Tree:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "Tree":
+    def from_dict(cls, doc: dict[str, Any], class_count: int, feature_count: int) -> "Tree":
+        """Tree of a :meth:`to_dict` document; children must follow their parent."""
         entries = doc["nodes"]
         nodes = [TreeNode(depth=int(entry["depth"])) for entry in entries]
-        for node, entry in zip(nodes, entries):
-            if entry["kind"] == "split":
-                node.feature = int(entry["feature"])
-                node.threshold = float(entry["threshold"])
-                node.left = nodes[entry["left"]]
-                node.right = nodes[entry["right"]]
-            else:
-                node.counts = np.asarray(entry["counts"], dtype=np.int64)
-                node.eta = np.asarray(entry["eta"], dtype=np.float64)
+        leaves = []
+        for index, (node, entry) in enumerate(zip(nodes, entries)):
+            if entry["kind"] != "split":
+                leaves.append(index)
+                continue
+            node.feature = int(entry["feature"])
+            node.threshold = float(entry["threshold"])
+            left, right = entry["left"], entry["right"]
+            if not (index < left < len(nodes) and index < right < len(nodes)):
+                raise ParseError(f"node {index}: child index out of order or range")
+            if not 0 <= node.feature < feature_count:
+                raise ParseError(f"node {index}: feature {node.feature} out of range")
+            node.left = nodes[left]
+            node.right = nodes[right]
+        # one conversion per tree, not per leaf: each leaf gets a row of both
+        etas = np.array([entries[i]["eta"] for i in leaves], dtype=np.float64)
+        counts = np.array([entries[i]["counts"] for i in leaves], dtype=np.int64)
+        if etas.shape != (len(leaves), class_count) or counts.shape != etas.shape:
+            raise ParseError(f"leaf counts or eta do not have {class_count} classes")
+        for i, eta, count in zip(leaves, etas, counts):
+            nodes[i].eta, nodes[i].counts = eta, count
         return cls(
             root=nodes[0],
             depth=int(doc["depth"]),
@@ -371,56 +391,80 @@ def build_baseline_tree(
     )
 
 
-def route_eta(tree: Tree, x: np.ndarray) -> np.ndarray:
-    """Leaf class distribution for each query row (left iff value <= threshold)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n = x.shape[0]
-    probe = tree.root
-    while not probe.is_leaf:
-        probe = probe.left
-    out = np.empty((n, probe.eta.size))
-    stack: list[tuple[TreeNode, np.ndarray]] = [(tree.root, np.arange(n))]
-    while stack:
-        node, idx = stack.pop()
-        if node.is_leaf:
-            out[idx] = node.eta
-            continue
-        go_left = x[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[go_left]))
-        stack.append((node.right, idx[~go_left]))
-    return out
+@dataclass(frozen=True)
+class CompiledTrees:
+    """Several trees in flat per-node arrays; tree ``i`` is rooted at node ``i``.
+
+    Leaves point to themselves, so a row routed past its leaf stays there.
+    """
+
+    feature: np.ndarray  # (nodes,) split feature, 0 at leaves
+    threshold: np.ndarray  # (nodes,) rows with value <= threshold go left
+    left: np.ndarray  # (nodes,) node index of the left child
+    right: np.ndarray  # (nodes,) node index of the right child
+    eta: np.ndarray  # (nodes, K) leaf class distribution, zero at splits
+    label: np.ndarray  # (nodes,) argmax class of eta, lowest index on ties
+    tree_count: int
+    depth: int  # routing rounds that bring every row to its leaf
+
+
+def compile_trees(trees: Sequence[Tree], class_count: int) -> CompiledTrees:
+    """Copy the node graphs of ``trees`` into flat arrays, breadth first.
+
+    The walk's level count, not the stored ``Tree.depth``, sets ``depth``.
+    """
+    nodes = [tree.root for tree in trees]
+    levels = [0] * len(nodes)
+    left: list[int] = []
+    while len(left) < len(nodes):  # the walk appends the children it meets
+        i = len(left)
+        node = nodes[i]
+        left.append(i if node.feature is None else len(nodes))
+        if node.feature is not None:
+            nodes += (node.left, node.right)
+            levels += (levels[i] + 1, levels[i] + 1)
+    leaf = np.array([node.feature is None for node in nodes])
+    feature = np.array([node.feature or 0 for node in nodes], dtype=np.intp)
+    threshold = np.array([0.0 if node.feature is None else node.threshold for node in nodes])
+    eta = np.zeros((len(nodes), class_count))
+    eta[leaf] = [node.eta for node in nodes if node.feature is None]
+    right = np.array(left) + ~leaf  # the two children of a split are adjacent
+    label = np.argmax(eta, axis=1)
+    return CompiledTrees(
+        feature, threshold, np.array(left), right, eta, label, len(trees), max(levels)
+    )
+
+
+def route_eta(trees: CompiledTrees, x: np.ndarray) -> np.ndarray:
+    """The (trees, rows) matrix of leaves reached; ``trees.eta`` of a leaf is its distribution.
+
+    Each of ``trees.depth`` rounds moves every row one level down every tree
+    with one gather (left iff value <= threshold).
+    """
+    rows = np.arange(x.shape[0])
+    node = np.repeat(np.arange(trees.tree_count)[:, None], x.shape[0], axis=1)
+    for _ in range(trees.depth):
+        go_left = x[rows, trees.feature[node]] <= trees.threshold[node]
+        node = np.where(go_left, trees.left[node], trees.right[node])
+    return node
 
 
 def tree_votes(
-    tree: Tree, x: np.ndarray, b3: float, rng: np.random.Generator | None
+    trees: CompiledTrees, x: np.ndarray, b3: float, rng: np.random.Generator | None
 ) -> np.ndarray:
-    """One class vote per query row.
+    """The (trees, rows) matrix of class votes.
 
-    Finite ``b3`` draws each vote with probability proportional to
-    exp(b3 * eta_c / 2); infinite ``b3`` takes the argmax class with
-    lowest-index tie-breaking and consumes no randomness.
+    Finite ``b3`` votes class c with probability proportional to
+    exp(b3 * eta_c / 2), drawing one uniform per vote, tree by tree in row
+    order; infinite ``b3`` votes the argmax class and draws nothing.
     """
-    eta = route_eta(tree, x)
+    node = route_eta(trees, x)
     if math.isinf(b3):
-        return np.argmax(eta, axis=1)
-    if rng is None:
-        raise ValueError("finite b3 prediction needs an rng")
-    z = 0.5 * b3 * eta
-    z -= z.max(axis=1, keepdims=True)
-    probs = np.exp(z)
-    probs /= probs.sum(axis=1, keepdims=True)
-    cum = np.cumsum(probs, axis=1)
-    draws = (cum <= rng.random(eta.shape[0])[:, None]).sum(axis=1)
-    return np.minimum(draws, eta.shape[1] - 1)
-
-
-def predict_tree(
-    tree: Tree, x: np.ndarray, b3: float, rng: np.random.Generator | None = None
-) -> int:
-    """Predict one row with the tree's exponential-mechanism label draw."""
-    return int(tree_votes(tree, np.atleast_2d(x), b3, rng)[0])
-
-
-def tree_depth(tree: Tree) -> int:
-    """Maximum leaf depth; a root-only tree has depth 0."""
-    return tree.depth
+        return trees.label[node]
+    z = 0.5 * b3 * trees.eta
+    probs = np.exp(z - z.max(axis=1, keepdims=True))
+    cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1).T
+    uniforms = rng.random(node.shape)
+    # the vote counts the classes whose cdf is at or below the uniform, capped
+    # at the last class: rounding can leave cdf[-1] below 1
+    return sum(cum[node] <= uniforms for cum in cdf[:-1])

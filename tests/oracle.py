@@ -1,11 +1,15 @@
-"""Independent brute-force oracles for cross-checking tree construction.
+"""Independent brute-force oracles for cross-checking trees and prediction.
 
 Everything here recomputes impurity from scratch per candidate threshold
 (no sorted sweep, no shared code with the library's scan) so the greedy-limit
 equivalence tests compare two genuinely independent implementations.
+:func:`walk_votes` predicts by walking each tree's node graph, one tree at a
+time, as the library did before it compiled trees into flat arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -129,3 +133,46 @@ def tree_shape(node) -> tuple:
         tree_shape(node.left),
         tree_shape(node.right),
     )
+
+
+def walk_eta(tree, x: np.ndarray, class_count: int) -> np.ndarray:
+    """Leaf class distribution of each row, routing row sets node by node."""
+    out = np.empty((x.shape[0], class_count))
+    stack = [(tree.root, np.arange(x.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if node.is_leaf:
+            out[idx] = node.eta
+            continue
+        go_left = x[idx, node.feature] <= node.threshold
+        stack.append((node.left, idx[go_left]))
+        stack.append((node.right, idx[~go_left]))
+    return out
+
+
+def walk_votes(forest, x: np.ndarray, rng: np.random.Generator | None = None):
+    """Classes and (t, n) votes of ``forest``, tree by tree and row by row.
+
+    Finite b3 draws one uniform per row for each tree in turn and counts the
+    classes whose softmax cdf lies at or below it; the forest takes the
+    majority vote, ties toward the lowest class.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    n = x.shape[0]
+    votes = np.empty((len(forest.trees), n), dtype=np.int64)
+    for i, tree in enumerate(forest.trees):
+        eta = walk_eta(tree, x, forest.class_count)
+        if math.isinf(forest.b3):
+            votes[i] = np.argmax(eta, axis=1)
+            continue
+        z = 0.5 * forest.b3 * eta
+        z -= z.max(axis=1, keepdims=True)
+        probs = np.exp(z)
+        probs /= probs.sum(axis=1, keepdims=True)
+        cum = np.cumsum(probs, axis=1)
+        draws = (cum <= rng.random(n)[:, None]).sum(axis=1)
+        votes[i] = np.minimum(draws, forest.class_count - 1)
+    tallies = np.zeros((forest.class_count, n), dtype=np.int64)
+    for row in votes:
+        tallies[row, np.arange(n)] += 1
+    return np.argmax(tallies, axis=0), votes

@@ -10,17 +10,18 @@ import pytest
 from conftest import random_dataset
 from mrforest.data import Dataset, partition
 from mrforest.forest import MrfConfig
+from mrforest.errors import ConfigError
+from mrforest.forest import Forest, predict_batch
 from mrforest.tree import (
     Tree,
     TreeNode,
     build_tree,
+    compile_trees,
     leaf_distribution,
-    predict_tree,
     route_eta,
-    tree_depth,
     tree_votes,
 )
-from oracle import TieError, exhaustive_cart, tree_shape
+from oracle import TieError, exhaustive_cart, tree_shape, walk_eta
 
 
 def _build(dataset, config, seed=0):
@@ -28,6 +29,17 @@ def _build(dataset, config, seed=0):
     part = partition(dataset, config.partition_rate, rng)
     tree = build_tree(dataset, part.structure_idx, part.estimation_idx, config, rng)
     return tree, part
+
+
+def leaf_eta(tree: Tree, x: np.ndarray, class_count: int) -> np.ndarray:
+    """Leaf class distribution of each row, routed on the compiled tree."""
+    compiled = compile_trees([tree], class_count)
+    return compiled.eta[route_eta(compiled, x)[0]]
+
+
+def votes(tree: Tree, x: np.ndarray, b3: float, rng=None) -> np.ndarray:
+    """One compiled tree's votes on the rows of ``x``."""
+    return tree_votes(compile_trees([tree], 2), np.atleast_2d(x), b3, rng)[0]
 
 
 def iter_leaves(tree: Tree):
@@ -121,10 +133,11 @@ class TestInvariants:
             assert all(leaf.counts.sum() >= k for leaf in leaves)
         # leaf estimation tallies partition the estimation set
         assert sum(int(leaf.counts.sum()) for leaf in leaves) == part.estimation_idx.size
-        # every training row routes to exactly one leaf
-        eta = route_eta(tree, ds.features)
+        # every training row routes to exactly one leaf, the one the node walk finds
+        eta = leaf_eta(tree, ds.features, ds.class_count)
         assert eta.shape == (n, ds.class_count)
         assert np.isfinite(eta).all()
+        assert np.array_equal(eta, walk_eta(tree, ds.features, ds.class_count))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_determinism(self, seed):
@@ -176,54 +189,67 @@ class TestPrediction:
 
     def test_infinite_b3_argmax_with_low_index_ties(self):
         tree = self._leaf_tree([0.5, 0.5])
-        assert predict_tree(tree, np.zeros(2), math.inf) == 0
+        assert votes(tree, np.zeros(2), math.inf).tolist() == [0]
 
     def test_finite_b3_softmax_ratio(self):
         tree = self._leaf_tree([0.8, 0.2])
         rng = np.random.default_rng(5)
-        draws = tree_votes(tree, np.zeros((40_000, 1)), 10.0, rng)
+        draws = votes(tree, np.zeros((40_000, 1)), 10.0, rng)
         expected = math.exp(4) / (math.exp(4) + math.exp(1))
         assert (draws == 0).mean() == pytest.approx(expected, abs=0.01)
 
     def test_symmetric_leaf_fair(self):
         tree = self._leaf_tree([0.5, 0.5])
         rng = np.random.default_rng(6)
-        draws = tree_votes(tree, np.zeros((40_000, 1)), 3.0, rng)
+        draws = votes(tree, np.zeros((40_000, 1)), 3.0, rng)
         assert (draws == 0).mean() == pytest.approx(0.5, abs=0.01)
 
     def test_pure_leaf_limit(self):
         tree = self._leaf_tree([1.0, 0.0])
         rng = np.random.default_rng(7)
-        draws = tree_votes(tree, np.zeros((40_000, 1)), 4.0, rng)
+        draws = votes(tree, np.zeros((40_000, 1)), 4.0, rng)
         expected = math.exp(2) / (math.exp(2) + 1)
         assert (draws == 0).mean() == pytest.approx(expected, abs=0.01)
-        assert predict_tree(tree, np.zeros(1), math.inf) == 0
+        assert votes(tree, np.zeros(1), math.inf).tolist() == [0]
 
     def test_finite_b3_requires_rng(self):
-        tree = self._leaf_tree([0.5, 0.5])
-        with pytest.raises(ValueError):
-            predict_tree(tree, np.zeros(1), 1.0, None)
+        forest = Forest(
+            trees=[self._leaf_tree([0.5, 0.5])],
+            variant="mrf",
+            config=MrfConfig(t=1, b3=1.0),
+            class_count=2,
+            label_values=("a", "b"),
+            feature_names=("x",),
+        )
+        with pytest.raises(ConfigError):
+            predict_batch(forest, np.zeros(1), None)
 
     def test_routing_left_on_equality(self):
         left = TreeNode(depth=1, counts=np.array([3, 0]), eta=np.array([1.0, 0.0]))
         right = TreeNode(depth=1, counts=np.array([0, 3]), eta=np.array([0.0, 1.0]))
         root = TreeNode(depth=0, feature=0, threshold=0.5, left=left, right=right)
         tree = Tree(root=root, depth=1)
-        assert predict_tree(tree, np.array([0.5]), math.inf) == 0
-        assert predict_tree(tree, np.array([0.51]), math.inf) == 1
+        assert votes(tree, np.array([[0.5], [0.51]]), math.inf).tolist() == [0, 1]
 
 
 class TestDepthAndSerialization:
     def test_depth_examples(self, rng):
-        single = Tree(root=TreeNode(depth=0, counts=np.array([1]), eta=np.array([1.0])), depth=0)
-        assert tree_depth(single) == 0
+        leaf = TreeNode(depth=0, counts=np.array([1, 0]), eta=np.array([1.0, 0.0]))
+        single = Tree(root=leaf, depth=0)
+        assert single.depth == compile_trees([single], 2).depth == 0
         ds = random_dataset(rng, 200, 2)
         tree, _ = _build(ds, MrfConfig(t=1, k=5, seed=4))
-        assert tree_depth(tree) == max(leaf.depth for leaf in iter_leaves(tree))
+        deepest = max(leaf.depth for leaf in iter_leaves(tree))
+        assert tree.depth == deepest > 0
+        # the compile walk counts levels itself and ignores the stored depth
+        assert compile_trees([tree, single], 2).depth == deepest
+        tree.depth = 0
+        assert compile_trees([tree], 2).depth == deepest
 
     def test_dict_round_trip_preserves_structure_and_predictions(self, rng):
         ds = random_dataset(rng, 150, 3)
         tree, _ = _build(ds, MrfConfig(t=1, k=4, seed=5))
-        clone = Tree.from_dict(tree.to_dict())
+        clone = Tree.from_dict(tree.to_dict(), ds.class_count, ds.feature_count)
         assert clone.to_dict() == tree.to_dict()
-        assert np.array_equal(route_eta(clone, ds.features), route_eta(tree, ds.features))
+        k = ds.class_count
+        assert np.array_equal(leaf_eta(clone, ds.features, k), leaf_eta(tree, ds.features, k))

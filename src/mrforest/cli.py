@@ -27,7 +27,7 @@ from .forest import (
     train_baseline_rf,
     train_mrf,
 )
-from .harness import emit_report, run_cv, sweep, tree_accuracy_distribution, TreeDistReport
+from .harness import emit_report, run_cv, sweep, TreeDistReport
 from .impurity import ClassCounts
 from .privacy import (
     allocate_budget,
@@ -295,20 +295,15 @@ def _cmd_tree_dist(args: argparse.Namespace) -> int:
     test_idx = holdout_part.estimation_idx
     config = _config_from_args(args, train_ds.n)
     forest = train_mrf(train_ds, config)
-    accs = tree_accuracy_distribution(
-        forest,
-        dataset.features[test_idx],
-        dataset.labels[test_idx],
-        np.random.default_rng(args.eval_seed),
-    )
-    classes, _ = predict_batch(
+    test_labels = dataset.labels[test_idx]
+    classes, votes = predict_batch(
         forest, dataset.features[test_idx], np.random.default_rng(args.eval_seed)
     )
     report = TreeDistReport(
         dataset=Path(args.data).stem,
         method="mrf",
-        accuracies=tuple(float(a) for a in accs),
-        forest_accuracy=float(np.mean(classes == dataset.labels[test_idx])),
+        accuracies=tuple(float(a) for a in (votes == test_labels).mean(axis=1)),
+        forest_accuracy=float(np.mean(classes == test_labels)),
     )
     _write(emit_report(report, args.format), args.out)
     return EXIT_OK

@@ -275,7 +275,14 @@ def predict_batch(
 def predict(
     forest: Forest, x: np.ndarray, rng: np.random.Generator | None = None
 ) -> int:
-    """Majority vote over all trees for one row."""
+    """Majority vote over all trees for one row, given 1-D or shaped (1, D).
+
+    Any other shape raises :class:`SchemaError`; :func:`predict_batch`
+    takes many rows.
+    """
+    shape = np.shape(x)
+    if len(shape) != 1 and (len(shape) != 2 or shape[0] != 1):
+        raise SchemaError(f"predict takes one row, got shape {shape}")
     classes, _ = predict_batch(forest, x, rng)
     return int(classes[0])
 

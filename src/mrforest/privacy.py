@@ -10,13 +10,25 @@ record removed), compute both output distributions in closed form, and report
 the worst probability ratio against e^B. Output spaces are held fixed across
 neighbors; where a neighbor would naturally induce a different candidate
 threshold set, the auditor counts the mismatch instead of hiding it.
+
+Neighbors are stored batched: one stacked (N, m, D) feature block and (N, m)
+label block per row count, replace-one neighbors keeping all n rows and
+remove-one neighbors n - 1. Each neighbor's arrays in
+``Neighborhood.neighbors`` are views into those blocks, listed in
+enumeration order. An audit scores a whole block in one pass (one
+:func:`scan_features` call over every neighbor's sorted feature rows, or one
+batched matrix product over the threshold grid), turns the (N, outputs)
+score matrix into selection probabilities row by row, and takes the worst
+ratio over the matrix; the witness is the first neighbor in enumeration
+order that reaches it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -119,7 +131,16 @@ def compose_budget(per_layer: float, depth: int, b3: float, t: int) -> float:
 
 @dataclass
 class Neighborhood:
-    """Base dataset plus every enumerated neighbor's arrays and description.
+    """Base dataset plus every enumerated neighbor, stored as stacked blocks.
+
+    ``blocks`` holds one ``(x, y)`` pair per neighbor row count: x is
+    (N_b, m_b, D) and y is (N_b, m_b), replace-one neighbors (m = n) first,
+    then remove-one neighbors (m = n - 1). ``neighbors`` lists every neighbor
+    in enumeration order as ``(description, x, y)``, where x and y are
+    read-only views into those blocks, and ``order[i]`` is neighbor i's
+    position in the blocks stacked one after the other. The auditors score
+    each block in one pass and put the scores in neighbor order with
+    ``order``.
 
     ``score_cache`` memoizes the budget-independent quality scores so auditing
     the same neighborhood at several budgets enumerates only once.
@@ -128,7 +149,13 @@ class Neighborhood:
     features: np.ndarray
     labels: np.ndarray
     neighbors: tuple[tuple[dict[str, Any], np.ndarray, np.ndarray], ...]
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    order: np.ndarray
     score_cache: dict[Any, Any] = field(default_factory=dict, repr=False)
+
+    def per_neighbor(self, score: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+        """``score`` of every block, stacked, as one row per neighbor in order."""
+        return np.concatenate([score(x, y) for x, y in self.blocks])[self.order]
 
 
 def enumerate_neighbors(
@@ -139,45 +166,79 @@ def enumerate_neighbors(
 
     Replace-one neighbors swap one row for each record in
     ``replacement_records`` (default: every observed row paired with every
-    observed label); remove-one neighbors drop one row. Both variants are
-    enumerated so the stricter of bounded/unbounded adjacency is audited.
+    observed label), skipping a record equal to the row it would replace;
+    remove-one neighbors drop one row. Both variants are enumerated so the
+    stricter of bounded/unbounded adjacency is audited. The order is row by
+    row: that row's replacements in record order, then its removal.
     """
     if micro.n > _MAX_AUDIT_ROWS:
         raise SizeError(f"audit supports at most {_MAX_AUDIT_ROWS} rows, got {micro.n}")
     x, y = micro.features, micro.labels
+    n, d = x.shape
     if replacement_records is None:
         observed_labels = np.unique(y)
-        replacement_records = [
-            (x[i], int(label)) for i in range(micro.n) for label in observed_labels
-        ]
-    neighbors: list[tuple[dict[str, Any], np.ndarray, np.ndarray]] = []
-    for row in range(micro.n):
-        for rec_idx, (features, label) in enumerate(replacement_records):
-            if label == y[row] and np.array_equal(features, x[row]):
-                continue
-            x2 = x.copy()
-            y2 = y.copy()
-            x2[row] = features
-            y2[row] = label
-            neighbors.append(({"kind": "replace", "row": row, "record": rec_idx}, x2, y2))
-        if micro.n > 1:
-            keep = np.arange(micro.n) != row
-            neighbors.append(({"kind": "remove", "row": row}, x[keep], y[keep]))
-    return Neighborhood(features=x, labels=y, neighbors=tuple(neighbors))
+        rec_x = np.repeat(x, observed_labels.size, axis=0)
+        rec_y = np.tile(observed_labels, n)
+    else:
+        records = list(replacement_records)
+        if any(np.shape(features) != (d,) for features, _ in records):
+            raise DomainError(f"every replacement record needs {d} features")
+        rec_x = np.array([f for f, _ in records], dtype=np.float64).reshape(len(records), d)
+        rec_y = np.array([label for _, label in records], dtype=np.int64)
+        if not np.isfinite(rec_x).all():
+            raise DomainError("replacement records contain NaN or infinite values")
+    # (row, record) pairs in row-major order, skipping no-op replacements
+    same = (rec_y[None, :] == y[:, None]) & (rec_x[None, :, :] == x[:, None, :]).all(axis=2)
+    rows, recs = np.nonzero(~same)
+    replaced_x = np.repeat(x[None], rows.size, axis=0)
+    replaced_y = np.repeat(y[None], rows.size, axis=0)
+    replaced_x[np.arange(rows.size), rows] = rec_x[recs]
+    replaced_y[np.arange(rows.size), rows] = rec_y[recs]
+    blocks = [(replaced_x, replaced_y)]
+    descs = [{"kind": "replace", "row": int(r), "record": int(c)} for r, c in zip(rows, recs)]
+    neighbor_rows = [rows]
+    if n > 1:
+        # row r of the removal block keeps every row but r, in order
+        kept = np.arange(n - 1) + (np.arange(n - 1)[None, :] >= np.arange(n)[:, None])
+        blocks.append((x[kept], y[kept]))
+        descs += [{"kind": "remove", "row": r} for r in range(n)]
+        neighbor_rows.append(np.arange(n))
+    for block_x, block_y in blocks:
+        block_x.flags.writeable = block_y.flags.writeable = False
+    views = [view for block_x, block_y in blocks for view in zip(block_x, block_y)]
+    # enumeration order: row by row, a row's replacements before its removal
+    order = np.argsort(np.concatenate(neighbor_rows), kind="stable")
+    return Neighborhood(
+        features=x,
+        labels=y,
+        neighbors=tuple((descs[i], *views[i]) for i in order),
+        blocks=tuple(blocks),
+        order=order,
+    )
 
 
 def _root_feature_scores(
     x: np.ndarray, y: np.ndarray, class_count: int, criterion: str
 ) -> np.ndarray:
-    """Per-feature best impurity decrease at the root; 0 for constant features."""
-    if x.shape[0] < 2:
-        return np.zeros(x.shape[1])
-    sorted_pos = np.argsort(x, axis=0, kind="stable").T
-    cols = np.arange(x.shape[1])[:, None]
+    """Per-feature best impurity decrease at the root; 0 for constant features.
+
+    ``x`` is one dataset (m, D) or a stack of them (N, m, D) with labels
+    (m,) or (N, m); every feature of every dataset goes to one
+    :func:`scan_features` call, one sorted row each.
+    """
+    *stack, m, d = x.shape
+    if m < 2:
+        return np.zeros((*stack, d))
+    sorted_pos = np.argsort(x, axis=-2, kind="stable")
+    values = np.take_along_axis(x, sorted_pos, axis=-2)
+    labels = np.take_along_axis(np.broadcast_to(y[..., None], x.shape), sorted_pos, axis=-2)
     valid, _, decreases = scan_features(
-        x[sorted_pos, cols], y[sorted_pos], class_count, criterion
+        np.swapaxes(values, -1, -2).reshape(-1, m),
+        np.swapaxes(labels, -1, -2).reshape(-1, m),
+        class_count,
+        criterion,
     )
-    best = np.where(valid, decreases, -np.inf).max(axis=1)
+    best = np.where(valid, decreases, -np.inf).max(axis=1).reshape(*stack, d)
     return np.where(np.isfinite(best), best, 0.0)
 
 
@@ -189,21 +250,27 @@ def _grid_value_scores(
     class_count: int,
     criterion: str,
 ) -> np.ndarray:
-    """Impurity decrease of each grid threshold; 0 where a side is empty."""
-    n = x.shape[0]
+    """Impurity decrease of each grid threshold; 0 where a side is empty.
+
+    ``x`` is one dataset (m, D) or a stack of them (N, m, D); the result is
+    (G,) or (N, G).
+    """
+    n = x.shape[-2]
     if n == 0:
-        return np.zeros(grid.size)
-    left_mask = x[:, feature][None, :] <= grid[:, None]
-    onehot = (y[:, None] == np.arange(class_count)).astype(np.int64)
+        return np.zeros((*x.shape[:-2], grid.size))
+    left_mask = x[..., None, :, feature] <= grid[:, None]
+    onehot = (y[..., :, None] == np.arange(class_count)).astype(np.int64)
     left_counts = left_mask @ onehot
-    total = onehot.sum(axis=0)
-    left_n = left_mask.sum(axis=1)
+    total = onehot.sum(axis=-2)
+    left_n = left_mask.sum(axis=-1)
     right_n = n - left_n
     parent_imp = _impurity_of(total, np.asarray(n), criterion)
     child = left_n / n * _impurity_of(left_counts, left_n, criterion) + (
         right_n / n
-    ) * _impurity_of(total[None, :] - left_counts, right_n, criterion)
-    decreases = np.where((left_n > 0) & (right_n > 0), parent_imp - child, 0.0)
+    ) * _impurity_of(total[..., None, :] - left_counts, right_n, criterion)
+    decreases = np.where(
+        (left_n > 0) & (right_n > 0), parent_imp[..., None] - child, 0.0
+    )
     return np.maximum(decreases, 0.0)
 
 
@@ -212,23 +279,54 @@ def _candidate_thresholds(x: np.ndarray, feature: int) -> np.ndarray:
     return 0.5 * (values[:-1] + values[1:])
 
 
+def _candidate_mismatches(x: np.ndarray, feature: int, grid: np.ndarray) -> int:
+    """How many of the stacked datasets (N, m, D) have candidates other than ``grid``."""
+    values = np.sort(x[..., feature], axis=-1)
+    distinct = np.ones(values.shape, dtype=bool)
+    distinct[:, 1:] = values[:, 1:] != values[:, :-1]
+    same_size = distinct.sum(axis=1) == grid.size + 1
+    own = values[same_size][distinct[same_size]].reshape(-1, grid.size + 1)
+    midpoints = 0.5 * (own[:, :-1] + own[:, 1:])
+    matches = np.isclose(midpoints, grid).all(axis=1)
+    return x.shape[0] - int(matches.sum())
+
+
+def _audit_bound(name: str, budget: float) -> float:
+    """e^budget, the ratio bound; a budget with no finite bound is rejected."""
+    if not math.isfinite(budget) or budget < 0:
+        raise DomainError(f"{name} must be finite and nonnegative")
+    try:
+        return math.exp(budget)
+    except OverflowError:
+        raise DomainError(f"{name}={budget!r} is too large: e^{name} overflows a float") from None
+
+
 def _ratio_report(
     mechanism: str,
     budget: float,
+    bound: float,
     base_probs: np.ndarray,
-    neighbor_probs: list[np.ndarray],
-    descriptions: list[dict[str, Any]],
+    neighbor_probs: np.ndarray,
+    describe: Callable[[int], dict[str, Any]],
     candidate_mismatches: int = 0,
 ) -> AuditReport:
+    """Worst ratio over the (N, outputs) neighbor probabilities, both ways.
+
+    The witness, described by ``describe(i)`` for neighbor i, is the first
+    neighbor whose largest ratio is the worst one, if that exceeds 1; a
+    neighbor whose largest ratio is NaN (0/0 at large budgets) is skipped.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.maximum(base_probs / neighbor_probs, neighbor_probs / base_probs)
+    outputs = np.argmax(ratio, axis=1)
+    largest = ratio[np.arange(ratio.shape[0]), outputs]
+    candidates = np.flatnonzero(largest > 1.0)
     worst = 1.0
     witness: dict[str, Any] = {}
-    for desc, probs in zip(descriptions, neighbor_probs):
-        ratio = np.maximum(base_probs / probs, probs / base_probs)
-        idx = int(np.argmax(ratio))
-        if ratio[idx] > worst:
-            worst = float(ratio[idx])
-            witness = {"neighbor": desc, "output": idx, "ratio": worst}
-    bound = math.exp(budget)
+    if candidates.size:
+        first = candidates[np.argmax(largest[candidates])]
+        worst = float(largest[first])
+        witness = {"neighbor": describe(first), "output": int(outputs[first]), "ratio": worst}
     return AuditReport(
         mechanism=mechanism,
         budget=budget,
@@ -236,7 +334,7 @@ def _ratio_report(
         bound=bound,
         passed=worst <= bound * (1.0 + _PASS_SLACK),
         witness=witness,
-        neighbor_count=len(neighbor_probs),
+        neighbor_count=ratio.shape[0],
         candidate_mismatches=candidate_mismatches,
     )
 
@@ -256,24 +354,22 @@ def audit_feature_mechanism(
     The output space is the fixed feature set; each dataset's quality scores
     are its own per-feature best impurity decreases at the root.
     """
-    if not math.isfinite(b1) or b1 < 0:
-        raise DomainError("b1 must be finite and nonnegative")
+    bound = _audit_bound("b1", b1)
     neigh = neighborhood or enumerate_neighbors(micro)
     class_count = micro.class_count
     key = ("feature", criterion)
     if key not in neigh.score_cache:
-        neigh.score_cache[key] = (
-            _root_feature_scores(neigh.features, neigh.labels, class_count, criterion),
-            [
-                _root_feature_scores(x2, y2, class_count, criterion)
-                for _, x2, y2 in neigh.neighbors
-            ],
-        )
+        score = partial(_root_feature_scores, class_count=class_count, criterion=criterion)
+        neigh.score_cache[key] = (score(neigh.features, neigh.labels), neigh.per_neighbor(score))
     base_scores, neighbor_scores = neigh.score_cache[key]
-    base = _selection_probs(base_scores, b1)
-    descs = [desc for desc, _, _ in neigh.neighbors]
-    probs = [_selection_probs(s, b1) for s in neighbor_scores]
-    return _ratio_report("feature", b1, base, probs, descs)
+    return _ratio_report(
+        "feature",
+        b1,
+        bound,
+        _selection_probs(base_scores, b1),
+        _selection_probs(neighbor_scores, b1),
+        lambda i: neigh.neighbors[i][0],
+    )
 
 
 def audit_value_mechanism(
@@ -291,8 +387,7 @@ def audit_value_mechanism(
     counted in ``candidate_mismatches``: the ratio bound is only meaningful
     on the shared output space, and the count sizes that gap.
     """
-    if not math.isfinite(b2) or b2 < 0:
-        raise DomainError("b2 must be finite and nonnegative")
+    bound = _audit_bound("b2", b2)
     neigh = neighborhood or enumerate_neighbors(micro)
     if grid is None:
         grid = _candidate_thresholds(neigh.features, feature)
@@ -302,27 +397,24 @@ def audit_value_mechanism(
     class_count = micro.class_count
     key = ("value", feature, criterion, grid.tobytes())
     if key not in neigh.score_cache:
-        neighbor_scores = []
-        mismatches = 0
-        for _, x2, y2 in neigh.neighbors:
-            neighbor_scores.append(
-                _grid_value_scores(x2, y2, feature, grid, class_count, criterion)
-            )
-            own = _candidate_thresholds(x2, feature)
-            if own.size != grid.size or not np.allclose(own, grid):
-                mismatches += 1
+        score = partial(
+            _grid_value_scores, feature=feature, grid=grid, class_count=class_count, criterion=criterion
+        )
         neigh.score_cache[key] = (
-            _grid_value_scores(
-                neigh.features, neigh.labels, feature, grid, class_count, criterion
-            ),
-            neighbor_scores,
-            mismatches,
+            score(neigh.features, neigh.labels),
+            neigh.per_neighbor(score),
+            sum(_candidate_mismatches(x, feature, grid) for x, _ in neigh.blocks),
         )
     base_scores, neighbor_scores, mismatches = neigh.score_cache[key]
-    base = _selection_probs(base_scores, b2)
-    descs = [desc for desc, _, _ in neigh.neighbors]
-    probs = [_selection_probs(s, b2) for s in neighbor_scores]
-    return _ratio_report("value", b2, base, probs, descs, candidate_mismatches=mismatches)
+    return _ratio_report(
+        "value",
+        b2,
+        bound,
+        _selection_probs(base_scores, b2),
+        _selection_probs(neighbor_scores, b2),
+        lambda i: neigh.neighbors[i][0],
+        candidate_mismatches=mismatches,
+    )
 
 
 def audit_label_mechanism(leaf_counts: ClassCounts, b3: float) -> AuditReport:
@@ -330,37 +422,26 @@ def audit_label_mechanism(leaf_counts: ClassCounts, b3: float) -> AuditReport:
 
     Neighbors change one record's label or remove one record; removals that
     would empty the leaf are skipped since the mechanism is undefined there.
+    Each observed label i gives its relabelings to every other label j in
+    order, then its removal.
     """
-    if not math.isfinite(b3) or b3 < 0:
-        raise DomainError("b3 must be finite and nonnegative")
+    bound = _audit_bound("b3", b3)
     counts = leaf_counts.counts
     total = leaf_counts.total
     if total < 1:
         raise DomainError("cannot audit an empty leaf")
-
-    def probs_of(c: np.ndarray) -> np.ndarray:
-        eta = c / c.sum()
-        z = 0.5 * b3 * eta
-        z -= z.max()
-        e = np.exp(z)
-        return e / e.sum()
-
-    base = probs_of(counts)
-    descs, probs = [], []
-    for i in range(counts.size):
-        if counts[i] == 0:
-            continue
+    eye = np.eye(counts.size, dtype=np.int64)
+    descs: list[dict[str, Any]] = []
+    moves: list[np.ndarray] = []
+    for i in np.flatnonzero(counts):
         for j in range(counts.size):
-            if j == i:
-                continue
-            changed = counts.copy()
-            changed[i] -= 1
-            changed[j] += 1
-            descs.append({"kind": "relabel", "from": i, "to": j})
-            probs.append(probs_of(changed))
+            if j != i:
+                descs.append({"kind": "relabel", "from": int(i), "to": j})
+                moves.append(eye[j] - eye[i])
         if total > 1:
-            removed = counts.copy()
-            removed[i] -= 1
-            descs.append({"kind": "remove", "label": i})
-            probs.append(probs_of(removed))
-    return _ratio_report("label", b3, base, probs, descs)
+            descs.append({"kind": "remove", "label": int(i)})
+            moves.append(-eye[i])
+    changed = counts + np.array(moves).reshape(-1, counts.size)
+    base = softmax_scaled(counts / total, b3)
+    probs = softmax_scaled(changed / changed.sum(axis=1, keepdims=True), b3)
+    return _ratio_report("label", b3, bound, base, probs, descs.__getitem__)

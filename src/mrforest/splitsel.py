@@ -39,29 +39,34 @@ class ScoredChoices:
 
 
 def normalize(values: np.ndarray | list[float]) -> np.ndarray:
-    """Min-max rescale to [0, 1]; an all-equal vector maps to all zeros."""
+    """Min-max rescale each vector along the last axis to [0, 1].
+
+    An all-equal vector maps to all zeros.
+    """
     arr = np.asarray(values, dtype=np.float64)
-    lo = arr.min()
-    hi = arr.max()
-    if hi == lo:
-        return np.zeros_like(arr)
-    return (arr - lo) / (hi - lo)
+    # a 1-D call (every draw in training) reduces to scalars, which is faster
+    keep = arr.ndim > 1
+    lo = arr.min(axis=-1, keepdims=keep)
+    span = arr.max(axis=-1, keepdims=keep) - lo
+    # an all-equal vector divides its zeros by 1
+    return (arr - lo) / (span + (span == 0))
 
 
 def softmax_scaled(normalized: np.ndarray | list[float], budget: float) -> np.ndarray:
-    """Probabilities proportional to exp(budget/2 * x).
+    """Probabilities proportional to exp(budget/2 * x) along the last axis.
 
     ``budget`` may be ``math.inf``, which selects uniformly among the exact
     argmax entries (the greedy limit).
     """
     arr = np.asarray(normalized, dtype=np.float64)
+    keep = arr.ndim > 1
     if math.isinf(budget):
-        mask = arr == arr.max()
-        return mask / mask.sum()
+        mask = arr == arr.max(axis=-1, keepdims=keep)
+        return mask / mask.sum(axis=-1, keepdims=keep)
     z = 0.5 * budget * arr
-    z -= z.max()
+    z -= z.max(axis=-1, keepdims=keep)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=keep)
 
 
 def scored_choices(scores: np.ndarray | list[float], budget: float) -> ScoredChoices:

@@ -120,7 +120,12 @@ class Tree:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any], class_count: int, feature_count: int) -> "Tree":
-        """Tree of a :meth:`to_dict` document; children must follow their parent."""
+        """Tree of a :meth:`to_dict` document; children must follow their parent.
+
+        A corrupt document raises :class:`ParseError`: a child index out of
+        order or range, a feature outside the columns, a threshold or leaf
+        eta that is NaN or infinite, or leaves without ``class_count`` classes.
+        """
         entries = doc["nodes"]
         nodes = [TreeNode(depth=int(entry["depth"])) for entry in entries]
         leaves = []
@@ -130,6 +135,8 @@ class Tree:
                 continue
             node.feature = int(entry["feature"])
             node.threshold = float(entry["threshold"])
+            if not math.isfinite(node.threshold):
+                raise ParseError(f"node {index}: threshold {node.threshold} is not finite")
             left, right = entry["left"], entry["right"]
             if not (index < left < len(nodes) and index < right < len(nodes)):
                 raise ParseError(f"node {index}: child index out of order or range")
@@ -142,6 +149,8 @@ class Tree:
         counts = np.array([entries[i]["counts"] for i in leaves], dtype=np.int64)
         if etas.shape != (len(leaves), class_count) or counts.shape != etas.shape:
             raise ParseError(f"leaf counts or eta do not have {class_count} classes")
+        if not np.isfinite(etas).all():
+            raise ParseError("leaf eta holds NaN or infinite values")
         for i, eta, count in zip(leaves, etas, counts):
             nodes[i].eta, nodes[i].counts = eta, count
         return cls(

@@ -1,17 +1,23 @@
-"""Independent brute-force oracles for cross-checking trees and prediction.
+"""Independent brute-force oracles for cross-checking trees, prediction and audits.
 
 Everything here recomputes impurity from scratch per candidate threshold
 (no sorted sweep, no shared code with the library's scan) so the greedy-limit
 equivalence tests compare two genuinely independent implementations.
 :func:`walk_votes` predicts by walking each tree's node graph, one tree at a
 time, as the library did before it compiled trees into flat arrays.
+The ``reference_*`` audits score one neighbor at a time and scan the ratios
+in a sequential loop, as the library did before it scored all neighbors in
+one batched pass; they return ``AuditReport.to_dict()`` documents.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Any
 
 import numpy as np
+
+from mrforest.impurity import _impurity_of, scan_features
 
 GAP = 1e-9  # optima closer than this count as ties and disqualify a dataset
 
@@ -176,3 +182,140 @@ def walk_votes(forest, x: np.ndarray, rng: np.random.Generator | None = None):
     for row in votes:
         tallies[row, np.arange(n)] += 1
     return np.argmax(tallies, axis=0), votes
+
+
+def reference_neighbors(x: np.ndarray, y: np.ndarray, records=None) -> list:
+    """(description, x, y) of every one-record neighbor, each its own copy."""
+    n = x.shape[0]
+    if records is None:
+        records = [(x[i], int(label)) for i in range(n) for label in np.unique(y)]
+    neighbors = []
+    for row in range(n):
+        for rec_idx, (features, label) in enumerate(records):
+            if label == y[row] and np.array_equal(features, x[row]):
+                continue
+            x2, y2 = x.copy(), y.copy()
+            x2[row], y2[row] = features, label
+            neighbors.append(({"kind": "replace", "row": row, "record": rec_idx}, x2, y2))
+        if n > 1:
+            keep = np.arange(n) != row
+            neighbors.append(({"kind": "remove", "row": row}, x[keep], y[keep]))
+    return neighbors
+
+
+def _selection(scores: np.ndarray, budget: float) -> np.ndarray:
+    lo, hi = scores.min(), scores.max()
+    normalized = np.zeros_like(scores) if hi == lo else (scores - lo) / (hi - lo)
+    z = 0.5 * budget * normalized
+    z -= z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def _report(mechanism, budget, base, neighbor_probs, descriptions, mismatches=0) -> dict[str, Any]:
+    worst = 1.0
+    witness: dict[str, Any] = {}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for desc, probs in zip(descriptions, neighbor_probs):
+            ratio = np.maximum(base / probs, probs / base)
+            idx = int(np.argmax(ratio))
+            if ratio[idx] > worst:
+                worst = float(ratio[idx])
+                witness = {"neighbor": desc, "output": idx, "ratio": worst}
+    bound = math.exp(budget)
+    return {
+        "mechanism": mechanism,
+        "budget": budget,
+        "worst_ratio": worst,
+        "bound": bound,
+        "passed": worst <= bound * (1.0 + 1e-9),
+        "witness": witness,
+        "neighbor_count": len(neighbor_probs),
+        "candidate_mismatches": mismatches,
+    }
+
+
+def _root_scores(x: np.ndarray, y: np.ndarray, class_count: int, criterion: str) -> np.ndarray:
+    if x.shape[0] < 2:
+        return np.zeros(x.shape[1])
+    sorted_pos = np.argsort(x, axis=0, kind="stable").T
+    cols = np.arange(x.shape[1])[:, None]
+    valid, _, decreases = scan_features(x[sorted_pos, cols], y[sorted_pos], class_count, criterion)
+    best = np.where(valid, decreases, -np.inf).max(axis=1)
+    return np.where(np.isfinite(best), best, 0.0)
+
+
+def _grid_scores(x, y, feature, grid, class_count, criterion) -> np.ndarray:
+    n = x.shape[0]
+    if n == 0:
+        return np.zeros(grid.size)
+    left_mask = x[:, feature][None, :] <= grid[:, None]
+    onehot = (y[:, None] == np.arange(class_count)).astype(np.int64)
+    left_counts = left_mask @ onehot
+    total = onehot.sum(axis=0)
+    left_n = left_mask.sum(axis=1)
+    right_n = n - left_n
+    parent_imp = _impurity_of(total, np.asarray(n), criterion)
+    child = left_n / n * _impurity_of(left_counts, left_n, criterion) + (
+        right_n / n
+    ) * _impurity_of(total[None, :] - left_counts, right_n, criterion)
+    decreases = np.where((left_n > 0) & (right_n > 0), parent_imp - child, 0.0)
+    return np.maximum(decreases, 0.0)
+
+
+def _midpoints(x: np.ndarray, feature: int) -> np.ndarray:
+    values = np.unique(x[:, feature])
+    return 0.5 * (values[:-1] + values[1:])
+
+
+def reference_feature_audit(micro, b1, criterion="gini", records=None) -> dict[str, Any]:
+    x, y, k = micro.features, micro.labels, micro.class_count
+    neighbors = reference_neighbors(x, y, records)
+    base = _selection(_root_scores(x, y, k, criterion), b1)
+    probs = [_selection(_root_scores(x2, y2, k, criterion), b1) for _, x2, y2 in neighbors]
+    return _report("feature", b1, base, probs, [desc for desc, _, _ in neighbors])
+
+
+def reference_value_audit(micro, feature, b2, criterion="gini", grid=None, records=None):
+    x, y, k = micro.features, micro.labels, micro.class_count
+    neighbors = reference_neighbors(x, y, records)
+    grid = _midpoints(x, feature) if grid is None else np.asarray(grid, dtype=np.float64)
+    base = _selection(_grid_scores(x, y, feature, grid, k, criterion), b2)
+    probs, mismatches = [], 0
+    for _, x2, y2 in neighbors:
+        probs.append(_selection(_grid_scores(x2, y2, feature, grid, k, criterion), b2))
+        own = _midpoints(x2, feature)
+        if own.size != grid.size or not np.allclose(own, grid):
+            mismatches += 1
+    descs = [desc for desc, _, _ in neighbors]
+    return _report("value", b2, base, probs, descs, mismatches)
+
+
+def reference_label_audit(counts: np.ndarray, b3: float) -> dict[str, Any]:
+    total = int(counts.sum())
+
+    def probs_of(c: np.ndarray) -> np.ndarray:
+        eta = c / c.sum()
+        z = 0.5 * b3 * eta
+        z -= z.max()
+        e = np.exp(z)
+        return e / e.sum()
+
+    descs, probs = [], []
+    for i in range(counts.size):
+        if counts[i] == 0:
+            continue
+        for j in range(counts.size):
+            if j == i:
+                continue
+            changed = counts.copy()
+            changed[i] -= 1
+            changed[j] += 1
+            descs.append({"kind": "relabel", "from": i, "to": j})
+            probs.append(probs_of(changed))
+        if total > 1:
+            removed = counts.copy()
+            removed[i] -= 1
+            descs.append({"kind": "remove", "label": i})
+            probs.append(probs_of(removed))
+    return _report("label", b3, probs_of(counts), probs, descs)

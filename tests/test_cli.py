@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 import mrforest.cli as cli
+from mrforest.data import load_dataset, partition
+from mrforest.forest import predict_batch, train_mrf
+from mrforest.harness import TreeDistReport, emit_report, tree_accuracy_distribution
 from mrforest.privacy import AuditReport
 
 
@@ -128,6 +131,41 @@ class TestReportsAndSweep:
         doc = json.loads(out.read_text())
         assert len(doc["accuracies"]) == 4
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_tree_dist_report_from_one_prediction(self, data_csv, tmp_path, monkeypatch, fmt):
+        out = tmp_path / f"dist.{fmt}"
+        argv = ["tree-dist", "--data", str(data_csv), "--trees", "4", "--min-leaf", "3",
+                "--b3", "2.0", "--eval-seed", "5", "--format", fmt, "--out", str(out)]
+        calls = []
+
+        def counting_predict_batch(*args):
+            calls.append(args)
+            return predict_batch(*args)
+
+        monkeypatch.setattr(cli, "predict_batch", counting_predict_batch)
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
+        # the report as it was built from two predictions with the same seed
+        args = cli.build_parser().parse_args(argv)
+        dataset = load_dataset(data_csv)
+        rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(99,)))
+        holdout = partition(dataset, (1.0 - 0.3) / 0.3, rng)
+        forest = train_mrf(
+            dataset.subset(holdout.structure_idx),
+            cli._config_from_args(args, holdout.structure_idx.size),
+        )
+        test_x = dataset.features[holdout.estimation_idx]
+        test_y = dataset.labels[holdout.estimation_idx]
+        accs = tree_accuracy_distribution(forest, test_x, test_y, np.random.default_rng(5))
+        classes, _ = predict_batch(forest, test_x, np.random.default_rng(5))
+        expected = TreeDistReport(
+            dataset="train",
+            method="mrf",
+            accuracies=tuple(float(a) for a in accs),
+            forest_accuracy=float(np.mean(classes == test_y)),
+        )
+        assert out.read_text() == emit_report(expected, fmt)
+
 
 class TestAuditAndBudget:
     def test_audit_passes_and_reports(self, micro_csv, tmp_path):
@@ -140,6 +178,12 @@ class TestAuditAndBudget:
         reports = json.loads(out.read_text())
         assert [r["mechanism"] for r in reports] == ["feature", "value", "label"]
         assert all(r["passed"] for r in reports)
+
+    @pytest.mark.parametrize("flag", ["--b1", "--b2", "--b3"])
+    def test_audit_budget_without_finite_bound_exits_2(self, micro_csv, capsys, flag):
+        code = cli.main(["audit", "--data", str(micro_csv), flag, "1000"])
+        assert code == cli.EXIT_CONFIG
+        assert "overflows" in capsys.readouterr().err
 
     def test_audit_violation_exit_code(self, micro_csv, monkeypatch, capsys):
         failing = AuditReport(

@@ -157,6 +157,18 @@ class TestBadRows:
         with pytest.raises(ParseError):
             predict(forest, rows[2])
 
+    @pytest.mark.parametrize("shape", ((3, 2), (2, 2), (0, 2), (1, 1, 2), ()))
+    def test_predict_takes_exactly_one_row(self, forest, shape):
+        with pytest.raises(SchemaError):
+            predict(forest, np.zeros(shape))
+
+    def test_predict_accepts_a_row_or_a_one_row_matrix(self, forest):
+        rows = np.array([[-3.0, 0.0], [3.0, 0.0]])
+        classes, _ = predict_batch(forest, rows)
+        for row, expected in zip(rows, classes):
+            assert predict(forest, row) == predict(forest, row[None, :]) == expected
+            assert predict(forest, list(row)) == expected
+
     def test_empty_batch(self, forest):
         classes, votes = predict_batch(forest, np.empty((0, 2)))
         assert classes.shape == (0,) and votes.shape == (3, 0)
@@ -212,6 +224,14 @@ def _labels_short(doc):
     doc["label_values"] = doc["label_values"][:2]
 
 
+def _nan_threshold(doc):
+    doc["trees"][0]["nodes"][0]["threshold"] = math.nan
+
+
+def _inf_eta(doc):
+    next(node for node in doc["trees"][1]["nodes"] if node["kind"] == "leaf")["eta"][0] = math.inf
+
+
 CORRUPTIONS = (
     _self_loop,
     _backward_child,
@@ -223,6 +243,8 @@ CORRUPTIONS = (
     _missing_nodes,
     _no_trees,
     _labels_short,
+    _nan_threshold,
+    _inf_eta,
 )
 
 
@@ -261,6 +283,20 @@ def test_truncated_model_file_exits_3_on_the_cli(tmp_path, capsys):
     code = cli.main(["predict", "--model", str(model), "--data", str(rows)])
     assert code == cli.EXIT_DATA
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt", (_nan_threshold, _inf_eta), ids=("nan-threshold", "inf-eta"))
+def test_non_finite_model_value_exits_3_on_the_cli(tmp_path, capsys, corrupt):
+    doc = _model_doc()
+    corrupt(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    rows = tmp_path / "rows.csv"
+    rows.write_text("f0,f1\n0.1,0.2\n", encoding="utf-8")
+    code = cli.main(["predict", "--model", str(model), "--data", str(rows)])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "error:" in err and ("not finite" in err or "infinite" in err)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
+from oracle import (
+    reference_feature_audit,
+    reference_label_audit,
+    reference_neighbors,
+    reference_value_audit,
+)
 from mrforest.data import Dataset
 from mrforest.errors import DomainError, SizeError
 from mrforest.impurity import ClassCounts
@@ -209,3 +215,134 @@ class TestAuditProperties:
         # replace-one keeps n rows, remove-one drops to n-1
         sizes = {x.shape[0] for _, x, _ in neighborhood.neighbors}
         assert sizes == {4, 3}
+
+
+# budgets up to 700 reach the inf and NaN ratios of underflowing probabilities
+REFERENCE_BUDGETS = (0.0, 0.1, 1.0, 5.0, 50.0, 300.0, 700.0)
+
+
+def _integer_micro(rng, n, d, k_classes) -> Dataset:
+    """Features in {0, 1, 2}: equal values, duplicate rows and tied neighbors."""
+    features = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    labels = rng.integers(0, k_classes, size=n)
+    return Dataset(features, labels, tuple(f"f{i}" for i in range(d)), k_classes)
+
+
+def _assert_all_audits_match_reference(micro, criterion, grid=None, records=None):
+    neighborhood = enumerate_neighbors(micro, records)
+    expected = reference_neighbors(micro.features, micro.labels, records)
+    assert len(neighborhood.neighbors) == len(expected)
+    for (desc, x, y), (ref_desc, ref_x, ref_y) in zip(neighborhood.neighbors, expected):
+        assert desc == ref_desc
+        assert np.array_equal(x, ref_x) and np.array_equal(y, ref_y)
+    counts = ClassCounts.from_labels(micro.labels, micro.class_count)
+    auditable_value = grid is not None or np.unique(micro.features[:, 0]).size > 1
+    for budget in REFERENCE_BUDGETS:
+        report = audit_feature_mechanism(micro, budget, criterion, neighborhood)
+        assert report.to_dict() == reference_feature_audit(micro, budget, criterion, records)
+        if auditable_value:
+            report = audit_value_mechanism(micro, 0, budget, criterion, neighborhood, grid)
+            assert report.to_dict() == reference_value_audit(
+                micro, 0, budget, criterion, grid, records
+            )
+        report = audit_label_mechanism(counts, budget)
+        assert report.to_dict() == reference_label_audit(counts.counts, budget)
+
+
+class TestBatchedAuditsMatchReference:
+    """Batched scoring equals per-neighbor scoring with a sequential ratio scan."""
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fuzzed_micro_datasets(self, seed, criterion):
+        rng = np.random.default_rng(500 + seed)
+        n = int(rng.integers(2, 13))
+        d = int(rng.integers(1, 4))
+        k_classes = int(rng.integers(2, 4))
+        if seed % 2:
+            micro = _micro(rng, n=n, d=d, k_classes=k_classes)
+        else:
+            micro = _integer_micro(rng, n, d, k_classes)
+        _assert_all_audits_match_reference(micro, criterion)
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize("labels", [[0, 1], [1, 1], [0, 2]])
+    def test_two_rows_remove_neighbors_are_not_scanned(self, labels, criterion):
+        micro = Dataset(np.array([[0.0, 2.0], [1.0, 2.0]]), np.array(labels), ("a", "b"), 3)
+        neighborhood = enumerate_neighbors(micro)
+        removed = [x for desc, x, _ in neighborhood.neighbors if desc["kind"] == "remove"]
+        assert [x.shape for x in removed] == [(1, 2), (1, 2)]
+        _assert_all_audits_match_reference(micro, criterion)
+
+    def test_one_row_has_no_default_neighbors(self):
+        micro = Dataset(np.array([[1.0, 2.0]]), np.array([1]), ("a", "b"), 2)
+        assert enumerate_neighbors(micro).neighbors == ()
+        _assert_all_audits_match_reference(micro, "gini", grid=np.array([1.5]))
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_constant_features(self, criterion, rng):
+        features = np.column_stack([rng.normal(size=7), np.full(7, 3.0), np.zeros(7)])
+        labels = np.array([0, 1, 1, 0, 2, 2, 1])
+        micro = Dataset(features, labels, ("a", "b", "c"), 3)
+        _assert_all_audits_match_reference(micro, criterion)
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_custom_grid_and_replacement_records(self, criterion, rng):
+        micro = _integer_micro(rng, 6, 2, 2)
+        records = [
+            (micro.features[0], int(micro.labels[0])),  # the row itself: skipped there
+            (np.array([-4.0, 9.0]), 1),
+            (np.array([0.5, 0.5]), 0),
+            (np.array([-4.0, 9.0]), 1),  # a duplicate record ties with the first
+        ]
+        grid = np.array([-1.0, 0.25, 1.5, 5.0])
+        _assert_all_audits_match_reference(micro, criterion, grid=grid, records=records)
+        _assert_all_audits_match_reference(micro, criterion, grid=grid, records=[])
+
+    def test_tied_neighbors_report_the_first(self):
+        # rows 0 and 1 are equal, and so are default records 1 and 3: replacing
+        # either of a tied pair gives the same dataset and the same ratios
+        features = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [2.0, 3.0], [3.0, 2.0]])
+        micro = Dataset(features, np.array([0, 0, 1, 1, 0]), ("a", "b"), 2)
+        neighborhood = enumerate_neighbors(micro)
+        for budget in (0.5, 5.0, 50.0):
+            feature = audit_feature_mechanism(micro, budget, neighborhood=neighborhood)
+            assert feature.witness["neighbor"] == {"kind": "replace", "row": 0, "record": 4}
+            value = audit_value_mechanism(micro, 0, budget, neighborhood=neighborhood)
+            assert value.witness["neighbor"] == {"kind": "replace", "row": 3, "record": 1}
+            label = audit_label_mechanism(ClassCounts(np.array([2, 2])), budget)
+            assert label.witness["neighbor"] == {"kind": "relabel", "from": 0, "to": 1}
+        _assert_all_audits_match_reference(micro, "gini")
+
+    def test_neighbors_are_read_only_views_of_the_blocks(self, rng):
+        micro = _micro(rng, n=5, d=2)
+        neighborhood = enumerate_neighbors(micro)
+        for desc, x, y in neighborhood.neighbors:
+            assert x.base is not None and y.base is not None
+            assert not x.flags.writeable and not y.flags.writeable
+        sizes = [block_x.shape for block_x, _ in neighborhood.blocks]
+        assert sizes == [(len(neighborhood.neighbors) - 5, 5, 2), (5, 4, 2)]
+
+    def test_wrong_width_or_non_finite_records_rejected(self, rng):
+        micro = _micro(rng, n=4, d=2)
+        for record in (np.array([1.0]), np.array([1.0, 2.0, 3.0]), np.array([np.nan, 0.0])):
+            with pytest.raises(DomainError):
+                enumerate_neighbors(micro, [(record, 0)])
+
+
+class TestAuditBudgetOverflow:
+    def test_budget_without_finite_bound_rejected(self, rng):
+        micro = _micro(rng, n=5, d=2)
+        counts = ClassCounts.from_labels(micro.labels, micro.class_count)
+        for budget in (710.0, 1000.0, 1e308):
+            with pytest.raises(DomainError):
+                audit_feature_mechanism(micro, budget)
+            with pytest.raises(DomainError):
+                audit_value_mechanism(micro, 0, budget)
+            with pytest.raises(DomainError):
+                audit_label_mechanism(counts, budget)
+
+    def test_largest_finite_bound_accepted(self, rng):
+        micro = _micro(rng, n=5, d=2)
+        report = audit_feature_mechanism(micro, 709.0)
+        assert report.bound == math.exp(709.0)

@@ -42,7 +42,7 @@ from .splitsel import (
     softmax_scaled,
     value_region_bound,
 )
-from .tree import Tree, TreeNode, build_tree, leaf_distribution
+from .tree import Tree, TreeNode, build_tree
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "Tree",
     "TreeNode",
     "build_tree",
-    "leaf_distribution",
     "MrfConfig",
     "BaselineConfig",
     "Forest",

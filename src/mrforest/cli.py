@@ -270,9 +270,7 @@ def _cmd_budget(args: argparse.Namespace) -> int:
     if args.estimation_size is not None:
         estimation = args.estimation_size
     elif args.data is not None:
-        dataset = load_dataset(
-            args.data, label_col=_label_col(args.label_col), delimiter=args.delimiter
-        )
+        dataset = _load(args)
         estimation = dataset.n - structure_size(dataset.n, args.partition_rate)
     else:
         raise errors.ConfigError("budget needs --estimation-size or --data")

@@ -385,9 +385,12 @@ def audit_value_mechanism(
     The grid defaults to the base dataset's candidate midpoints for
     ``feature``. Neighbors whose own candidate set differs from the grid are
     counted in ``candidate_mismatches``: the ratio bound is only meaningful
-    on the shared output space, and the count sizes that gap.
+    on the shared output space, and the count sizes that gap. A ``feature``
+    outside the dataset's columns raises :class:`DomainError`.
     """
     bound = _audit_bound("b2", b2)
+    if not 0 <= feature < micro.feature_count:
+        raise DomainError(f"feature {feature} is not one of the {micro.feature_count} columns")
     neigh = neighborhood or enumerate_neighbors(micro)
     if grid is None:
         grid = _candidate_thresholds(neigh.features, feature)

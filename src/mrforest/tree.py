@@ -1,12 +1,18 @@
 """Decision tree construction and prediction for multinomial random forests.
 
-A tree is grown from structure rows only; estimation rows ride along and
-set the per-leaf class distributions. Nodes keep per-feature index slices
-sorted once at tree start and filtered downward, so each node's candidate
-scan is one vectorized pass. Split selection composes the two multinomial
-mechanisms; a sampled split is accepted only if both children keep at least
-``k`` estimation rows and one structure row, with resampling (value first,
-then feature, ten attempts total) before giving up and emitting a leaf.
+Both kinds of tree grow through one grower, :func:`_grow`, which walks the
+nodes depth first, filters each node's per-feature index slices (sorted once
+at tree start) down to its children, and emits leaves whose distribution is
+their estimation rows' class counts. A split rule decides each node:
+
+- the multinomial rule of :func:`build_tree` grows from structure rows only,
+  while estimation rows ride along and set the leaf distributions. It
+  composes the two multinomial mechanisms; a sampled split is accepted only
+  if both children keep at least ``k`` estimation rows and one structure
+  row, with resampling (value first, then feature, ten attempts total)
+  before giving up and emitting a leaf;
+- the greedy rule of :func:`build_baseline_tree` takes Breiman's best split
+  over a random feature subset, and its rows are their own estimation rows.
 
 The ``TreeNode`` graph under ``Tree.root`` is the one stored form of a tree.
 Prediction runs on a compiled form: :func:`compile_trees` copies all trees of
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -36,7 +42,6 @@ __all__ = [
     "Tree",
     "build_tree",
     "build_baseline_tree",
-    "leaf_distribution",
     "CompiledTrees",
     "compile_trees",
     "route_eta",
@@ -45,6 +50,9 @@ __all__ = [
 
 # Total (feature, value) samples tried per node before falling back to a leaf.
 _SPLIT_ATTEMPTS = 10
+
+# (feature, threshold, estimation rows going left) of a chosen split
+_Split = tuple[int, float, np.ndarray]
 
 TREE_FORMAT_VERSION = 1
 
@@ -124,7 +132,9 @@ class Tree:
 
         A corrupt document raises :class:`ParseError`: a child index out of
         order or range, a feature outside the columns, a threshold or leaf
-        eta that is NaN or infinite, or leaves without ``class_count`` classes.
+        eta that is NaN or infinite, leaves without ``class_count`` classes,
+        negative leaf counts, or a leaf eta that is negative or does not sum
+        to 1.
         """
         entries = doc["nodes"]
         nodes = [TreeNode(depth=int(entry["depth"])) for entry in entries]
@@ -151,6 +161,8 @@ class Tree:
             raise ParseError(f"leaf counts or eta do not have {class_count} classes")
         if not np.isfinite(etas).all():
             raise ParseError("leaf eta holds NaN or infinite values")
+        if (etas < 0).any() or (counts < 0).any() or (abs(etas.sum(axis=1) - 1) > 1e-9).any():
+            raise ParseError("leaf eta is not a distribution or leaf counts are negative")
         for i, eta, count in zip(leaves, etas, counts):
             nodes[i].eta, nodes[i].counts = eta, count
         return cls(
@@ -162,23 +174,6 @@ class Tree:
             },
             seed=doc.get("seed"),
         )
-
-
-def leaf_distribution(
-    labels: np.ndarray, class_count: int, parent: np.ndarray | None = None
-) -> np.ndarray:
-    """Empirical class distribution of a leaf's estimation labels.
-
-    An empty leaf inherits its parent's distribution; with no parent either,
-    the distribution is uniform.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        if parent is not None:
-            return np.asarray(parent, dtype=np.float64)
-        return np.full(class_count, 1.0 / class_count)
-    counts = np.bincount(labels, minlength=class_count)
-    return counts / labels.size
 
 
 def _sorted_index_matrix(x: np.ndarray) -> np.ndarray:
@@ -195,6 +190,51 @@ def _gather_sorted(
     else:
         cols = np.asarray(features)[:, None]
     return x[sorted_pos, cols]
+
+
+def _grow(
+    x: np.ndarray,
+    est_y: np.ndarray,
+    class_count: int,
+    choose: Callable[[int, np.ndarray, np.ndarray, np.ndarray], _Split | None],
+) -> tuple[TreeNode, int]:
+    """Grow a node graph depth first from rows ``x``; return its root and depth.
+
+    Each node holds ``sorted_pos``, its rows of ``x`` sorted per feature, and
+    ``est_pos``, its positions in ``est_y``. ``choose(depth, sorted_pos,
+    est_pos, counts)`` gets the node's estimation label counts and returns
+    ``(feature, threshold, est_left)``, where ``est_left`` marks the
+    estimation rows that go left, or None for a leaf. A leaf's distribution
+    is its counts over its estimation rows. The left child is pushed first,
+    so the right subtree is grown, and draws from the rng, first.
+    """
+    member = np.zeros(x.shape[0], dtype=bool)  # scratch for sorted-slice filtering
+    root = TreeNode(depth=0)
+    depth = 0
+    stack = [(root, _sorted_index_matrix(x), np.arange(est_y.size))]
+    while stack:
+        node, sorted_pos, est_pos = stack.pop()
+        counts = np.bincount(est_y[est_pos], minlength=class_count)
+        split = choose(node.depth, sorted_pos, est_pos, counts)
+        if split is None:
+            node.counts = counts
+            node.eta = counts / est_pos.size
+            depth = max(depth, node.depth)
+            continue
+        node.feature, node.threshold, est_left = split
+        node.left = TreeNode(depth=node.depth + 1)
+        node.right = TreeNode(depth=node.depth + 1)
+        rows = sorted_pos[0]
+        left_rows = rows[x[rows, node.feature] <= node.threshold]
+        member[left_rows] = True
+        keep = member[sorted_pos]
+        member[left_rows] = False
+        features, m = sorted_pos.shape
+        left_sorted = sorted_pos[keep].reshape(features, left_rows.size)
+        right_sorted = sorted_pos[~keep].reshape(features, m - left_rows.size)
+        stack.append((node.left, left_sorted, est_pos[est_left]))
+        stack.append((node.right, right_sorted, est_pos[~est_left]))
+    return root, depth
 
 
 def build_tree(
@@ -215,60 +255,18 @@ def build_tree(
     xs = np.ascontiguousarray(dataset.features[structure_idx])
     ys = dataset.labels[structure_idx]
     xe = np.ascontiguousarray(dataset.features[estimation_idx])
-    ye = dataset.labels[estimation_idx]
     class_count = dataset.class_count
-    n_struct = xs.shape[0]
-    k = config.k
-    max_depth = config.max_depth
 
-    member = np.zeros(n_struct, dtype=bool)  # scratch for sorted-slice filtering
-    root = TreeNode(depth=0)
-    tree_max_depth = 0
-    stack: list[tuple[TreeNode, np.ndarray, np.ndarray, np.ndarray | None]] = [
-        (root, _sorted_index_matrix(xs), np.arange(xe.shape[0]), None)
-    ]
+    def multinomial_split(depth, sorted_pos, est_pos, counts):
+        capped = config.max_depth is not None and depth >= config.max_depth
+        if capped or est_pos.size <= config.k or sorted_pos.shape[1] < 2:
+            return None
+        return _sample_split(xs, ys, xe, sorted_pos, est_pos, class_count, config, rng)
 
-    while stack:
-        node, sorted_pos, est_pos, parent_eta = stack.pop()
-        m = sorted_pos.shape[1]
-        split = None
-        if (
-            est_pos.size > k
-            and m >= 2
-            and (max_depth is None or node.depth < max_depth)
-        ):
-            split = _sample_split(
-                xs, ys, xe, sorted_pos, est_pos, class_count, config, rng
-            )
-        if split is None:
-            node.counts = np.bincount(ye[est_pos], minlength=class_count)
-            node.eta = leaf_distribution(ye[est_pos], class_count, parent_eta)
-            tree_max_depth = max(tree_max_depth, node.depth)
-            continue
-
-        feature, threshold, est_left_mask = split
-        node.feature = feature
-        node.threshold = float(threshold)
-        node.left = TreeNode(depth=node.depth + 1)
-        node.right = TreeNode(depth=node.depth + 1)
-
-        rows = sorted_pos[0]
-        left_rows = rows[xs[rows, feature] <= threshold]
-        member[left_rows] = True
-        keep = member[sorted_pos]
-        member[left_rows] = False
-        left_sorted = sorted_pos[keep].reshape(sorted_pos.shape[0], left_rows.size)
-        right_sorted = sorted_pos[~keep].reshape(
-            sorted_pos.shape[0], m - left_rows.size
-        )
-
-        node_eta = leaf_distribution(ye[est_pos], class_count, parent_eta)
-        stack.append((node.left, left_sorted, est_pos[est_left_mask], node_eta))
-        stack.append((node.right, right_sorted, est_pos[~est_left_mask], node_eta))
-
+    root, depth = _grow(xs, dataset.labels[estimation_idx], class_count, multinomial_split)
     return Tree(
         root=root,
-        depth=tree_max_depth,
+        depth=depth,
         params={
             "variant": "mrf",
             "b1": config.b1,
@@ -290,7 +288,7 @@ def _sample_split(
     class_count: int,
     config: "MrfConfig",
     rng: np.random.Generator,
-) -> tuple[int, float, np.ndarray] | None:
+) -> _Split | None:
     """Draw (feature, threshold) via the two mechanisms, enforcing split validity.
 
     Returns None when no valid split was sampled within the attempt budget.
@@ -337,65 +335,35 @@ def build_baseline_tree(
     Each node draws ``mtry`` features without replacement and takes the
     candidate with the largest impurity decrease, breaking ties toward the
     lowest feature index and then the lowest threshold. Nodes stop when pure
-    or at most ``k`` rows remain; leaves predict their majority class.
+    or at most ``k`` rows remain; leaves predict their majority class. The
+    rows are their own estimation rows.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    n, feature_count = x.shape
-    member = np.zeros(n, dtype=bool)
-    root = TreeNode(depth=0)
-    tree_max_depth = 0
-    stack = [(root, _sorted_index_matrix(x))]
+    feature_count = x.shape[1]
 
-    while stack:
-        node, sorted_pos = stack.pop()
-        rows = sorted_pos[0]
-        m = rows.size
-        counts = np.bincount(y[rows], minlength=class_count)
-        split = None
-        if m > k and counts.max() < m:
-            subset = np.sort(rng.choice(feature_count, size=mtry, replace=False))
-            valid, thresholds, decreases = scan_features(
-                _gather_sorted(x, sorted_pos[subset], subset),
-                y[sorted_pos[subset]],
-                class_count,
-                criterion,
-            )
-            masked = np.where(valid, decreases, -np.inf)
-            if np.isfinite(masked.max()):
-                # first flat argmax = lowest feature, then lowest threshold
-                flat = int(np.argmax(masked))
-                feat_row, pos = divmod(flat, masked.shape[1])
-                split = (int(subset[feat_row]), float(thresholds[feat_row, pos]))
-
-        if split is None:
-            node.counts = counts
-            node.eta = counts / m
-            tree_max_depth = max(tree_max_depth, node.depth)
-            continue
-
-        feature, threshold = split
-        node.feature = feature
-        node.threshold = threshold
-        node.left = TreeNode(depth=node.depth + 1)
-        node.right = TreeNode(depth=node.depth + 1)
-        left_rows = rows[x[rows, feature] <= threshold]
-        member[left_rows] = True
-        keep = member[sorted_pos]
-        member[left_rows] = False
-        stack.append(
-            (node.left, sorted_pos[keep].reshape(sorted_pos.shape[0], left_rows.size))
+    def greedy_split(depth, sorted_pos, est_pos, counts):
+        if est_pos.size <= k or counts.max() == est_pos.size:
+            return None
+        subset = np.sort(rng.choice(feature_count, size=mtry, replace=False))
+        valid, thresholds, decreases = scan_features(
+            _gather_sorted(x, sorted_pos[subset], subset),
+            y[sorted_pos[subset]],
+            class_count,
+            criterion,
         )
-        stack.append(
-            (
-                node.right,
-                sorted_pos[~keep].reshape(sorted_pos.shape[0], m - left_rows.size),
-            )
-        )
+        masked = np.where(valid, decreases, -np.inf)
+        if not np.isfinite(masked.max()):
+            return None
+        # first flat argmax = lowest feature, then lowest threshold
+        feat_row, pos = divmod(int(np.argmax(masked)), masked.shape[1])
+        feature, threshold = int(subset[feat_row]), float(thresholds[feat_row, pos])
+        return feature, threshold, x[est_pos, feature] <= threshold
 
+    root, depth = _grow(x, y, class_count, greedy_split)
     return Tree(
         root=root,
-        depth=tree_max_depth,
+        depth=depth,
         params={"variant": "breiman", "k": k, "mtry": mtry, "criterion": criterion},
     )
 

@@ -8,6 +8,9 @@ time, as the library did before it compiled trees into flat arrays.
 The ``reference_*`` audits score one neighbor at a time and scan the ratios
 in a sequential loop, as the library did before it scored all neighbors in
 one batched pass; they return ``AuditReport.to_dict()`` documents.
+:func:`reference_build_tree` and :func:`reference_build_baseline_tree` grow
+each kind of tree with its own node loop, as the library did before both
+became split rules over one grower; they share its split search.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Any
 import numpy as np
 
 from mrforest.impurity import _impurity_of, scan_features
+from mrforest.tree import Tree, TreeNode, _gather_sorted, _sample_split, _sorted_index_matrix
 
 GAP = 1e-9  # optima closer than this count as ties and disqualify a dataset
 
@@ -319,3 +323,106 @@ def reference_label_audit(counts: np.ndarray, b3: float) -> dict[str, Any]:
             descs.append({"kind": "remove", "label": i})
             probs.append(probs_of(removed))
     return _report("label", b3, probs_of(counts), probs, descs)
+
+
+def _leaf_distribution(labels: np.ndarray, class_count: int, parent: np.ndarray | None) -> np.ndarray:
+    # an empty leaf inherits its parent's distribution, uniform without a parent
+    if labels.size == 0:
+        return parent if parent is not None else np.full(class_count, 1.0 / class_count)
+    return np.bincount(labels, minlength=class_count) / labels.size
+
+
+def reference_build_tree(dataset, structure_idx, estimation_idx, config, rng, seed=None):
+    """``build_tree`` with its own stack walk, child filtering and leaf emission."""
+    xs = np.ascontiguousarray(dataset.features[structure_idx])
+    ys = dataset.labels[structure_idx]
+    xe = np.ascontiguousarray(dataset.features[estimation_idx])
+    ye = dataset.labels[estimation_idx]
+    class_count = dataset.class_count
+    k, max_depth = config.k, config.max_depth
+    member = np.zeros(xs.shape[0], dtype=bool)
+    root = TreeNode(depth=0)
+    tree_max_depth = 0
+    stack = [(root, _sorted_index_matrix(xs), np.arange(xe.shape[0]), None)]
+    while stack:
+        node, sorted_pos, est_pos, parent_eta = stack.pop()
+        m = sorted_pos.shape[1]
+        split = None
+        if est_pos.size > k and m >= 2 and (max_depth is None or node.depth < max_depth):
+            split = _sample_split(xs, ys, xe, sorted_pos, est_pos, class_count, config, rng)
+        if split is None:
+            node.counts = np.bincount(ye[est_pos], minlength=class_count)
+            node.eta = _leaf_distribution(ye[est_pos], class_count, parent_eta)
+            tree_max_depth = max(tree_max_depth, node.depth)
+            continue
+        feature, threshold, est_left_mask = split
+        node.feature = feature
+        node.threshold = float(threshold)
+        node.left = TreeNode(depth=node.depth + 1)
+        node.right = TreeNode(depth=node.depth + 1)
+        rows = sorted_pos[0]
+        left_rows = rows[xs[rows, feature] <= threshold]
+        member[left_rows] = True
+        keep = member[sorted_pos]
+        member[left_rows] = False
+        left_sorted = sorted_pos[keep].reshape(sorted_pos.shape[0], left_rows.size)
+        right_sorted = sorted_pos[~keep].reshape(sorted_pos.shape[0], m - left_rows.size)
+        node_eta = _leaf_distribution(ye[est_pos], class_count, parent_eta)
+        stack.append((node.left, left_sorted, est_pos[est_left_mask], node_eta))
+        stack.append((node.right, right_sorted, est_pos[~est_left_mask], node_eta))
+    params = {
+        "variant": "mrf",
+        "b1": config.b1,
+        "b2": config.b2,
+        "k": config.k,
+        "criterion": config.criterion,
+        "max_depth": config.max_depth,
+    }
+    return Tree(root=root, depth=tree_max_depth, params=params, seed=seed)
+
+
+def reference_build_baseline_tree(x, y, class_count, k, mtry, criterion, rng):
+    """``build_baseline_tree`` with its own stack walk, child filtering and leaf emission."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n, feature_count = x.shape
+    member = np.zeros(n, dtype=bool)
+    root = TreeNode(depth=0)
+    tree_max_depth = 0
+    stack = [(root, _sorted_index_matrix(x))]
+    while stack:
+        node, sorted_pos = stack.pop()
+        rows = sorted_pos[0]
+        m = rows.size
+        counts = np.bincount(y[rows], minlength=class_count)
+        split = None
+        if m > k and counts.max() < m:
+            subset = np.sort(rng.choice(feature_count, size=mtry, replace=False))
+            valid, thresholds, decreases = scan_features(
+                _gather_sorted(x, sorted_pos[subset], subset),
+                y[sorted_pos[subset]],
+                class_count,
+                criterion,
+            )
+            masked = np.where(valid, decreases, -np.inf)
+            if np.isfinite(masked.max()):
+                feat_row, pos = divmod(int(np.argmax(masked)), masked.shape[1])
+                split = (int(subset[feat_row]), float(thresholds[feat_row, pos]))
+        if split is None:
+            node.counts = counts
+            node.eta = counts / m
+            tree_max_depth = max(tree_max_depth, node.depth)
+            continue
+        feature, threshold = split
+        node.feature = feature
+        node.threshold = threshold
+        node.left = TreeNode(depth=node.depth + 1)
+        node.right = TreeNode(depth=node.depth + 1)
+        left_rows = rows[x[rows, feature] <= threshold]
+        member[left_rows] = True
+        keep = member[sorted_pos]
+        member[left_rows] = False
+        stack.append((node.left, sorted_pos[keep].reshape(sorted_pos.shape[0], left_rows.size)))
+        stack.append((node.right, sorted_pos[~keep].reshape(sorted_pos.shape[0], m - left_rows.size)))
+    params = {"variant": "breiman", "k": k, "mtry": mtry, "criterion": criterion}
+    return Tree(root=root, depth=tree_max_depth, params=params)

@@ -185,6 +185,12 @@ class TestAuditAndBudget:
         assert code == cli.EXIT_CONFIG
         assert "overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("feature", ["7", "-1"])
+    def test_audit_feature_outside_columns_exits_2(self, micro_csv, capsys, feature):
+        code = cli.main(["audit", "--data", str(micro_csv), "--feature", feature])
+        assert code == cli.EXIT_CONFIG
+        assert "not one of the 2 columns" in capsys.readouterr().err
+
     def test_audit_violation_exit_code(self, micro_csv, monkeypatch, capsys):
         failing = AuditReport(
             mechanism="feature", budget=1.0, worst_ratio=99.0, bound=math.e,

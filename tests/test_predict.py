@@ -232,6 +232,22 @@ def _inf_eta(doc):
     next(node for node in doc["trees"][1]["nodes"] if node["kind"] == "leaf")["eta"][0] = math.inf
 
 
+def _first_leaf(doc):
+    return next(node for node in doc["trees"][0]["nodes"] if node["kind"] == "leaf")
+
+
+def _negative_eta(doc):
+    _first_leaf(doc)["eta"] = [-5.0, 7.0, -1.0]
+
+
+def _eta_sum_not_one(doc):
+    _first_leaf(doc)["eta"] = [0.5, 0.5, 1e-8]
+
+
+def _negative_counts(doc):
+    _first_leaf(doc)["counts"][0] = -1
+
+
 CORRUPTIONS = (
     _self_loop,
     _backward_child,
@@ -245,6 +261,9 @@ CORRUPTIONS = (
     _labels_short,
     _nan_threshold,
     _inf_eta,
+    _negative_eta,
+    _eta_sum_not_one,
+    _negative_counts,
 )
 
 

@@ -152,6 +152,11 @@ class TestValueAudit:
         with pytest.raises(DomainError):
             audit_value_mechanism(ds, 0, 1.0)
 
+    @pytest.mark.parametrize("feature", (-1, 2, 7))
+    def test_feature_outside_columns_rejected(self, rng, feature):
+        with pytest.raises(DomainError):
+            audit_value_mechanism(_micro(rng), feature, 1.0)
+
 
 class TestLabelAudit:
     def test_hand_worked_two_class(self):

@@ -15,13 +15,20 @@ from mrforest.forest import Forest, predict_batch
 from mrforest.tree import (
     Tree,
     TreeNode,
+    build_baseline_tree,
     build_tree,
     compile_trees,
-    leaf_distribution,
     route_eta,
     tree_votes,
 )
-from oracle import TieError, exhaustive_cart, tree_shape, walk_eta
+from oracle import (
+    TieError,
+    exhaustive_cart,
+    reference_build_baseline_tree,
+    reference_build_tree,
+    tree_shape,
+    walk_eta,
+)
 
 
 def _build(dataset, config, seed=0):
@@ -52,19 +59,93 @@ def iter_leaves(tree: Tree):
             stack.extend([node.left, node.right])
 
 
-class TestLeafDistribution:
-    def test_counting(self):
-        assert leaf_distribution(np.array([0, 0, 1]), 2).tolist() == pytest.approx([2 / 3, 1 / 3])
+MRF_RULES = (
+    dict(b1=10.0, b2=10.0),
+    dict(b1=math.inf, b2=math.inf),
+    dict(b1=0.0, b2=0.0),
+    dict(max_depth=2),
+    dict(criterion="entropy"),
+    dict(partition_rate=0.5, k=1),
+)
+BASELINE_RULES = (
+    dict(bootstrap=True),
+    dict(bootstrap=False),
+    dict(bootstrap=True, mtry="D"),
+    dict(bootstrap=False, criterion="entropy"),
+)
 
-    def test_pure(self):
-        assert leaf_distribution(np.array([1, 1, 1, 1]), 2).tolist() == [0.0, 1.0]
 
-    def test_empty_falls_back_to_parent(self):
-        parent = np.array([0.25, 0.75])
-        assert leaf_distribution(np.array([], dtype=int), 2, parent).tolist() == [0.25, 0.75]
+def _fuzzed_dataset(rng) -> Dataset:
+    """2-300 rows of 1-5 features; half the draws round values so ties and constants occur."""
+    n, d, classes = int(rng.integers(2, 300)), int(rng.integers(1, 6)), int(rng.integers(2, 5))
+    ds = random_dataset(rng, n, d, n_classes=classes)
+    if rng.random() < 0.5:
+        return ds
+    return Dataset(np.round(ds.features, 1), ds.labels, ds.feature_names, ds.class_count)
 
-    def test_empty_without_parent_uniform(self):
-        assert leaf_distribution(np.array([], dtype=int), 4).tolist() == [0.25] * 4
+
+def _mrf_case(seed: int) -> tuple[Dataset, MrfConfig]:
+    rng = np.random.default_rng(seed)
+    ds = _fuzzed_dataset(rng)
+    # every other round draws k up to beyond the estimation half, which leaves only a root
+    k = int(rng.integers(1, ds.n + 2)) if (seed // len(MRF_RULES)) % 2 else 1 + seed % 3
+    return ds, MrfConfig(t=1, **{"k": k, **MRF_RULES[seed % len(MRF_RULES)]})
+
+
+def _grow_mrf(build, ds: Dataset, config: MrfConfig, seed: int) -> tuple[Tree, float]:
+    """The tree ``build`` grows and the next draw of its rng."""
+    rng = np.random.default_rng(seed)
+    part = partition(ds, config.partition_rate, rng)
+    tree = build(ds, part.structure_idx, part.estimation_idx, config, rng, seed=seed)
+    return tree, rng.random()
+
+
+def _baseline_case(seed: int) -> tuple[Dataset, int, int, dict]:
+    rng = np.random.default_rng(1000 + seed)
+    ds = _fuzzed_dataset(rng)
+    rule = BASELINE_RULES[seed % len(BASELINE_RULES)]
+    mtry = ds.feature_count if "mtry" in rule else int(rng.integers(1, ds.feature_count + 1))
+    # every third case draws k up to twice the row count: k >= n leaves only a root
+    k = int(rng.integers(1, 2 * ds.n)) if seed % 3 == 0 else 1 + seed % 4
+    return ds, k, mtry, rule
+
+
+def _grow_baseline(build, ds: Dataset, k: int, mtry: int, rule: dict, seed: int):
+    """The tree ``build`` grows and the next draw of its rng."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, ds.n, size=ds.n) if rule["bootstrap"] else np.arange(ds.n)
+    criterion = rule.get("criterion", "gini")
+    tree = build(ds.features[rows], ds.labels[rows], ds.class_count, k, mtry, criterion, rng)
+    return tree, rng.random()
+
+
+class TestOneGrower:
+    """Both builders grow the trees, and draw the rng stream, of their former own node loops."""
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_mrf_matches_reference(self, seed):
+        ds, config = _mrf_case(seed)
+        tree, draw = _grow_mrf(build_tree, ds, config, seed)
+        reference, reference_draw = _grow_mrf(reference_build_tree, ds, config, seed)
+        assert tree.to_dict() == reference.to_dict()
+        assert draw == reference_draw
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_baseline_matches_reference(self, seed):
+        case = _baseline_case(seed)
+        tree, draw = _grow_baseline(build_baseline_tree, *case, seed)
+        reference, reference_draw = _grow_baseline(reference_build_baseline_tree, *case, seed)
+        assert tree.to_dict() == reference.to_dict()
+        assert draw == reference_draw
+
+    def test_fuzzed_cases_reach_root_only_and_deep_trees(self):
+        mrf = [_grow_mrf(build_tree, *_mrf_case(seed), seed)[0].depth for seed in range(48)]
+        baseline = [
+            _grow_baseline(build_baseline_tree, *_baseline_case(seed), seed)[0].depth
+            for seed in range(32)
+        ]
+        for depths in (mrf, baseline):
+            assert min(depths) == 0 and max(depths) >= 5
 
 
 class TestStoppingRules:

@@ -20,10 +20,9 @@ from .harness import (
     emit_report,
     run_cv,
     sweep,
-    tree_accuracy_distribution,
     wilcoxon_signed_rank,
 )
-from .impurity import ClassCounts, SplitCandidate, candidate_splits, impurity, impurity_decrease
+from .impurity import ClassCounts
 from .privacy import (
     AuditReport,
     PrivacyBudget,
@@ -54,10 +53,6 @@ __all__ = [
     "partition",
     "make_folds",
     "ClassCounts",
-    "SplitCandidate",
-    "impurity",
-    "impurity_decrease",
-    "candidate_splits",
     "normalize",
     "softmax_scaled",
     "sample_index",
@@ -89,7 +84,6 @@ __all__ = [
     "run_cv",
     "sweep",
     "wilcoxon_signed_rank",
-    "tree_accuracy_distribution",
     "average_ranks",
     "emit_report",
     "MrfError",

@@ -270,6 +270,10 @@ def _cmd_budget(args: argparse.Namespace) -> int:
     if args.estimation_size is not None:
         estimation = args.estimation_size
     elif args.data is not None:
+        if not 0 < args.partition_rate < math.inf:
+            raise errors.ConfigError(
+                f"--partition-rate must be positive and finite, got {args.partition_rate}"
+            )
         dataset = _load(args)
         estimation = dataset.n - structure_size(dataset.n, args.partition_rate)
     else:

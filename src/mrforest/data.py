@@ -278,8 +278,8 @@ def partition(dataset: Dataset, rate: float, rng: np.random.Generator) -> Partit
     ``rate`` is |structure| / |estimation|; the structure side receives
     round-half-up of n*rate/(1+rate) rows and the remainder estimates leaves.
     """
-    if rate <= 0:
-        raise SizeError(f"partition rate must be positive, got {rate}")
+    if not 0 < rate < math.inf:
+        raise SizeError(f"partition rate must be positive and finite, got {rate}")
     n = dataset.n
     n_struct = structure_size(n, rate)
     if n_struct < 1 or n - n_struct < 1:

@@ -21,20 +21,8 @@ class SizeError(MrfError):
     """A split, fold plan, or audit input violates a size constraint."""
 
 
-class EmptyNode(MrfError):
-    """Impurity requested for a node with zero samples."""
-
-
 class MismatchError(MrfError):
-    """Child class counts do not sum to the parent counts."""
-
-
-class EmptyChild(MrfError):
-    """An impurity decrease was requested with an empty child."""
-
-
-class NoChoices(MrfError):
-    """A selection mechanism was invoked with an empty choice set."""
+    """A class tally is not a 1-D vector of nonnegative counts."""
 
 
 class ConfigError(MrfError):

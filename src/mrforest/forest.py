@@ -79,8 +79,10 @@ class MrfConfig:
             value = getattr(self, name)
             if math.isnan(value) or value < 0:
                 raise ConfigError(f"{name} must be nonnegative, got {value}")
-        if self.partition_rate <= 0:
-            raise ConfigError("partition_rate must be positive")
+        if not 0 < self.partition_rate < math.inf:
+            raise ConfigError(
+                f"partition_rate must be positive and finite, got {self.partition_rate}"
+            )
         if self.criterion not in ("gini", "entropy"):
             raise ConfigError(f"unknown criterion {self.criterion!r}")
         if self.max_depth is not None and self.max_depth < 1:

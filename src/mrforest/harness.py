@@ -36,7 +36,6 @@ __all__ = [
     "run_cv",
     "sweep",
     "wilcoxon_signed_rank",
-    "tree_accuracy_distribution",
     "average_ranks",
     "emit_report",
 ]
@@ -377,18 +376,6 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> float:
         return 1.0
     z = (delta - 0.5 * math.copysign(1.0, delta)) / math.sqrt(variance)
     return min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
-
-
-def tree_accuracy_distribution(
-    forest: Forest,
-    features: np.ndarray,
-    labels: np.ndarray,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Accuracy of each individual tree's votes on the given rows."""
-    labels = np.asarray(labels, dtype=np.int64)
-    _, votes = predict_batch(forest, features, rng)
-    return (votes == labels[None, :]).mean(axis=1)
 
 
 def average_ranks(scores: dict[str, dict[str, float]]) -> dict[str, float]:

@@ -1,10 +1,11 @@
-"""Impurity criteria, impurity decrease, and candidate split enumeration.
+"""Class tallies, impurity criteria and the vectorized split scan.
 
-The hot path is :func:`scan_features`: given per-feature pre-sorted value and
-label rows for one tree node, it computes the impurity decrease of every
-candidate threshold for every feature in one vectorized pass over prefix
-class counts. Thresholds sit at midpoints between adjacent distinct values,
-so rows with equal feature values are never separated.
+:func:`scan_features` is the one place split candidates are scored: given
+per-feature pre-sorted value and label rows for one tree node, it computes
+the impurity decrease of every candidate threshold for every feature in one
+vectorized pass over prefix class counts. Thresholds sit at midpoints
+between adjacent distinct values, so rows with equal feature values are
+never separated.
 """
 
 from __future__ import annotations
@@ -13,14 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyChild, EmptyNode, MismatchError
+from .errors import ConfigError, MismatchError
 
 __all__ = [
     "ClassCounts",
-    "SplitCandidate",
-    "impurity",
-    "impurity_decrease",
-    "candidate_splits",
     "scan_features",
 ]
 
@@ -53,15 +50,6 @@ class ClassCounts:
         return int(self.counts.sum())
 
 
-@dataclass(frozen=True)
-class SplitCandidate:
-    """A (feature, threshold) pair and the impurity decrease it achieves."""
-
-    feature: int
-    threshold: float
-    decrease: float
-
-
 def _impurity_of(counts: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
     """Vectorized impurity of count vectors along the last axis.
 
@@ -75,36 +63,6 @@ def _impurity_of(counts: np.ndarray, totals: np.ndarray, criterion: str) -> np.n
         clog = np.where(counts > 0, counts * np.log2(np.maximum(counts, 1)), 0.0)
         return np.log2(safe) - clog.sum(axis=-1) / safe
     raise ConfigError(f"unknown impurity criterion {criterion!r}")
-
-
-def impurity(counts: ClassCounts, criterion: str = "gini") -> float:
-    """Gini or Shannon-entropy impurity of one class tally."""
-    total = counts.total
-    if total == 0:
-        raise EmptyNode("impurity of an empty node is undefined")
-    return float(_impurity_of(counts.counts, np.asarray(total), criterion))
-
-
-def impurity_decrease(
-    parent: ClassCounts,
-    left: ClassCounts,
-    right: ClassCounts,
-    criterion: str = "gini",
-) -> float:
-    """Parent impurity minus the size-weighted child impurities."""
-    if left.total == 0 or right.total == 0:
-        raise EmptyChild("both children must be nonempty")
-    if not np.array_equal(left.counts + right.counts, parent.counts):
-        raise MismatchError("child counts must sum to parent counts")
-    n = parent.total
-    value = (
-        impurity(parent, criterion)
-        - left.total / n * impurity(left, criterion)
-        - right.total / n * impurity(right, criterion)
-    )
-    if -_NEG_TOL < value < 0.0:
-        return 0.0
-    return value
 
 
 def scan_features(
@@ -159,29 +117,3 @@ def scan_features(
     np.copyto(decreases, 0.0, where=(decreases < 0.0) & (decreases > -_NEG_TOL))
     return valid, thresholds, decreases
 
-
-def candidate_splits(
-    features: np.ndarray,
-    labels: np.ndarray,
-    feature: int,
-    class_count: int,
-    criterion: str = "gini",
-) -> list[SplitCandidate]:
-    """All candidate splits of one feature over the given rows.
-
-    One candidate per adjacent pair of distinct sorted values; a feature that
-    is constant on the node yields an empty list.
-    """
-    column = np.asarray(features, dtype=np.float64)
-    if column.ndim == 2:
-        column = column[:, feature]
-    labels = np.asarray(labels, dtype=np.int64)
-    order = np.argsort(column, kind="stable")
-    valid, thresholds, decreases = scan_features(
-        column[order][None, :], labels[order][None, :], class_count, criterion
-    )
-    take = np.nonzero(valid[0])[0]
-    return [
-        SplitCandidate(feature=feature, threshold=float(thresholds[0, i]), decrease=float(decreases[0, i]))
-        for i in take
-    ]

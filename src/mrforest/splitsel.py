@@ -1,41 +1,31 @@
 """Impurity-weighted multinomial selection of split features and values.
 
-Both mechanisms share one pipeline: min-max normalize the raw impurity
-decreases to [0, 1], scale by half the budget B, softmax, then draw by
-inverse CDF. B = 0 gives uniform selection, B = math.inf gives a uniform
-draw over the argmax set, and anything between interpolates; the normalized
-scores keep the mechanism's sensitivity at one.
+Both mechanisms are ``sample_index(softmax_scaled(normalize(scores), B), rng)``:
+min-max normalize the raw impurity decreases to [0, 1], scale by half the
+budget B, softmax, then draw one index by inverse CDF. B = 0 gives uniform
+selection, B = math.inf gives a uniform draw over the argmax set, and
+anything between interpolates; the normalized scores keep the mechanism's
+sensitivity at one. The closed-form bounds state the paper's selection
+envelope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoChoices
+from .errors import DomainError
 
 __all__ = [
-    "ScoredChoices",
     "normalize",
     "softmax_scaled",
-    "scored_choices",
     "sample_index",
-    "sample_indices",
     "select_feature",
     "select_value",
     "feature_probability_bounds",
     "value_region_bound",
 ]
-
-
-@dataclass(frozen=True)
-class ScoredChoices:
-    """Raw scores and the selection probabilities derived from them."""
-
-    scores: np.ndarray
-    probabilities: np.ndarray
 
 
 def normalize(values: np.ndarray | list[float]) -> np.ndarray:
@@ -69,40 +59,28 @@ def softmax_scaled(normalized: np.ndarray | list[float], budget: float) -> np.nd
     return e / e.sum(axis=-1, keepdims=keep)
 
 
-def scored_choices(scores: np.ndarray | list[float], budget: float) -> ScoredChoices:
-    """Normalize raw scores and attach their selection probabilities."""
-    arr = np.asarray(scores, dtype=np.float64)
-    if arr.size == 0:
-        raise NoChoices("cannot score an empty choice set")
-    return ScoredChoices(scores=arr, probabilities=softmax_scaled(normalize(arr), budget))
-
-
-def sample_indices(
-    probabilities: np.ndarray, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Draw ``size`` indices by inverse CDF over the cumulative probabilities."""
-    cum = np.cumsum(np.asarray(probabilities, dtype=np.float64))
-    draws = np.searchsorted(cum, rng.random(size), side="right")
-    return np.minimum(draws, cum.size - 1)
-
-
 def sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one index; consumes exactly one uniform from ``rng``."""
-    return int(sample_indices(probabilities, rng, 1)[0])
+    """Draw one index by inverse CDF; consumes exactly one uniform from ``rng``.
+
+    The draw is the first index whose cumulative probability exceeds the
+    uniform, clipped to the last index against rounding in the cumulative sum.
+    """
+    cum = np.cumsum(probabilities)
+    return min(int(np.searchsorted(cum, rng.random(), side="right")), cum.size - 1)
 
 
 def select_feature(
     best_per_feature: np.ndarray | list[float], b1: float, rng: np.random.Generator
 ) -> int:
     """Sample a feature index from the multinomial over per-feature best decreases."""
-    return sample_index(scored_choices(best_per_feature, b1).probabilities, rng)
+    return sample_index(softmax_scaled(normalize(best_per_feature), b1), rng)
 
 
 def select_value(
     decreases_for_feature: np.ndarray | list[float], b2: float, rng: np.random.Generator
 ) -> int:
     """Sample a split-value index from the multinomial over one feature's decreases."""
-    return sample_index(scored_choices(decreases_for_feature, b2).probabilities, rng)
+    return sample_index(softmax_scaled(normalize(decreases_for_feature), b2), rng)
 
 
 def feature_probability_bounds(feature_count: int, b1: float) -> tuple[float, float]:

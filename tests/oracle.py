@@ -11,6 +11,8 @@ one batched pass; they return ``AuditReport.to_dict()`` documents.
 :func:`reference_build_tree` and :func:`reference_build_baseline_tree` grow
 each kind of tree with its own node loop, as the library did before both
 became split rules over one grower; they share its split search.
+:func:`inverse_cdf_draws` repeats ``sample_index``'s one inverse-CDF draw
+over many uniforms at once.
 """
 
 from __future__ import annotations
@@ -26,23 +28,37 @@ from mrforest.tree import Tree, TreeNode, _gather_sorted, _sample_split, _sorted
 GAP = 1e-9  # optima closer than this count as ties and disqualify a dataset
 
 
-def gini_of(labels: np.ndarray, class_count: int) -> float:
+def impurity_of(labels: np.ndarray, class_count: int, criterion: str = "gini") -> float:
+    """Gini impurity or Shannon entropy in bits of a nonempty label vector."""
     counts = np.bincount(labels, minlength=class_count)
-    p = counts / labels.size
+    p = counts[counts > 0] / labels.size
+    if criterion == "entropy":
+        return float(-(p * np.log2(p)).sum())
     return 1.0 - float((p * p).sum())
 
 
 def naive_decrease(
-    values: np.ndarray, labels: np.ndarray, threshold: float, class_count: int
+    values: np.ndarray,
+    labels: np.ndarray,
+    threshold: float,
+    class_count: int,
+    criterion: str = "gini",
 ) -> float:
     left = labels[values <= threshold]
     right = labels[values > threshold]
     n = labels.size
     return (
-        gini_of(labels, class_count)
-        - left.size / n * gini_of(left, class_count)
-        - right.size / n * gini_of(right, class_count)
+        impurity_of(labels, class_count, criterion)
+        - left.size / n * impurity_of(left, class_count, criterion)
+        - right.size / n * impurity_of(right, class_count, criterion)
     )
+
+
+def inverse_cdf_draws(probabilities: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Indices ``sample_index`` draws for each uniform: the first cumulative
+    probability above it, clipped to the last index."""
+    cum = np.cumsum(probabilities)
+    return np.minimum(np.searchsorted(cum, uniforms, side="right"), cum.size - 1)
 
 
 class TieError(Exception):

@@ -29,14 +29,9 @@ from mrforest.privacy import (
     compose_budget,
     enumerate_neighbors,
 )
-from mrforest.splitsel import (
-    feature_probability_bounds,
-    sample_indices,
-    scored_choices,
-    select_feature,
-)
+from mrforest.splitsel import feature_probability_bounds, normalize, select_feature, softmax_scaled
 from mrforest.tree import build_tree
-from oracle import TieError, exhaustive_cart, tree_shape
+from oracle import TieError, exhaustive_cart, inverse_cdf_draws, tree_shape
 
 JOBS = min(8, os.cpu_count() or 1)
 
@@ -165,8 +160,8 @@ def test_criterion_4_selection_probability_envelope(d, b1):
     sigma_low = math.sqrt(lower * (1 - lower) / n_draws)
     sigma_up = math.sqrt(upper * (1 - upper) / n_draws)
     for scores in fixed_vectors:
-        probs = scored_choices(scores, b1).probabilities
-        draws = sample_indices(probs, rng, n_draws)
+        probs = softmax_scaled(normalize(scores), b1)
+        draws = inverse_cdf_draws(probs, rng.random(n_draws))
         freqs = np.bincount(draws, minlength=d) / n_draws
         assert (freqs >= lower - 3 * sigma_low - 1e-12).all()
         assert (freqs <= upper + 3 * sigma_up + 1e-12).all()

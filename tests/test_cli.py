@@ -13,7 +13,7 @@ import pytest
 import mrforest.cli as cli
 from mrforest.data import load_dataset, partition
 from mrforest.forest import predict_batch, train_mrf
-from mrforest.harness import TreeDistReport, emit_report, tree_accuracy_distribution
+from mrforest.harness import TreeDistReport, emit_report
 from mrforest.privacy import AuditReport
 
 
@@ -145,7 +145,7 @@ class TestReportsAndSweep:
         monkeypatch.setattr(cli, "predict_batch", counting_predict_batch)
         assert cli.main(argv) == 0
         assert len(calls) == 1
-        # the report as it was built from two predictions with the same seed
+        # the report rebuilt from one prediction with the same seed
         args = cli.build_parser().parse_args(argv)
         dataset = load_dataset(data_csv)
         rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(99,)))
@@ -156,8 +156,8 @@ class TestReportsAndSweep:
         )
         test_x = dataset.features[holdout.estimation_idx]
         test_y = dataset.labels[holdout.estimation_idx]
-        accs = tree_accuracy_distribution(forest, test_x, test_y, np.random.default_rng(5))
-        classes, _ = predict_batch(forest, test_x, np.random.default_rng(5))
+        classes, votes = predict_batch(forest, test_x, np.random.default_rng(5))
+        accs = (votes == test_y).mean(axis=1)
         expected = TreeDistReport(
             dataset="train",
             method="mrf",
@@ -217,6 +217,21 @@ class TestAuditAndBudget:
         doc = json.loads(capsys.readouterr().out)
         assert doc["epsilon"] == 2.0
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-1"])
+    def test_budget_bad_partition_rate_exits_2(self, data_csv, capsys, rate):
+        code = cli.main(
+            ["budget", "--epsilon", "1.0", "--data", str(data_csv), "--partition-rate", rate]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "--partition-rate must be positive and finite" in capsys.readouterr().err
+
+    def test_budget_nan_epsilon_exits_2(self, capsys):
+        code = cli.main(["budget", "--epsilon", "nan", "--estimation-size", "10"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert captured.out == ""
+        assert "epsilon must be positive" in captured.err
+
 
 class TestExitCodes:
     def test_missing_file_is_data_error(self, capsys):
@@ -228,6 +243,16 @@ class TestExitCodes:
         code = cli.main(["cv", "--data", str(data_csv), "--trees", "0"])
         capsys.readouterr()
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-1"])
+    def test_train_bad_partition_rate_exits_2(self, data_csv, tmp_path, capsys, rate):
+        model = tmp_path / "m.json"
+        code = cli.main(
+            ["train", "--data", str(data_csv), "--partition-rate", rate, "--out", str(model)]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "partition_rate must be positive and finite" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_bad_cell_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

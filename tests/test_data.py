@@ -114,6 +114,10 @@ class TestPartition:
             partition(_dummy(10), 1e9, rng)
         with pytest.raises(SizeError):
             partition(_dummy(10), -1.0, rng)
+        with pytest.raises(SizeError):
+            partition(_dummy(10), float("nan"), rng)
+        with pytest.raises(SizeError):
+            partition(_dummy(10), float("inf"), rng)
 
     def test_seeds_vary_structure_sets(self):
         # statistical smoke test: 100 seeds on n=40 are not all identical

@@ -39,6 +39,8 @@ class TestConfigs:
             {"b1": -1.0},
             {"b3": math.nan},
             {"partition_rate": 0.0},
+            {"partition_rate": math.nan},
+            {"partition_rate": math.inf},
             {"criterion": "mse"},
             {"max_depth": 0},
         ],

@@ -11,16 +11,16 @@ import scipy.stats
 from conftest import random_dataset
 from mrforest.data import Dataset
 from mrforest.errors import ConfigError, IoError, TooFewPairs
-from mrforest.forest import BaselineConfig, MrfConfig, train_mrf
+from mrforest.forest import BaselineConfig, MrfConfig, predict_batch, train_mrf
 from mrforest.harness import (
     CvReport,
     average_ranks,
     emit_report,
     run_cv,
     sweep,
-    tree_accuracy_distribution,
     wilcoxon_signed_rank,
 )
+from oracle import walk_votes
 
 
 def _constant_cluster_dataset(n: int = 60) -> Dataset:
@@ -209,22 +209,23 @@ def test_fold_plans_are_method_and_config_independent():
 
 
 class TestTreeDistribution:
+    """Per-tree accuracy as the ``tree-dist`` command computes it from the vote matrix."""
+
     def test_single_tree_matches_forest_accuracy(self, rng):
         ds = random_dataset(rng, 100, 2)
         forest = train_mrf(ds.subset(np.arange(70)), MrfConfig(t=1, k=3, seed=0))
         test_x = ds.features[70:]
         test_y = ds.labels[70:]
-        accs = tree_accuracy_distribution(forest, test_x, test_y)
-        from mrforest.forest import predict_batch
-
-        classes, _ = predict_batch(forest, test_x)
+        classes, votes = predict_batch(forest, test_x)
+        accs = (votes == test_y).mean(axis=1)
         assert accs.shape == (1,)
         assert accs[0] == pytest.approx(np.mean(classes == test_y))
 
     def test_unanimous_forest_equal_entries(self):
         ds = _constant_cluster_dataset(40)
         forest = train_mrf(ds, MrfConfig(t=6, k=2, seed=1))
-        accs = tree_accuracy_distribution(forest, ds.features, ds.labels)
+        _, votes = predict_batch(forest, ds.features)
+        accs = (votes == ds.labels).mean(axis=1)
         assert np.allclose(accs, accs[0])
         assert accs[0] == 1.0
 
@@ -232,11 +233,9 @@ class TestTreeDistribution:
         ds = random_dataset(rng, 90, 3)
         forest = train_mrf(ds.subset(np.arange(60)), MrfConfig(t=8, k=3, seed=2))
         test_x, test_y = ds.features[60:], ds.labels[60:]
-        from mrforest.forest import predict_batch
-
         _, votes = predict_batch(forest, test_x)
-        accs = tree_accuracy_distribution(forest, test_x, test_y)
-        assert np.allclose(accs, (votes == test_y[None, :]).mean(axis=1))
+        _, walked = walk_votes(forest, test_x)
+        assert np.allclose((votes == test_y).mean(axis=1), (walked == test_y).mean(axis=1))
 
 
 class TestReports:

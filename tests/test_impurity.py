@@ -1,5 +1,5 @@
-"""Impurity criteria and candidate-split enumeration, checked against
-naive recomputation oracles."""
+"""Impurity criteria and candidate-split enumeration through ``scan_features``,
+checked against naive recomputation oracles."""
 
 from __future__ import annotations
 
@@ -8,67 +8,82 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrforest.errors import EmptyChild, EmptyNode, MismatchError
-from mrforest.impurity import (
-    ClassCounts,
-    candidate_splits,
-    impurity,
-    impurity_decrease,
-    scan_features,
-)
+from mrforest.errors import MismatchError
+from mrforest.impurity import ClassCounts, scan_features
+from oracle import impurity_of, naive_decrease
 
 
-def counts(*values: int) -> ClassCounts:
-    return ClassCounts(np.asarray(values))
+def scan_one(values, labels, class_count, criterion="gini"):
+    """(threshold, decrease) of every valid cut of one feature, in sorted order."""
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    order = np.argsort(values, kind="stable")
+    valid, thresholds, decreases = scan_features(
+        values[order][None, :], labels[order][None, :], class_count, criterion
+    )
+    take = np.flatnonzero(valid[0])
+    return [(float(thresholds[0, i]), float(decreases[0, i])) for i in take]
+
+
+def cut_decrease(left, right, criterion="gini"):
+    """Decrease of the one cut between a node's left rows (value 0) and right rows (value 1)."""
+    left, right = np.asarray(left), np.asarray(right)
+    classes = np.arange(left.size)
+    labels = np.concatenate([np.repeat(classes, left), np.repeat(classes, right)])
+    values = np.repeat([0.0, 1.0], [left.sum(), right.sum()])
+    [(_, decrease)] = scan_one(values, labels, left.size, criterion)
+    return decrease
+
+
+def node_impurity(a, b, criterion="gini"):
+    """Impurity of a node with ``a`` rows of class 0 and ``b`` of class 1.
+
+    The rows sit at distinct values in class order, so the cut after the last
+    class-0 row (or any cut of a pure node) leaves pure children and
+    decreases the node's impurity by all of it.
+    """
+    cuts = scan_one(np.arange(a + b), np.repeat([0, 1], [a, b]), 2, criterion)
+    return cuts[a - 1 if a and b else 0][1]
 
 
 class TestImpurity:
     def test_pure_node_gini_zero(self):
-        assert impurity(counts(7, 0), "gini") == 0.0
+        assert node_impurity(7, 0, "gini") == 0.0
 
     def test_balanced_gini(self):
-        assert impurity(counts(5, 5), "gini") == pytest.approx(0.5)
+        assert node_impurity(5, 5, "gini") == pytest.approx(0.5)
 
     def test_two_one_gini(self):
-        assert impurity(counts(2, 1), "gini") == pytest.approx(4.0 / 9.0)
+        assert node_impurity(2, 1, "gini") == pytest.approx(4.0 / 9.0)
 
     def test_entropy_balanced_is_one_bit(self):
-        assert impurity(counts(5, 5), "entropy") == pytest.approx(1.0)
+        assert node_impurity(5, 5, "entropy") == pytest.approx(1.0)
 
     def test_entropy_pure_zero(self):
-        assert impurity(counts(4, 0), "entropy") == 0.0
-
-    def test_empty_node_raises(self):
-        with pytest.raises(EmptyNode):
-            impurity(counts(0, 0), "gini")
+        assert node_impurity(4, 0, "entropy") == 0.0
 
     @given(st.lists(st.integers(0, 50), min_size=2, max_size=6).filter(lambda c: sum(c) > 0))
     def test_ranges(self, raw):
-        c = counts(*raw)
-        g = impurity(c, "gini")
-        h = impurity(c, "entropy")
-        assert 0.0 <= g <= 1.0
-        assert -1e-12 <= h <= np.log2(len(raw)) + 1e-12
+        # every cut of a node lowers impurity by at most the node's own impurity,
+        # which lies in [0, 1] (gini) or [0, log2 K] (entropy)
+        labels = np.repeat(np.arange(len(raw)), raw)
+        for criterion, top in (("gini", 1.0), ("entropy", np.log2(len(raw)))):
+            parent = impurity_of(labels, len(raw), criterion)
+            assert -1e-12 <= parent <= top + 1e-12
+            for _, decrease in scan_one(labels, labels, len(raw), criterion):
+                assert 0.0 <= decrease <= parent + 1e-12
 
 
 class TestImpurityDecrease:
     def test_perfect_split(self):
-        assert impurity_decrease(counts(2, 2), counts(2, 0), counts(0, 2)) == pytest.approx(0.5)
+        assert cut_decrease([2, 0], [0, 2]) == pytest.approx(0.5)
 
     def test_uninformative_split(self):
-        assert impurity_decrease(counts(2, 2), counts(1, 1), counts(1, 1)) == pytest.approx(0.0)
+        assert cut_decrease([1, 1], [1, 1]) == pytest.approx(0.0)
 
     def test_hand_worked_value(self):
-        value = impurity_decrease(counts(3, 1), counts(2, 1), counts(1, 0))
+        value = cut_decrease([2, 1], [1, 0])
         assert value == pytest.approx(0.375 - 0.75 * (4.0 / 9.0))
-
-    def test_total_mismatch(self):
-        with pytest.raises(MismatchError):
-            impurity_decrease(counts(3, 3), counts(1, 1), counts(1, 1))
-
-    def test_empty_child(self):
-        with pytest.raises(EmptyChild):
-            impurity_decrease(counts(2, 2), counts(2, 2), counts(0, 0))
 
     @given(
         st.lists(st.integers(0, 30), min_size=2, max_size=4),
@@ -79,14 +94,9 @@ class TestImpurityDecrease:
     def test_nonnegative_by_concavity(self, left_raw, right_raw, criterion):
         if len(left_raw) != len(right_raw):
             return
-        left = np.asarray(left_raw)
-        right = np.asarray(right_raw)
-        if left.sum() == 0 or right.sum() == 0:
+        if sum(left_raw) == 0 or sum(right_raw) == 0:
             return
-        value = impurity_decrease(
-            ClassCounts(left + right), ClassCounts(left), ClassCounts(right), criterion
-        )
-        assert value >= -1e-12
+        assert cut_decrease(left_raw, right_raw, criterion) >= -1e-12
 
     def test_nonnegative_over_ten_thousand_random_triples(self):
         rng = np.random.default_rng(123)
@@ -97,10 +107,15 @@ class TestImpurityDecrease:
             if left.sum() == 0 or right.sum() == 0:
                 continue
             criterion = "gini" if i % 2 == 0 else "entropy"
-            value = impurity_decrease(
-                ClassCounts(left + right), ClassCounts(left), ClassCounts(right), criterion
-            )
-            assert value >= -1e-12
+            assert cut_decrease(left, right, criterion) >= -1e-12
+
+
+class TestClassCounts:
+    def test_negative_or_ragged_counts_raise(self):
+        with pytest.raises(MismatchError):
+            ClassCounts(np.array([3, -1]))
+        with pytest.raises(MismatchError):
+            ClassCounts(np.array([[1, 2]]))
 
 
 def _naive_candidates(values, labels, class_count, criterion):
@@ -108,43 +123,33 @@ def _naive_candidates(values, labels, class_count, criterion):
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels)
     distinct = np.unique(values)
-    results = []
-    for lo, hi in zip(distinct[:-1], distinct[1:]):
-        threshold = (lo + hi) / 2.0
-        left = labels[values <= threshold]
-        right = labels[values > threshold]
-        dec = impurity_decrease(
-            ClassCounts.from_labels(labels, class_count),
-            ClassCounts.from_labels(left, class_count),
-            ClassCounts.from_labels(right, class_count),
-            criterion,
-        )
-        results.append((threshold, dec))
-    return results
+    thresholds = (distinct[:-1] + distinct[1:]) / 2.0
+    return [
+        (thr, naive_decrease(values, labels, thr, class_count, criterion)) for thr in thresholds
+    ]
 
 
 class TestCandidateSplits:
     def test_constant_feature_empty(self):
-        cands = candidate_splits(np.array([[1.0], [1.0], [1.0]]), np.array([0, 1, 0]), 0, 2)
-        assert cands == []
+        assert scan_one([1.0, 1.0, 1.0], [0, 1, 0], 2) == []
 
     def test_two_points_perfect(self):
-        cands = candidate_splits(np.array([[0.0], [1.0]]), np.array([0, 1]), 0, 2)
+        cands = scan_one([0.0, 1.0], [0, 1], 2)
         assert len(cands) == 1
-        assert cands[0].threshold == pytest.approx(0.5)
-        assert cands[0].decrease == pytest.approx(0.5)
+        assert cands[0][0] == pytest.approx(0.5)
+        assert cands[0][1] == pytest.approx(0.5)
 
     def test_four_point_maximum_location(self):
-        values = np.array([[0.0], [1.0], [2.0], [3.0]])
+        values = np.array([0.0, 1.0, 2.0, 3.0])
         labels = np.array([0, 0, 1, 1])
-        cands = candidate_splits(values, labels, 0, 2)
+        cands = scan_one(values, labels, 2)
         assert len(cands) == 3
-        best = max(cands, key=lambda c: c.decrease)
-        assert best.threshold == pytest.approx(1.5)
-        oracle = _naive_candidates(values[:, 0], labels, 2, "gini")
-        for cand, (thr, dec) in zip(cands, oracle):
-            assert cand.threshold == pytest.approx(thr)
-            assert cand.decrease == pytest.approx(dec)
+        best = max(cands, key=lambda c: c[1])
+        assert best[0] == pytest.approx(1.5)
+        oracle = _naive_candidates(values, labels, 2, "gini")
+        for (thr, dec), (oracle_thr, oracle_dec) in zip(cands, oracle):
+            assert thr == pytest.approx(oracle_thr)
+            assert dec == pytest.approx(oracle_dec)
 
     @pytest.mark.parametrize("criterion", ["gini", "entropy"])
     @pytest.mark.parametrize("seed", range(25))
@@ -155,12 +160,12 @@ class TestCandidateSplits:
         # low-cardinality values force duplicate handling
         values = rng.integers(0, 6, size=n).astype(float)
         labels = rng.integers(0, class_count, size=n)
-        cands = candidate_splits(values.reshape(-1, 1), labels, 0, class_count, criterion)
+        cands = scan_one(values, labels, class_count, criterion)
         oracle = _naive_candidates(values, labels, class_count, criterion)
         assert len(cands) == len(oracle)
-        for cand, (thr, dec) in zip(cands, oracle):
-            assert cand.threshold == pytest.approx(thr)
-            assert cand.decrease == pytest.approx(dec, abs=1e-12)
+        for (thr, dec), (oracle_thr, oracle_dec) in zip(cands, oracle):
+            assert thr == pytest.approx(oracle_thr)
+            assert dec == pytest.approx(oracle_dec, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_tally_conservation(self, seed):
@@ -185,13 +190,10 @@ class TestCandidateSplits:
         hi = 1.0
         lo = np.nextafter(1.0, 0.0)
         assert (lo + hi) / 2.0 == hi
-        cands = candidate_splits(np.array([[lo], [hi]]), np.array([0, 1]), 0, 2)
-        assert cands == []
-        spread = candidate_splits(
-            np.array([[lo], [hi], [2.0]]), np.array([0, 1, 0]), 0, 2
-        )
+        assert scan_one([lo, hi], [0, 1], 2) == []
+        spread = scan_one([lo, hi, 2.0], [0, 1, 0], 2)
         assert len(spread) == 1  # only the separable pair yields a cut
-        assert hi < spread[0].threshold < 2.0
+        assert hi < spread[0][0] < 2.0
 
     def test_down_rounding_midpoint_still_separates(self):
         # when the midpoint rounds down onto the lower value it still splits
@@ -199,9 +201,9 @@ class TestCandidateSplits:
         lo = 1.0
         hi = np.nextafter(1.0, 2.0)
         assert (lo + hi) / 2.0 == lo
-        cands = candidate_splits(np.array([[lo], [hi]]), np.array([0, 1]), 0, 2)
+        cands = scan_one([lo, hi], [0, 1], 2)
         assert len(cands) == 1
-        assert cands[0].threshold == lo
+        assert cands[0][0] == lo
 
     def test_multi_feature_scan_agrees_with_single(self):
         rng = np.random.default_rng(11)
@@ -211,7 +213,7 @@ class TestCandidateSplits:
         cols = np.arange(3)[:, None]
         valid, thr, dec = scan_features(x[sorted_pos, cols], y[sorted_pos], 2)
         for j in range(3):
-            cands = candidate_splits(x, y, j, 2)
+            cands = scan_one(x[:, j], y, 2)
             assert valid[j].sum() == len(cands)
-            assert np.allclose(thr[j][valid[j]], [c.threshold for c in cands])
-            assert np.allclose(dec[j][valid[j]], [c.decrease for c in cands])
+            assert np.allclose(thr[j][valid[j]], [c[0] for c in cands])
+            assert np.allclose(dec[j][valid[j]], [c[1] for c in cands])

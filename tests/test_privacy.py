@@ -54,6 +54,7 @@ class TestAllocateBudget:
         [
             {"epsilon": 0.0, "t": 1, "estimation_size": 10, "k": 2},
             {"epsilon": -1.0, "t": 1, "estimation_size": 10, "k": 2},
+            {"epsilon": float("nan"), "t": 1, "estimation_size": 10, "k": 2},
             {"epsilon": 1.0, "t": 0, "estimation_size": 10, "k": 2},
             {"epsilon": 1.0, "t": 1, "estimation_size": 0, "k": 2},
             {"epsilon": 1.0, "t": 1, "estimation_size": 10, "k": 2, "split": 0.0},

@@ -9,18 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrforest.errors import DomainError, NoChoices
+from mrforest.errors import DomainError
 from mrforest.splitsel import (
     feature_probability_bounds,
     normalize,
     sample_index,
-    sample_indices,
-    scored_choices,
     select_feature,
     select_value,
     softmax_scaled,
     value_region_bound,
 )
+from oracle import inverse_cdf_draws
 
 finite_vectors = st.lists(
     st.floats(-100, 100, allow_nan=False, allow_infinity=False), min_size=1, max_size=12
@@ -82,9 +81,8 @@ class TestSoftmaxScaled:
 
     @given(finite_vectors, st.floats(0, 50))
     def test_monotone_in_scores(self, values, budget):
-        choices = scored_choices(values, budget)
-        order = np.argsort(choices.scores)
-        sorted_probs = choices.probabilities[order]
+        probs = softmax_scaled(normalize(values), budget)
+        sorted_probs = probs[np.argsort(values)]
         assert (np.diff(sorted_probs) >= -1e-12).all()
 
 
@@ -93,12 +91,11 @@ class TestSampleIndex:
         assert sample_index(np.array([1.0]), rng) == 0
 
     def test_zero_mass_never_drawn(self, rng):
-        draws = sample_indices(np.array([0.0, 1.0]), rng, 1000)
-        assert (draws == 1).all()
+        assert all(sample_index(np.array([0.0, 1.0]), rng) == 1 for _ in range(1000))
 
     def test_fair_coin_frequency(self):
         rng = np.random.default_rng(99)
-        draws = sample_indices(np.array([0.5, 0.5]), rng, 100_000)
+        draws = np.array([sample_index(np.array([0.5, 0.5]), rng) for _ in range(100_000)])
         # binomial 99.99% bound: 0.5 +- ~0.0062; spec tolerance 0.01
         assert abs((draws == 0).mean() - 0.5) < 0.01
 
@@ -139,14 +136,8 @@ class TestSelection:
         # normalized scores (1, .5, 0) at b2=10 give weights (e^5, e^2.5, 1)
         weights = np.array([math.exp(5), math.exp(2.5), 1.0])
         expected = weights / weights.sum()
-        probs = scored_choices([0.3, 0.2, 0.1], 10.0).probabilities
+        probs = softmax_scaled(normalize([0.3, 0.2, 0.1]), 10.0)
         assert np.allclose(probs, expected)
-
-    def test_empty_choices(self, rng):
-        with pytest.raises(NoChoices):
-            select_feature([], 1.0, rng)
-        with pytest.raises(NoChoices):
-            select_value([], 1.0, rng)
 
 
 class TestBounds:
@@ -184,8 +175,8 @@ class TestBounds:
         # operationalizes the selection-probability envelope over 1e5 draws
         rng = np.random.default_rng(d * 1000 + int(b1))
         scores = np.linspace(0.1, 0.9, d)
-        probs = scored_choices(scores, b1).probabilities
-        draws = sample_indices(probs, rng, 100_000)
+        probs = softmax_scaled(normalize(scores), b1)
+        draws = inverse_cdf_draws(probs, rng.random(100_000))
         freqs = np.bincount(draws, minlength=d) / draws.size
         lower, upper = feature_probability_bounds(d, b1)
         sigma_low = math.sqrt(lower * (1 - lower) / draws.size)
@@ -197,6 +188,11 @@ class TestBounds:
 @settings(max_examples=200)
 @given(finite_vectors, st.floats(0, 30))
 def test_scored_choices_probability_contract(values, budget):
-    choices = scored_choices(values, budget)
-    assert choices.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
-    assert (choices.probabilities > 0).all()
+    # both mechanisms draw by inverse CDF from the normalized scores' softmax
+    probs = softmax_scaled(normalize(values), budget)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+    assert (probs > 0).all()
+    expected = inverse_cdf_draws(probs, np.random.default_rng(7).random(2))
+    rng = np.random.default_rng(7)
+    drawn = [select_feature(values, budget, rng), select_value(values, budget, rng)]
+    assert drawn == list(expected)

@@ -100,8 +100,8 @@ def allocate_budget(
     gets epsilon/(d*t) shared between the two split mechanisms according to
     ``split``, and each tree's label mechanism gets epsilon/t.
     """
-    if not epsilon > 0:  # NaN fails this too
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:  # NaN fails this too
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     if t < 1 or estimation_size < 1 or k < 1:
         raise DomainError("t, estimation_size and k must be positive")
     if not 0 < split < 1:

@@ -9,8 +9,8 @@ their estimation rows' class counts. A split rule decides each node:
   while estimation rows ride along and set the leaf distributions. It
   composes the two multinomial mechanisms; a sampled split is accepted only
   if both children keep at least ``k`` estimation rows and one structure
-  row, with resampling (value first, then feature, ten attempts total)
-  before giving up and emitting a leaf;
+  row. Ten attempts are made before giving up and emitting a leaf: even
+  attempts draw a feature and a value, odd attempts a value only;
 - the greedy rule of :func:`build_baseline_tree` takes Breiman's best split
   over a random feature subset, and its rows are their own estimation rows.
 
@@ -291,6 +291,14 @@ def _sample_split(
 ) -> _Split | None:
     """Draw (feature, threshold) via the two mechanisms, enforcing split validity.
 
+    A cut keeps at least ``k`` of the node's n estimation rows on each side
+    exactly when ``threshold`` lies in ``[lo, hi)``, where lo and hi are the
+    feature's k-th smallest and k-th largest estimation values; one partition
+    per node finds both. Each attempt is checked against that mask. If no
+    eligible feature has a feasible cut, every attempt would fail: no
+    mechanism runs, and the rng advances by the 15 uniforms the attempts
+    would draw (one per value, one per feature on even attempts).
+
     Returns None when no valid split was sampled within the attempt budget.
     """
     valid, thresholds, decreases = scan_features(
@@ -301,23 +309,24 @@ def _sample_split(
     if eligible.size == 0:
         return None
 
-    k = config.k
-    est_col_cache: dict[int, np.ndarray] = {}
+    k, n_est = config.k, est_pos.size
+    bounds = np.partition(xe[est_pos], (k - 1, n_est - k), axis=0)
+    lo, hi = bounds[k - 1, :, None], bounds[n_est - k, :, None]
+    feasible = valid & (lo <= thresholds) & (thresholds < hi)
+    if not feasible.any():  # rows of ineligible features hold no valid cut
+        rng.random(_SPLIT_ATTEMPTS + math.ceil(_SPLIT_ATTEMPTS / 2))
+        return None
     feature = -1
     for attempt in range(_SPLIT_ATTEMPTS):
-        if attempt % 2 == 0:  # even attempts redraw the feature, odd ones the value
+        if attempt % 2 == 0:  # even attempts draw a feature and a value, odd ones a value
             feature = int(eligible[select_feature(best[eligible], config.b1, rng)])
         positions = np.flatnonzero(valid[feature])
-        choice = select_value(decreases[feature, positions], config.b2, rng)
-        threshold = thresholds[feature, positions[choice]]
-        if feature not in est_col_cache:
-            est_col_cache[feature] = xe[est_pos, feature]
-        est_left = est_col_cache[feature] <= threshold
-        left_n = int(est_left.sum())
+        cut = positions[select_value(decreases[feature, positions], config.b2, rng)]
         # structure children are nonempty by construction: valid thresholds
         # lie strictly between two observed structure values
-        if left_n >= k and est_pos.size - left_n >= k:
-            return feature, float(threshold), est_left
+        if feasible[feature, cut]:
+            threshold = thresholds[feature, cut]
+            return feature, float(threshold), xe[est_pos, feature] <= threshold
     return None
 
 

@@ -10,7 +10,10 @@ in a sequential loop, as the library did before it scored all neighbors in
 one batched pass; they return ``AuditReport.to_dict()`` documents.
 :func:`reference_build_tree` and :func:`reference_build_baseline_tree` grow
 each kind of tree with its own node loop, as the library did before both
-became split rules over one grower; they share its split search.
+became split rules over one grower. :func:`reference_sample_split` is the
+multinomial split search as it was before the library checked feasibility
+with one mask per node: every attempt runs both mechanisms and counts the
+estimation rows its cut sends left; ``reference_build_tree`` searches with it.
 :func:`inverse_cdf_draws` repeats ``sample_index``'s one inverse-CDF draw
 over many uniforms at once.
 """
@@ -23,7 +26,8 @@ from typing import Any
 import numpy as np
 
 from mrforest.impurity import _impurity_of, scan_features
-from mrforest.tree import Tree, TreeNode, _gather_sorted, _sample_split, _sorted_index_matrix
+from mrforest.splitsel import select_feature, select_value
+from mrforest.tree import _SPLIT_ATTEMPTS, Tree, TreeNode, _gather_sorted, _sorted_index_matrix
 
 GAP = 1e-9  # optima closer than this count as ties and disqualify a dataset
 
@@ -348,8 +352,43 @@ def _leaf_distribution(labels: np.ndarray, class_count: int, parent: np.ndarray 
     return np.bincount(labels, minlength=class_count) / labels.size
 
 
+def reference_sample_split(xs, ys, xe, sorted_pos, est_pos, class_count, config, rng):
+    """``_sample_split`` drawing both mechanisms on every attempt, with no feasibility mask.
+
+    Each attempt counts the estimation rows its cut sends left; the search
+    returns ``(feature, threshold, est_left)`` for the first cut that leaves
+    ``k`` on each side, or None after ``_SPLIT_ATTEMPTS`` attempts.
+    """
+    valid, thresholds, decreases = scan_features(
+        _gather_sorted(xs, sorted_pos), ys[sorted_pos], class_count, config.criterion
+    )
+    best = np.where(valid, decreases, -np.inf).max(axis=1)
+    eligible = np.flatnonzero(best > -np.inf)
+    if eligible.size == 0:
+        return None
+
+    k = config.k
+    est_col_cache: dict[int, np.ndarray] = {}
+    feature = -1
+    for attempt in range(_SPLIT_ATTEMPTS):
+        if attempt % 2 == 0:  # even attempts redraw the feature, odd ones the value
+            feature = int(eligible[select_feature(best[eligible], config.b1, rng)])
+        positions = np.flatnonzero(valid[feature])
+        choice = select_value(decreases[feature, positions], config.b2, rng)
+        threshold = thresholds[feature, positions[choice]]
+        if feature not in est_col_cache:
+            est_col_cache[feature] = xe[est_pos, feature]
+        est_left = est_col_cache[feature] <= threshold
+        left_n = int(est_left.sum())
+        # structure children are nonempty by construction: valid thresholds
+        # lie strictly between two observed structure values
+        if left_n >= k and est_pos.size - left_n >= k:
+            return feature, float(threshold), est_left
+    return None
+
+
 def reference_build_tree(dataset, structure_idx, estimation_idx, config, rng, seed=None):
-    """``build_tree`` with its own stack walk, child filtering and leaf emission."""
+    """``build_tree`` with its own stack walk, child filtering, leaf emission and split search."""
     xs = np.ascontiguousarray(dataset.features[structure_idx])
     ys = dataset.labels[structure_idx]
     xe = np.ascontiguousarray(dataset.features[estimation_idx])
@@ -365,7 +404,9 @@ def reference_build_tree(dataset, structure_idx, estimation_idx, config, rng, se
         m = sorted_pos.shape[1]
         split = None
         if est_pos.size > k and m >= 2 and (max_depth is None or node.depth < max_depth):
-            split = _sample_split(xs, ys, xe, sorted_pos, est_pos, class_count, config, rng)
+            split = reference_sample_split(
+                xs, ys, xe, sorted_pos, est_pos, class_count, config, rng
+            )
         if split is None:
             node.counts = np.bincount(ye[est_pos], minlength=class_count)
             node.eta = _leaf_distribution(ye[est_pos], class_count, parent_eta)

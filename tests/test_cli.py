@@ -232,6 +232,21 @@ class TestAuditAndBudget:
         assert captured.out == ""
         assert "epsilon must be positive" in captured.err
 
+    def test_budget_infinite_epsilon_exits_2(self, capsys):
+        # "Infinity" is not JSON: the budget must fail before anything is printed
+        code = cli.main(["budget", "--epsilon", "inf", "--estimation-size", "10"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert captured.out == ""
+        assert "epsilon must be positive and finite" in captured.err
+
+    def test_train_infinite_epsilon_exits_2(self, data_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        code = cli.main(["train", "--data", str(data_csv), "--epsilon", "inf", "--out", str(model)])
+        assert code == cli.EXIT_CONFIG
+        assert not model.exists()
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_file_is_data_error(self, capsys):

@@ -59,6 +59,7 @@ class TestAllocateBudget:
             {"epsilon": 1.0, "t": 1, "estimation_size": 0, "k": 2},
             {"epsilon": 1.0, "t": 1, "estimation_size": 10, "k": 2, "split": 0.0},
             {"epsilon": 1.0, "t": 1, "estimation_size": 10, "k": 2, "split": 1.0},
+            {"epsilon": math.inf, "t": 1, "estimation_size": 10, "k": 2},
         ],
     )
     def test_domain_errors(self, kwargs):

@@ -12,9 +12,12 @@ from mrforest.data import Dataset, partition
 from mrforest.forest import MrfConfig
 from mrforest.errors import ConfigError
 from mrforest.forest import Forest, predict_batch
+import mrforest.tree
 from mrforest.tree import (
     Tree,
     TreeNode,
+    _sample_split,
+    _sorted_index_matrix,
     build_baseline_tree,
     build_tree,
     compile_trees,
@@ -26,6 +29,7 @@ from oracle import (
     exhaustive_cart,
     reference_build_baseline_tree,
     reference_build_tree,
+    reference_sample_split,
     tree_shape,
     walk_eta,
 )
@@ -146,6 +150,104 @@ class TestOneGrower:
         ]
         for depths in (mrf, baseline):
             assert min(depths) == 0 and max(depths) >= 5
+
+
+# estimation row counts of a searched node, each above k as the split rule requires
+EST_SIZES = (lambda k: k + 1, lambda k: 2 * k - 1, lambda k: 2 * k, lambda k: 2 * k + 1)
+SEARCH_RULES = (
+    dict(b1=10.0, b2=10.0),
+    dict(b1=math.inf, b2=math.inf),
+    dict(b1=0.0, b2=0.0),
+    dict(criterion="entropy"),
+    dict(b1=0.05, b2=0.05, max_depth=3),  # a privacy-mode depth cap and budgets
+)
+
+
+def _search_node(seed: int) -> tuple[tuple, MrfConfig]:
+    """A fuzzed node for ``_sample_split`` and the config searching it.
+
+    Values are integers 0-5, so structure rows tie and every candidate
+    threshold is a multiple of 0.5; estimation values are drawn from those
+    multiples, so they land on cut points. Every other node draws them from
+    only two values, so both order statistics sit inside runs of ties.
+    """
+    rng = np.random.default_rng(seed)
+    size_of = EST_SIZES[seed % len(EST_SIZES)]
+    # k = 1 on every third group of sizes, except where 2k - 1 rows do not exceed k
+    k = 1 if (seed // len(EST_SIZES)) % 3 == 0 and size_of(1) > 1 else int(rng.integers(2, 7))
+    n_est, d, classes = size_of(k), int(rng.integers(1, 5)), int(rng.integers(2, 4))
+    xs = rng.integers(0, 6, size=(int(rng.integers(2, 40)), d)).astype(np.float64)
+    ys = rng.integers(0, classes, size=xs.shape[0])
+    pool = np.arange(0.0, 5.5, 0.5)
+    if seed % 2:
+        pool = rng.choice(pool, size=2, replace=False)
+    xe = rng.choice(pool, size=(n_est + int(rng.integers(0, 5)), d))
+    est_pos = np.sort(rng.choice(xe.shape[0], size=n_est, replace=False))
+    # the node holds a subset of the structure rows, still sorted per feature
+    member = rng.random(xs.shape[0]) < 0.8
+    member[rng.choice(xs.shape[0], size=2, replace=False)] = True
+    full = _sorted_index_matrix(xs)
+    sorted_pos = full[member[full]].reshape(d, int(member.sum()))
+    config = MrfConfig(t=1, k=k, **SEARCH_RULES[seed % len(SEARCH_RULES)])
+    return (xs, ys, xe, sorted_pos, est_pos, classes), config
+
+
+class TestSplitSearch:
+    """``_sample_split`` returns the splits, and draws the rng stream, of the search
+    that runs both mechanisms on every attempt and counts estimation rows per cut."""
+
+    @pytest.mark.parametrize("seed", range(160))
+    def test_matches_reference_search(self, seed):
+        node, config = _search_node(seed)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        split = _sample_split(*node, config, rng)
+        reference = reference_sample_split(*node, config, reference_rng)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert (split is None) == (reference is None)
+        if split is not None:
+            assert split[:2] == reference[:2]
+            np.testing.assert_array_equal(split[2], reference[2])
+
+    def test_fuzzed_nodes_reach_every_outcome(self, monkeypatch):
+        # outcomes: a split, no feasible cut (no mechanism runs), and feasible
+        # cuts that the attempts all missed
+        draws = []
+        real_select_value = mrforest.tree.select_value
+
+        def counted_select_value(*args):
+            draws.append(1)
+            return real_select_value(*args)
+
+        monkeypatch.setattr(mrforest.tree, "select_value", counted_select_value)
+        outcomes = set()
+        for seed in range(160):
+            node, config = _search_node(seed)
+            draws.clear()
+            split = _sample_split(*node, config, np.random.default_rng(seed))
+            outcomes.add("split" if split else "missed" if draws else "infeasible")
+        assert outcomes == {"split", "missed", "infeasible"}
+
+    @pytest.mark.parametrize(
+        "xe, k",
+        [
+            (np.arange(5.0)[:, None], 3),  # 2k - 1 rows: no cut leaves k on both sides
+            (np.full((6, 1), 2.0), 3),  # 2k rows tied at both order statistics
+            (np.full((4, 1), 9.0), 1),  # every estimation row above every cut
+        ],
+    )
+    def test_infeasible_node_runs_no_mechanism(self, monkeypatch, xe, k):
+        def no_draw(*args):
+            raise AssertionError("a mechanism ran for a node without a feasible cut")
+
+        monkeypatch.setattr(mrforest.tree, "select_feature", no_draw)
+        monkeypatch.setattr(mrforest.tree, "select_value", no_draw)
+        xs = np.arange(8.0)[:, None]
+        node = (xs, np.arange(8) % 2, xe, _sorted_index_matrix(xs), np.arange(xe.shape[0]), 2)
+        rng, expected = np.random.default_rng(5), np.random.default_rng(5)
+        assert _sample_split(*node, MrfConfig(t=1, k=k), rng) is None
+        for _ in range(15):  # the ten value and five feature draws of the attempts
+            expected.random()
+        assert rng.bit_generator.state == expected.bit_generator.state
 
 
 class TestStoppingRules:

@@ -213,7 +213,19 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_cv_flags(args: argparse.Namespace) -> None:
+    """Reject fold, repeat and worker counts that no dataset makes valid."""
+    for flag, value, least in (
+        ("--folds", args.folds, 2),
+        ("--repeats", args.repeats, 1),
+        ("--jobs", args.jobs, 1),
+    ):
+        if value < least:
+            raise errors.ConfigError(f"{flag} must be >= {least}, got {value}")
+
+
 def _cmd_cv(args: argparse.Namespace) -> int:
+    _check_cv_flags(args)
     dataset = _load(args)
     config = _config_from_args(args, dataset.n)
     report = run_cv(
@@ -231,6 +243,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _check_cv_flags(args)
     dataset = _load(args)
     config = _config_from_args(args, dataset.n)
     report = sweep(

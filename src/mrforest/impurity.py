@@ -3,9 +3,19 @@
 :func:`scan_features` is the one place split candidates are scored: given
 per-feature pre-sorted value and label rows for one tree node, it computes
 the impurity decrease of every candidate threshold for every feature in one
-vectorized pass over prefix class counts. Thresholds sit at midpoints
-between adjacent distinct values, so rows with equal feature values are
-never separated.
+vectorized pass over prefix class counts. :func:`cut_points` gives the
+candidate thresholds: midpoints between adjacent distinct values, so rows
+with equal feature values are never separated.
+
+The prefix counts are kept class first, one (rows, m) plane per class: one
+``cumsum`` per class but the last, whose counts are what the others leave of
+each prefix (integer counts are exact in float64). :func:`_impurity` holds
+the gini and entropy formulas for the scan and for the privacy audit's grid
+scorer. It adds the per-class terms plane by plane in class order, which is
+the order in which numpy's ``sum`` adds a last axis of fewer than eight
+entries; from eight classes on numpy adds pairwise, and the planes are handed
+to that ``sum``. So the decreases are bit-equal to a sum over a class-last
+axis, while no pass runs along the short class axis.
 """
 
 from __future__ import annotations
@@ -18,14 +28,19 @@ from .errors import ConfigError, MismatchError
 
 __all__ = [
     "ClassCounts",
+    "cut_points",
     "scan_features",
 ]
 
 # Decreases this far below zero are rounding noise from Eq-style weighted sums.
 _NEG_TOL = 1e-12
 
-# Cap on floats held by one vectorized scan block (D_block * m * K).
-_SCAN_BLOCK_BUDGET = 4 << 20
+# Cap on count cells (classes x rows x positions) of one scan block, so that
+# a block's counts stay in cache; one buffer serves every block of a call.
+_SCAN_BLOCK_BUDGET = 1 << 15
+
+# numpy adds a last axis shorter than this in order, and pairwise from it on.
+_PAIRWISE_FROM = 8
 
 
 @dataclass(frozen=True)
@@ -50,19 +65,57 @@ class ClassCounts:
         return int(self.counts.sum())
 
 
-def _impurity_of(counts: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
-    """Vectorized impurity of count vectors along the last axis.
+def _class_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading class axis, in numpy's order for a class-last sum.
 
-    ``totals`` must be positive wherever the result is used.
+    Below :data:`_PAIRWISE_FROM` classes it accumulates into ``terms[0]``.
+    The result is an array, 0-d for one count vector.
     """
-    safe = np.maximum(totals, 1)
+    if len(terms) >= _PAIRWISE_FROM:
+        return np.asarray(np.moveaxis(terms, 0, -1).copy().sum(axis=-1))
+    total = terms[0, ...]
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+def _impurity(counts: np.ndarray, sizes: np.ndarray | int, criterion: str) -> np.ndarray:
+    """Impurity of class count vectors stored class first; overwrites ``counts``.
+
+    ``counts[c]`` holds class c's float64 counts, and ``sizes`` (broadcast
+    against ``counts[0]``) their sums. Where a size is 0 the result is
+    meaningless and must not be used.
+    """
+    safe = np.maximum(sizes, 1)
     if criterion == "gini":
-        return 1.0 - np.square(counts / safe[..., None]).sum(axis=-1)
+        np.divide(counts, safe, out=counts)
+        np.square(counts, out=counts)
+        total = _class_sum(counts)
+        return np.subtract(1.0, total, out=total)
     if criterion == "entropy":
         # H = log2(n) - sum(c*log2 c)/n with 0*log 0 = 0
-        clog = np.where(counts > 0, counts * np.log2(np.maximum(counts, 1)), 0.0)
-        return np.log2(safe) - clog.sum(axis=-1) / safe
+        logs = np.maximum(counts, 1)
+        np.log2(logs, out=logs)
+        np.multiply(counts, logs, out=counts)
+        total = _class_sum(counts)
+        total /= safe
+        return np.subtract(np.log2(safe), total, out=total)
     raise ConfigError(f"unknown impurity criterion {criterion!r}")
+
+
+def cut_points(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(valid, thresholds)`` of the cuts in each row of sorted ``values`` (D, m).
+
+    Both are (D, m-1): position i is the cut between sorted positions i and
+    i+1 at their midpoint. ``valid`` is False where the two values are equal,
+    or where the midpoint of adjacent doubles rounds up onto the upper value,
+    which would route every row left.
+    """
+    valid = values[:, 1:] > values[:, :-1]
+    thresholds = values[:, :-1] + values[:, 1:]
+    thresholds *= 0.5
+    valid &= thresholds < values[:, 1:]
+    return valid, thresholds
 
 
 def scan_features(
@@ -81,39 +134,42 @@ def scan_features(
         criterion: "gini" or "entropy".
 
     Returns:
-        ``(valid, thresholds, decreases)``, each (D, m-1): position i describes
-        the cut between sorted positions i and i+1. ``valid`` is False where
-        adjacent values are equal (no threshold exists there).
+        ``(valid, thresholds, decreases)``, each (D, m-1): the
+        :func:`cut_points` of ``values`` and the impurity decrease of each cut.
     """
     depth, m = values.shape
+    valid, thresholds = cut_points(values)
+    decreases = np.empty(valid.shape)
     if m < 2:
-        empty = np.empty((depth, 0))
-        return empty.astype(bool), empty, empty
+        return valid, thresholds, decreases
 
-    valid = values[:, 1:] > values[:, :-1]
-    thresholds = 0.5 * (values[:, :-1] + values[:, 1:])
-    # the midpoint of adjacent doubles can round up onto the upper value,
-    # which would route every row left; such cuts are not usable thresholds
-    valid &= thresholds < values[:, 1:]
-    decreases = np.empty((depth, m - 1))
-
-    rows_per_block = max(1, _SCAN_BLOCK_BUDGET // (m * class_count))
-    left_n = np.arange(1, m, dtype=np.int64)
-    right_n = m - left_n
-    for start in range(0, depth, rows_per_block):
-        block = slice(start, min(start + rows_per_block, depth))
-        onehot = labels[block, :, None] == np.arange(class_count)
-        prefix = np.cumsum(onehot, axis=1, dtype=np.int64)
-        total = prefix[:, -1, :]
-        left = prefix[:, :-1, :]
-        right = total[:, None, :] - left
-        parent_imp = _impurity_of(total, np.asarray(m), criterion)
-        child = (
-            left_n / m * _impurity_of(left, left_n, criterion)
-            + right_n / m * _impurity_of(right, right_n, criterion)
-        )
-        decreases[block] = parent_imp[:, None] - child
+    # rows left and right of the cut after each position; the last position's
+    # left side is the whole node, so its impurity is the parent's, and its
+    # weight is m / m = 1
+    sizes = np.empty((2, 1, m))
+    left_n = sizes[0, 0]
+    left_n[:] = np.arange(1, m + 1)
+    np.subtract(m, left_n, out=sizes[1, 0])
+    weights = sizes / m
+    rows = max(1, min(depth, _SCAN_BLOCK_BUDGET // (m * class_count)))
+    buffer = np.empty((class_count, 2, rows, m))
+    classes = np.arange(class_count - 1)[:, None, None]
+    for start in range(0, depth, rows):
+        block = labels[start : start + rows]
+        counts = buffer[:, :, : block.shape[0]]
+        left, right = counts[:, 0], counts[:, 1]
+        np.equal(block, classes, out=left[:-1], casting="unsafe")
+        np.cumsum(left[:-1], axis=2, out=left[:-1])
+        last = left[-1]
+        np.copyto(last, left_n)
+        for prefix in left[:-1]:
+            last -= prefix
+        np.subtract(left[:, :, -1:], left, out=right)
+        impurity = _impurity(counts, sizes, criterion)
+        impurity *= weights
+        out = decreases[start : start + rows]
+        np.add(impurity[0, :, :-1], impurity[1, :, :-1], out=out)
+        np.subtract(impurity[0, :, -1:], out, out=out)
 
     np.copyto(decreases, 0.0, where=(decreases < 0.0) & (decreases > -_NEG_TOL))
     return valid, thresholds, decreases
-

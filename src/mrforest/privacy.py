@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DomainError, SizeError
-from .impurity import ClassCounts, _impurity_of, scan_features
+from .impurity import ClassCounts, _impurity, scan_features
 from .splitsel import normalize, softmax_scaled
 
 __all__ = [
@@ -259,15 +259,17 @@ def _grid_value_scores(
     if n == 0:
         return np.zeros((*x.shape[:-2], grid.size))
     left_mask = x[..., None, :, feature] <= grid[:, None]
-    onehot = (y[..., :, None] == np.arange(class_count)).astype(np.int64)
-    left_counts = left_mask @ onehot
-    total = onehot.sum(axis=-2)
+    onehot = (y[..., :, None] == np.arange(class_count)).astype(np.float64)
+    # class first: (K, ..., G) counts left of each threshold, (K, ...) in all
+    left_counts = np.moveaxis(left_mask @ onehot, -1, 0)
+    total = np.moveaxis(onehot.sum(axis=-2), -1, 0)
+    right_counts = total[..., None] - left_counts
     left_n = left_mask.sum(axis=-1)
     right_n = n - left_n
-    parent_imp = _impurity_of(total, np.asarray(n), criterion)
-    child = left_n / n * _impurity_of(left_counts, left_n, criterion) + (
+    parent_imp = _impurity(total, n, criterion)
+    child = left_n / n * _impurity(left_counts, left_n, criterion) + (
         right_n / n
-    ) * _impurity_of(total[..., None, :] - left_counts, right_n, criterion)
+    ) * _impurity(right_counts, right_n, criterion)
     decreases = np.where(
         (left_n > 0) & (right_n > 0), parent_imp[..., None] - child, 0.0
     )

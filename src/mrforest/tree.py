@@ -10,7 +10,8 @@ their estimation rows' class counts. A split rule decides each node:
   composes the two multinomial mechanisms; a sampled split is accepted only
   if both children keep at least ``k`` estimation rows and one structure
   row. Ten attempts are made before giving up and emitting a leaf: even
-  attempts draw a feature and a value, odd attempts a value only;
+  attempts draw a feature and a value, odd attempts a value only. Impurity
+  is scanned only at nodes where some cut can be accepted;
 - the greedy rule of :func:`build_baseline_tree` takes Breiman's best split
   over a random feature subset, and its rows are their own estimation rows.
 
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 import numpy as np
 
 from .errors import ParseError
-from .impurity import scan_features
+from .impurity import cut_points, scan_features
 from .splitsel import select_feature, select_value
 
 if TYPE_CHECKING:
@@ -131,14 +132,17 @@ class Tree:
         """Tree of a :meth:`to_dict` document; children must follow their parent.
 
         A corrupt document raises :class:`ParseError`: a child index out of
-        order or range, a feature outside the columns, a threshold or leaf
-        eta that is NaN or infinite, leaves without ``class_count`` classes,
-        negative leaf counts, or a leaf eta that is negative or does not sum
-        to 1.
+        order or range, nodes that are not a tree (a node that is the child
+        of two splits, or of none but is not the root), a feature outside
+        the columns, a threshold or leaf eta that is NaN or infinite, leaves
+        without ``class_count`` classes, negative leaf counts, or a leaf eta
+        that is negative or does not sum to 1.
         """
         entries = doc["nodes"]
         nodes = [TreeNode(depth=int(entry["depth"])) for entry in entries]
+        size = len(nodes)
         leaves = []
+        children = []
         for index, (node, entry) in enumerate(zip(nodes, entries)):
             if entry["kind"] != "split":
                 leaves.append(index)
@@ -148,12 +152,18 @@ class Tree:
             if not math.isfinite(node.threshold):
                 raise ParseError(f"node {index}: threshold {node.threshold} is not finite")
             left, right = entry["left"], entry["right"]
-            if not (index < left < len(nodes) and index < right < len(nodes)):
+            if not (index < left < size and index < right < size):
                 raise ParseError(f"node {index}: child index out of order or range")
             if not 0 <= node.feature < feature_count:
                 raise ParseError(f"node {index}: feature {node.feature} out of range")
             node.left = nodes[left]
             node.right = nodes[right]
+            children.append(left)
+            children.append(right)
+        # children follow their parent, so the root is no node's child, and
+        # every other node is one child exactly when they are n-1 distinct ones
+        if not len(children) == len(set(children)) == size - 1:
+            raise ParseError("nodes do not form a tree: a node is shared by two splits or orphaned")
         # one conversion per tree, not per leaf: each leaf gets a row of both
         etas = np.array([entries[i]["eta"] for i in leaves], dtype=np.float64)
         counts = np.array([entries[i]["counts"] for i in leaves], dtype=np.int64)
@@ -291,31 +301,40 @@ def _sample_split(
 ) -> _Split | None:
     """Draw (feature, threshold) via the two mechanisms, enforcing split validity.
 
-    A cut keeps at least ``k`` of the node's n estimation rows on each side
-    exactly when ``threshold`` lies in ``[lo, hi)``, where lo and hi are the
-    feature's k-th smallest and k-th largest estimation values; one partition
-    per node finds both. Each attempt is checked against that mask. If no
-    eligible feature has a feasible cut, every attempt would fail: no
-    mechanism runs, and the rng advances by the 15 uniforms the attempts
-    would draw (one per value, one per feature on even attempts).
+    The search runs in three steps, each only if the one before leaves a
+    draw to make:
+
+    1. Cut points: the :func:`cut_points` of the node's sorted structure
+       values. Without a valid cut there is nothing to draw: None, and no
+       rng use.
+    2. Feasibility: a cut keeps at least ``k`` of the node's n estimation
+       rows on each side exactly when ``threshold`` lies in ``[lo, hi)``,
+       where lo and hi are the feature's k-th smallest and k-th largest
+       estimation values; one partition per node finds both. If no cut is
+       feasible, every attempt would fail: no impurity is scanned and no
+       mechanism runs, and the rng advances by the 15 uniforms the attempts
+       would draw (one per value, one per feature on even attempts).
+    3. Scan and draw: :func:`scan_features` scores the cuts, and each
+       attempt's draw is checked against the feasibility mask.
 
     Returns None when no valid split was sampled within the attempt budget.
     """
-    valid, thresholds, decreases = scan_features(
-        _gather_sorted(xs, sorted_pos), ys[sorted_pos], class_count, config.criterion
-    )
-    best = np.where(valid, decreases, -np.inf).max(axis=1)
-    eligible = np.flatnonzero(best > -np.inf)
-    if eligible.size == 0:
+    values = _gather_sorted(xs, sorted_pos)
+    valid, thresholds = cut_points(values)
+    if not valid.any():
         return None
 
     k, n_est = config.k, est_pos.size
     bounds = np.partition(xe[est_pos], (k - 1, n_est - k), axis=0)
     lo, hi = bounds[k - 1, :, None], bounds[n_est - k, :, None]
     feasible = valid & (lo <= thresholds) & (thresholds < hi)
-    if not feasible.any():  # rows of ineligible features hold no valid cut
+    if not feasible.any():
         rng.random(_SPLIT_ATTEMPTS + math.ceil(_SPLIT_ATTEMPTS / 2))
         return None
+
+    _, _, decreases = scan_features(values, ys[sorted_pos], class_count, config.criterion)
+    best = np.where(valid, decreases, -np.inf).max(axis=1)
+    eligible = np.flatnonzero(best > -np.inf)
     feature = -1
     for attempt in range(_SPLIT_ATTEMPTS):
         if attempt % 2 == 0:  # even attempts draw a feature and a value, odd ones a value

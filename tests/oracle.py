@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from mrforest.impurity import _impurity_of, scan_features
+from mrforest.impurity import scan_features
 from mrforest.splitsel import select_feature, select_value
 from mrforest.tree import _SPLIT_ATTEMPTS, Tree, TreeNode, _gather_sorted, _sorted_index_matrix
 
@@ -56,6 +56,61 @@ def naive_decrease(
         - left.size / n * impurity_of(left, class_count, criterion)
         - right.size / n * impurity_of(right, class_count, criterion)
     )
+
+
+# Cap on floats held by one vectorized scan block (D_block * m * K).
+_REFERENCE_SCAN_BLOCK_BUDGET = 4 << 20
+
+
+def _class_last_impurity(counts: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
+    """Vectorized impurity of count vectors along the last axis.
+
+    ``totals`` must be positive wherever the result is used.
+    """
+    safe = np.maximum(totals, 1)
+    if criterion == "gini":
+        return 1.0 - np.square(counts / safe[..., None]).sum(axis=-1)
+    if criterion == "entropy":
+        # H = log2(n) - sum(c*log2 c)/n with 0*log 0 = 0
+        clog = np.where(counts > 0, counts * np.log2(np.maximum(counts, 1)), 0.0)
+        return np.log2(safe) - clog.sum(axis=-1) / safe
+    raise ValueError(f"unknown impurity criterion {criterion!r}")
+
+
+def reference_scan_features(values, labels, class_count, criterion="gini"):
+    """``scan_features`` over a class-last (D, m, K) one-hot, as the library scanned
+    before it kept one prefix-count plane per class."""
+    depth, m = values.shape
+    if m < 2:
+        empty = np.empty((depth, 0))
+        return empty.astype(bool), empty, empty
+
+    valid = values[:, 1:] > values[:, :-1]
+    thresholds = 0.5 * (values[:, :-1] + values[:, 1:])
+    # the midpoint of adjacent doubles can round up onto the upper value,
+    # which would route every row left; such cuts are not usable thresholds
+    valid &= thresholds < values[:, 1:]
+    decreases = np.empty((depth, m - 1))
+
+    rows_per_block = max(1, _REFERENCE_SCAN_BLOCK_BUDGET // (m * class_count))
+    left_n = np.arange(1, m, dtype=np.int64)
+    right_n = m - left_n
+    for start in range(0, depth, rows_per_block):
+        block = slice(start, min(start + rows_per_block, depth))
+        onehot = labels[block, :, None] == np.arange(class_count)
+        prefix = np.cumsum(onehot, axis=1, dtype=np.int64)
+        total = prefix[:, -1, :]
+        left = prefix[:, :-1, :]
+        right = total[:, None, :] - left
+        parent_imp = _class_last_impurity(total, np.asarray(m), criterion)
+        child = (
+            left_n / m * _class_last_impurity(left, left_n, criterion)
+            + right_n / m * _class_last_impurity(right, right_n, criterion)
+        )
+        decreases[block] = parent_imp[:, None] - child
+
+    np.copyto(decreases, 0.0, where=(decreases < 0.0) & (decreases > -1e-12))
+    return valid, thresholds, decreases
 
 
 def inverse_cdf_draws(probabilities: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -279,10 +334,10 @@ def _grid_scores(x, y, feature, grid, class_count, criterion) -> np.ndarray:
     total = onehot.sum(axis=0)
     left_n = left_mask.sum(axis=1)
     right_n = n - left_n
-    parent_imp = _impurity_of(total, np.asarray(n), criterion)
-    child = left_n / n * _impurity_of(left_counts, left_n, criterion) + (
+    parent_imp = _class_last_impurity(total, np.asarray(n), criterion)
+    child = left_n / n * _class_last_impurity(left_counts, left_n, criterion) + (
         right_n / n
-    ) * _impurity_of(total[None, :] - left_counts, right_n, criterion)
+    ) * _class_last_impurity(total[None, :] - left_counts, right_n, criterion)
     decreases = np.where((left_n > 0) & (right_n > 0), parent_imp - child, 0.0)
     return np.maximum(decreases, 0.0)
 

@@ -269,6 +269,24 @@ class TestExitCodes:
         assert "partition_rate must be positive and finite" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("command", ["cv", "sweep"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--folds", "1"), ("--folds", "0"), ("--repeats", "0"), ("--jobs", "0"), ("--jobs", "-1")],
+    )
+    def test_bad_cv_count_flag_exits_2(self, data_csv, capsys, command, flag, value):
+        grids = ["--b1-grid", "1", "--b2-grid", "1"] if command == "sweep" else []
+        code = cli.main([command, "--data", str(data_csv), "--trees", "2", *grids, flag, value])
+        assert code == cli.EXIT_CONFIG
+        assert f"{flag} must be >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cv", "sweep"])
+    def test_more_folds_than_rows_exits_3(self, data_csv, capsys, command):
+        grids = ["--b1-grid", "1", "--b2-grid", "1"] if command == "sweep" else []
+        code = cli.main([command, "--data", str(data_csv), "--trees", "2", *grids, "--folds", "81"])
+        assert code == cli.EXIT_DATA
+        assert "folds must satisfy" in capsys.readouterr().err
+
     def test_bad_cell_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\noops,a\n1.0,b\n", encoding="utf-8")

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mrforest.impurity
 from mrforest.errors import MismatchError
 from mrforest.impurity import ClassCounts, scan_features
-from oracle import impurity_of, naive_decrease
+from oracle import impurity_of, naive_decrease, reference_scan_features
 
 
 def scan_one(values, labels, class_count, criterion="gini"):
@@ -217,3 +218,67 @@ class TestCandidateSplits:
             assert valid[j].sum() == len(cands)
             assert np.allclose(thr[j][valid[j]], [c[0] for c in cands])
             assert np.allclose(dec[j][valid[j]], [c[1] for c in cands])
+
+
+def _scan_case(rng, depth, m, class_count, kind):
+    """Sorted (depth, m) value rows and their labels for one kind of node."""
+    if kind == "ties":  # few distinct values: runs of equal values, no cut inside them
+        values = rng.integers(0, 6, size=(depth, m)).astype(np.float64)
+    elif kind == "adjacent":  # neighbouring doubles: midpoints round onto an end
+        values = 1.0 + rng.integers(0, 4, size=(depth, m)) * np.spacing(1.0)
+    else:
+        values = rng.normal(size=(depth, m)) * 10.0 ** rng.integers(-300, 300)
+    values.sort(axis=1)
+    if kind == "one class":
+        labels = np.full((depth, m), rng.integers(0, class_count))
+    else:
+        labels = rng.integers(0, class_count, size=(depth, m))
+    return values, labels
+
+
+def _assert_same_bytes(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestScanMatchesReference:
+    """The class-first kernel returns the bytes of the class-last one-hot scan."""
+
+    KINDS = ("ties", "adjacent", "spread", "one class")
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize("class_count", [2, 3, 4, 5, 8, 9])
+    @pytest.mark.parametrize(
+        "depth, m",
+        [
+            (3, 1),
+            (4, 2),
+            (5, 3),
+            (6, 17),
+            (9, 1500),  # more cells than one block holds
+            (600, 6),  # the audit's batch: neighbours x features rows of one micro-dataset
+        ],
+    )
+    def test_bytes_equal_reference(self, depth, m, class_count, criterion):
+        rng = np.random.default_rng([depth, m, class_count])
+        for kind in self.KINDS:
+            values, labels = _scan_case(rng, depth, m, class_count, kind)
+            _assert_same_bytes(
+                scan_features(values, labels, class_count, criterion),
+                reference_scan_features(values, labels, class_count, criterion),
+            )
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    def test_bytes_equal_reference_across_small_blocks(self, monkeypatch, budget):
+        monkeypatch.setattr(mrforest.impurity, "_SCAN_BLOCK_BUDGET", budget)
+        rng = np.random.default_rng(budget)
+        for seed in range(40):
+            depth, m = int(rng.integers(1, 12)), int(rng.integers(2, 30))
+            class_count = int(rng.integers(2, 6))
+            criterion = ("gini", "entropy")[seed % 2]
+            values, labels = _scan_case(rng, depth, m, class_count, self.KINDS[seed % 4])
+            _assert_same_bytes(
+                scan_features(values, labels, class_count, criterion),
+                reference_scan_features(values, labels, class_count, criterion),
+            )

@@ -248,6 +248,17 @@ def _negative_counts(doc):
     _first_leaf(doc)["counts"][0] = -1
 
 
+def _shared_child(doc):
+    # both of the root's children are its left subtree; the right one is orphaned
+    nodes = doc["trees"][0]["nodes"]
+    nodes[0]["right"] = nodes[0]["left"]
+
+
+def _orphan_node(doc):
+    # a leaf that no split points to
+    doc["trees"][0]["nodes"].append(dict(_first_leaf(doc)))
+
+
 CORRUPTIONS = (
     _self_loop,
     _backward_child,
@@ -264,6 +275,8 @@ CORRUPTIONS = (
     _negative_eta,
     _eta_sum_not_one,
     _negative_counts,
+    _shared_child,
+    _orphan_node,
 )
 
 
@@ -316,6 +329,19 @@ def test_non_finite_model_value_exits_3_on_the_cli(tmp_path, capsys, corrupt):
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert "error:" in err and ("not finite" in err or "infinite" in err)
+
+
+@pytest.mark.parametrize("corrupt", (_shared_child, _orphan_node), ids=("shared", "orphan"))
+def test_model_that_is_not_a_tree_exits_3_on_the_cli(tmp_path, capsys, corrupt):
+    doc = _model_doc()
+    corrupt(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    rows = tmp_path / "rows.csv"
+    rows.write_text("f0,f1\n0.1,0.2\n", encoding="utf-8")
+    code = cli.main(["predict", "--model", str(model), "--data", str(rows)])
+    assert code == cli.EXIT_DATA
+    assert "do not form a tree" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

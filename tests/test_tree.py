@@ -250,6 +250,59 @@ class TestSplitSearch:
         assert rng.bit_generator.state == expected.bit_generator.state
 
 
+    def test_scan_runs_only_at_nodes_with_a_feasible_cut(self, monkeypatch):
+        # a node whose cuts all leave fewer than k estimation rows on a side runs
+        # no scan, and still draws the 15 uniforms of the attempts if it has a cut
+        scans = []
+        real_scan = mrforest.tree.scan_features
+
+        def counted_scan(*args):
+            scans.append(args[0].shape)
+            return real_scan(*args)
+
+        monkeypatch.setattr(mrforest.tree, "scan_features", counted_scan)
+        feasible_nodes = 0
+        kinds = set()
+        for seed in range(160):
+            node, config = _search_node(seed)
+            cuts, feasible = _brute_force_cuts(node, config.k)
+            feasible_nodes += feasible
+            rng, expected = np.random.default_rng(seed), np.random.default_rng(seed)
+            before = len(scans)
+            split = _sample_split(*node, config, rng)
+            if feasible:
+                assert len(scans) == before + 1
+                continue
+            kinds.add("infeasible" if cuts else "no cut")
+            assert len(scans) == before and split is None
+            if cuts:
+                expected.random(15)  # the ten value and five feature draws of the attempts
+            assert rng.bit_generator.state == expected.bit_generator.state
+        assert len(scans) == feasible_nodes
+        assert kinds == {"infeasible", "no cut"} and 0 < feasible_nodes < 160
+
+
+def _brute_force_cuts(node, k) -> tuple[bool, bool]:
+    """Whether a node has a cut, and a cut leaving ``k`` estimation rows on each side.
+
+    Each cut of a feature is the midpoint of two adjacent distinct structure
+    values that lies below the upper one; its estimation rows are counted by
+    comparing every row with it.
+    """
+    xs, _, xe, sorted_pos, est_pos, _ = node
+    any_cut = any_feasible = False
+    for feature in range(xs.shape[1]):
+        distinct = np.unique(xs[sorted_pos[feature], feature])
+        for lower, upper in zip(distinct[:-1], distinct[1:]):
+            threshold = 0.5 * (lower + upper)
+            if threshold >= upper:
+                continue
+            any_cut = True
+            left = int((xe[est_pos, feature] <= threshold).sum())
+            any_feasible |= left >= k and est_pos.size - left >= k
+    return any_cut, any_feasible
+
+
 class TestStoppingRules:
     def test_estimation_at_k_gives_single_leaf(self, rng):
         ds = random_dataset(rng, 40, 2)

@@ -38,6 +38,7 @@ from .splitsel import (
     sample_index,
     select_feature,
     select_value,
+    selection_cdf,
     softmax_scaled,
     value_region_bound,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "ClassCounts",
     "normalize",
     "softmax_scaled",
+    "selection_cdf",
     "sample_index",
     "select_feature",
     "select_value",

@@ -410,10 +410,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seeds(args: argparse.Namespace) -> None:
+    """Reject negative seeds before any data is read; numpy seeds must be >= 0."""
+    for flag, dest in (("--seed", "seed"), ("--eval-seed", "eval_seed")):
+        value = getattr(args, dest, 0)
+        if value < 0:
+            raise errors.ConfigError(f"{flag} must be >= 0, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_seeds(args)
         return args.func(args)
     except _CONFIG_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -87,6 +87,8 @@ class MrfConfig:
             raise ConfigError(f"unknown criterion {self.criterion!r}")
         if self.max_depth is not None and self.max_depth < 1:
             raise ConfigError("max_depth must be >= 1 when set")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,8 @@ class BaselineConfig:
             raise ConfigError("mtry must be >= 1 when set")
         if self.criterion not in ("gini", "entropy"):
             raise ConfigError(f"unknown criterion {self.criterion!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(eq=False)

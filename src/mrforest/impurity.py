@@ -1,11 +1,13 @@
 """Class tallies, impurity criteria and the vectorized split scan.
 
 :func:`scan_features` is the one place split candidates are scored: given
-per-feature pre-sorted value and label rows for one tree node, it computes
-the impurity decrease of every candidate threshold for every feature in one
-vectorized pass over prefix class counts. :func:`cut_points` gives the
-candidate thresholds: midpoints between adjacent distinct values, so rows
-with equal feature values are never separated.
+the label rows of one tree node, each sorted by one feature's values, it
+computes the impurity decrease of the cut after every sorted position for
+every feature in one vectorized pass over prefix class counts; it reads no
+feature values. :func:`cut_points` gives the candidate thresholds from the
+sorted values, and which of those cuts are valid: midpoints between adjacent
+distinct values, so rows with equal feature values are never separated. A
+caller computes both and keeps the decreases of the valid cuts.
 
 The prefix counts are kept class first, one (rows, m) plane per class: one
 ``cumsum`` per class but the last, whose counts are what the others leave of
@@ -119,29 +121,27 @@ def cut_points(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def scan_features(
-    values: np.ndarray,
     labels: np.ndarray,
     class_count: int,
     criterion: str = "gini",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate thresholds and decreases for every feature row of a node.
+) -> np.ndarray:
+    """Impurity decrease of every cut of every feature row of a node.
 
     Args:
-        values: (D, m) matrix; each row holds one feature's values over the
-            node's rows, sorted ascending.
-        labels: (D, m) labels aligned with ``values`` row by row.
+        labels: (D, m) matrix; row j holds the node's labels ordered by
+            feature j's values, ascending.
         class_count: number of classes K.
         criterion: "gini" or "entropy".
 
     Returns:
-        ``(valid, thresholds, decreases)``, each (D, m-1): the
-        :func:`cut_points` of ``values`` and the impurity decrease of each cut.
+        The (D, m-1) decreases: position i is the cut between sorted
+        positions i and i+1, where :func:`cut_points` of the sorted values
+        puts its threshold and says whether it is valid.
     """
-    depth, m = values.shape
-    valid, thresholds = cut_points(values)
-    decreases = np.empty(valid.shape)
+    depth, m = labels.shape
+    decreases = np.empty((depth, max(m - 1, 0)))
     if m < 2:
-        return valid, thresholds, decreases
+        return decreases
 
     # rows left and right of the cut after each position; the last position's
     # left side is the whole node, so its impurity is the parent's, and its
@@ -172,4 +172,4 @@ def scan_features(
         np.subtract(impurity[0, :, -1:], out, out=out)
 
     np.copyto(decreases, 0.0, where=(decreases < 0.0) & (decreases > -_NEG_TOL))
-    return valid, thresholds, decreases
+    return decreases

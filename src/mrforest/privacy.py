@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DomainError, SizeError
-from .impurity import ClassCounts, _impurity, scan_features
+from .impurity import ClassCounts, _impurity, cut_points, scan_features
 from .splitsel import normalize, softmax_scaled
 
 __all__ = [
@@ -232,12 +232,8 @@ def _root_feature_scores(
     sorted_pos = np.argsort(x, axis=-2, kind="stable")
     values = np.take_along_axis(x, sorted_pos, axis=-2)
     labels = np.take_along_axis(np.broadcast_to(y[..., None], x.shape), sorted_pos, axis=-2)
-    valid, _, decreases = scan_features(
-        np.swapaxes(values, -1, -2).reshape(-1, m),
-        np.swapaxes(labels, -1, -2).reshape(-1, m),
-        class_count,
-        criterion,
-    )
+    valid, _ = cut_points(np.swapaxes(values, -1, -2).reshape(-1, m))
+    decreases = scan_features(np.swapaxes(labels, -1, -2).reshape(-1, m), class_count, criterion)
     best = np.where(valid, decreases, -np.inf).max(axis=1).reshape(*stack, d)
     return np.where(np.isfinite(best), best, 0.0)
 

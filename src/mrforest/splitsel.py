@@ -1,12 +1,19 @@
 """Impurity-weighted multinomial selection of split features and values.
 
-Both mechanisms are ``sample_index(softmax_scaled(normalize(scores), B), rng)``:
+Each mechanism is split into its law and its draw. The law,
+:func:`selection_cdf`, is ``cumsum(softmax_scaled(normalize(scores), B))``:
 min-max normalize the raw impurity decreases to [0, 1], scale by half the
-budget B, softmax, then draw one index by inverse CDF. B = 0 gives uniform
-selection, B = math.inf gives a uniform draw over the argmax set, and
-anything between interpolates; the normalized scores keep the mechanism's
-sensitivity at one. The closed-form bounds state the paper's selection
-envelope.
+budget B, softmax, and accumulate. The draw, :func:`sample_index`, takes one
+uniform and returns the first index whose cumulative probability exceeds it.
+A law depends only on its scores and budget, so a caller that draws again
+from the same scores builds the law once; each draw from it equals a draw
+from a freshly built law. :func:`select_feature` and :func:`select_value`
+are that draw under each mechanism's name.
+
+B = 0 gives uniform selection, B = math.inf gives a uniform draw over the
+argmax set, and anything between interpolates; the normalized scores keep
+the mechanism's sensitivity at one. The closed-form bounds state the paper's
+selection envelope.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .errors import DomainError
 __all__ = [
     "normalize",
     "softmax_scaled",
+    "selection_cdf",
     "sample_index",
     "select_feature",
     "select_value",
@@ -59,28 +67,28 @@ def softmax_scaled(normalized: np.ndarray | list[float], budget: float) -> np.nd
     return e / e.sum(axis=-1, keepdims=keep)
 
 
-def sample_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one index by inverse CDF; consumes exactly one uniform from ``rng``.
+def selection_cdf(scores: np.ndarray | list[float], budget: float) -> np.ndarray:
+    """The cumulative law of one mechanism over ``scores`` at ``budget``."""
+    return np.cumsum(softmax_scaled(normalize(scores), budget))
+
+
+def sample_index(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw one index from a cumulative law; consumes exactly one uniform from ``rng``.
 
     The draw is the first index whose cumulative probability exceeds the
     uniform, clipped to the last index against rounding in the cumulative sum.
     """
-    cum = np.cumsum(probabilities)
-    return min(int(np.searchsorted(cum, rng.random(), side="right")), cum.size - 1)
+    return min(int(cdf.searchsorted(rng.random(), side="right")), cdf.size - 1)
 
 
-def select_feature(
-    best_per_feature: np.ndarray | list[float], b1: float, rng: np.random.Generator
-) -> int:
-    """Sample a feature index from the multinomial over per-feature best decreases."""
-    return sample_index(softmax_scaled(normalize(best_per_feature), b1), rng)
+def select_feature(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw a split feature from ``selection_cdf(best decrease per feature, b1)``."""
+    return sample_index(cdf, rng)
 
 
-def select_value(
-    decreases_for_feature: np.ndarray | list[float], b2: float, rng: np.random.Generator
-) -> int:
-    """Sample a split-value index from the multinomial over one feature's decreases."""
-    return sample_index(softmax_scaled(normalize(decreases_for_feature), b2), rng)
+def select_value(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw a split value from ``selection_cdf(one feature's cut decreases, b2)``."""
+    return sample_index(cdf, rng)
 
 
 def feature_probability_bounds(feature_count: int, b1: float) -> tuple[float, float]:

@@ -11,7 +11,11 @@ their estimation rows' class counts. A split rule decides each node:
   if both children keep at least ``k`` estimation rows and one structure
   row. Ten attempts are made before giving up and emitting a leaf: even
   attempts draw a feature and a value, odd attempts a value only. Impurity
-  is scanned only at nodes where some cut can be accepted;
+  is scanned only at nodes where some cut can be accepted. Each mechanism's
+  law is built once per search (a value law the first time its feature is
+  drawn), so an attempt costs a uniform and a binary search per draw; a
+  feature with no acceptable cut builds no law, and its value draw only
+  consumes its uniform;
 - the greedy rule of :func:`build_baseline_tree` takes Breiman's best split
   over a random feature subset, and its rows are their own estimation rows.
 
@@ -32,7 +36,7 @@ import numpy as np
 
 from .errors import ParseError
 from .impurity import cut_points, scan_features
-from .splitsel import select_feature, select_value
+from .splitsel import select_feature, select_value, selection_cdf
 
 if TYPE_CHECKING:
     from .data import Dataset
@@ -315,7 +319,13 @@ def _sample_split(
        mechanism runs, and the rng advances by the 15 uniforms the attempts
        would draw (one per value, one per feature on even attempts).
     3. Scan and draw: :func:`scan_features` scores the cuts, and each
-       attempt's draw is checked against the feasibility mask.
+       attempt's draw is checked against the feasibility mask. Each law is
+       built once per search: the feature law from the features' best
+       decreases, and a feature's value law the first time that feature is
+       drawn. A feature with no feasible cut gets no value law: its value
+       draw can only fail, so it consumes its uniform and draws nothing.
+       Every attempt thus uses the uniforms, and picks the cuts, of a search
+       that rebuilds both laws at every attempt.
 
     Returns None when no valid split was sampled within the attempt budget.
     """
@@ -332,15 +342,24 @@ def _sample_split(
         rng.random(_SPLIT_ATTEMPTS + math.ceil(_SPLIT_ATTEMPTS / 2))
         return None
 
-    _, _, decreases = scan_features(values, ys[sorted_pos], class_count, config.criterion)
+    decreases = scan_features(ys[sorted_pos], class_count, config.criterion)
     best = np.where(valid, decreases, -np.inf).max(axis=1)
     eligible = np.flatnonzero(best > -np.inf)
+    feature_cdf = selection_cdf(best[eligible], config.b1)
+    reachable = feasible.any(axis=1)
+    value_laws: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     feature = -1
     for attempt in range(_SPLIT_ATTEMPTS):
         if attempt % 2 == 0:  # even attempts draw a feature and a value, odd ones a value
-            feature = int(eligible[select_feature(best[eligible], config.b1, rng)])
-        positions = np.flatnonzero(valid[feature])
-        cut = positions[select_value(decreases[feature, positions], config.b2, rng)]
+            feature = int(eligible[select_feature(feature_cdf, rng)])
+        if not reachable[feature]:  # its value draw can only fail: spend the uniform
+            rng.random()
+            continue
+        if feature not in value_laws:
+            positions = np.flatnonzero(valid[feature])
+            value_laws[feature] = positions, selection_cdf(decreases[feature, positions], config.b2)
+        positions, value_cdf = value_laws[feature]
+        cut = positions[select_value(value_cdf, rng)]
         # structure children are nonempty by construction: valid thresholds
         # lie strictly between two observed structure values
         if feasible[feature, cut]:
@@ -374,12 +393,8 @@ def build_baseline_tree(
         if est_pos.size <= k or counts.max() == est_pos.size:
             return None
         subset = np.sort(rng.choice(feature_count, size=mtry, replace=False))
-        valid, thresholds, decreases = scan_features(
-            _gather_sorted(x, sorted_pos[subset], subset),
-            y[sorted_pos[subset]],
-            class_count,
-            criterion,
-        )
+        valid, thresholds = cut_points(_gather_sorted(x, sorted_pos[subset], subset))
+        decreases = scan_features(y[sorted_pos[subset]], class_count, criterion)
         masked = np.where(valid, decreases, -np.inf)
         if not np.isfinite(masked.max()):
             return None

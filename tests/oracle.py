@@ -12,10 +12,10 @@ one batched pass; they return ``AuditReport.to_dict()`` documents.
 each kind of tree with its own node loop, as the library did before both
 became split rules over one grower. :func:`reference_sample_split` is the
 multinomial split search as it was before the library checked feasibility
-with one mask per node: every attempt runs both mechanisms and counts the
-estimation rows its cut sends left; ``reference_build_tree`` searches with it.
-:func:`inverse_cdf_draws` repeats ``sample_index``'s one inverse-CDF draw
-over many uniforms at once.
+with one mask per node: every attempt rebuilds both mechanisms' laws, draws
+from them, and counts the estimation rows its cut sends left;
+``reference_build_tree`` searches with it. :func:`inverse_cdf_draws` repeats
+``sample_index``'s one inverse-CDF draw over many uniforms at once.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Any
 
 import numpy as np
 
-from mrforest.impurity import scan_features
-from mrforest.splitsel import select_feature, select_value
+from mrforest.impurity import cut_points, scan_features
+from mrforest.splitsel import normalize, softmax_scaled
 from mrforest.tree import _SPLIT_ATTEMPTS, Tree, TreeNode, _gather_sorted, _sorted_index_matrix
 
 GAP = 1e-9  # optima closer than this count as ties and disqualify a dataset
@@ -114,8 +114,8 @@ def reference_scan_features(values, labels, class_count, criterion="gini"):
 
 
 def inverse_cdf_draws(probabilities: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Indices ``sample_index`` draws for each uniform: the first cumulative
-    probability above it, clipped to the last index."""
+    """Indices ``sample_index`` draws from ``cumsum(probabilities)`` for each
+    uniform: the first cumulative probability above it, clipped to the last index."""
     cum = np.cumsum(probabilities)
     return np.minimum(np.searchsorted(cum, uniforms, side="right"), cum.size - 1)
 
@@ -319,7 +319,8 @@ def _root_scores(x: np.ndarray, y: np.ndarray, class_count: int, criterion: str)
         return np.zeros(x.shape[1])
     sorted_pos = np.argsort(x, axis=0, kind="stable").T
     cols = np.arange(x.shape[1])[:, None]
-    valid, _, decreases = scan_features(x[sorted_pos, cols], y[sorted_pos], class_count, criterion)
+    valid, _ = cut_points(x[sorted_pos, cols])
+    decreases = scan_features(y[sorted_pos], class_count, criterion)
     best = np.where(valid, decreases, -np.inf).max(axis=1)
     return np.where(np.isfinite(best), best, 0.0)
 
@@ -407,16 +408,22 @@ def _leaf_distribution(labels: np.ndarray, class_count: int, parent: np.ndarray 
     return np.bincount(labels, minlength=class_count) / labels.size
 
 
+def _draw_rebuilding_law(scores, budget, rng) -> int:
+    """One mechanism draw that builds its law from the scores for this draw alone."""
+    cum = np.cumsum(softmax_scaled(normalize(scores), budget))
+    return min(int(np.searchsorted(cum, rng.random(), side="right")), cum.size - 1)
+
+
 def reference_sample_split(xs, ys, xe, sorted_pos, est_pos, class_count, config, rng):
     """``_sample_split`` drawing both mechanisms on every attempt, with no feasibility mask.
 
-    Each attempt counts the estimation rows its cut sends left; the search
-    returns ``(feature, threshold, est_left)`` for the first cut that leaves
-    ``k`` on each side, or None after ``_SPLIT_ATTEMPTS`` attempts.
+    Each attempt rebuilds the laws it draws from and counts the estimation
+    rows its cut sends left; the search returns ``(feature, threshold,
+    est_left)`` for the first cut that leaves ``k`` on each side, or None
+    after ``_SPLIT_ATTEMPTS`` attempts.
     """
-    valid, thresholds, decreases = scan_features(
-        _gather_sorted(xs, sorted_pos), ys[sorted_pos], class_count, config.criterion
-    )
+    valid, thresholds = cut_points(_gather_sorted(xs, sorted_pos))
+    decreases = scan_features(ys[sorted_pos], class_count, config.criterion)
     best = np.where(valid, decreases, -np.inf).max(axis=1)
     eligible = np.flatnonzero(best > -np.inf)
     if eligible.size == 0:
@@ -427,9 +434,9 @@ def reference_sample_split(xs, ys, xe, sorted_pos, est_pos, class_count, config,
     feature = -1
     for attempt in range(_SPLIT_ATTEMPTS):
         if attempt % 2 == 0:  # even attempts redraw the feature, odd ones the value
-            feature = int(eligible[select_feature(best[eligible], config.b1, rng)])
+            feature = int(eligible[_draw_rebuilding_law(best[eligible], config.b1, rng)])
         positions = np.flatnonzero(valid[feature])
-        choice = select_value(decreases[feature, positions], config.b2, rng)
+        choice = _draw_rebuilding_law(decreases[feature, positions], config.b2, rng)
         threshold = thresholds[feature, positions[choice]]
         if feature not in est_col_cache:
             est_col_cache[feature] = xe[est_pos, feature]
@@ -510,12 +517,8 @@ def reference_build_baseline_tree(x, y, class_count, k, mtry, criterion, rng):
         split = None
         if m > k and counts.max() < m:
             subset = np.sort(rng.choice(feature_count, size=mtry, replace=False))
-            valid, thresholds, decreases = scan_features(
-                _gather_sorted(x, sorted_pos[subset], subset),
-                y[sorted_pos[subset]],
-                class_count,
-                criterion,
-            )
+            valid, thresholds = cut_points(_gather_sorted(x, sorted_pos[subset], subset))
+            decreases = scan_features(y[sorted_pos[subset]], class_count, criterion)
             masked = np.where(valid, decreases, -np.inf)
             if np.isfinite(masked.max()):
                 feat_row, pos = divmod(int(np.argmax(masked)), masked.shape[1])

@@ -29,7 +29,13 @@ from mrforest.privacy import (
     compose_budget,
     enumerate_neighbors,
 )
-from mrforest.splitsel import feature_probability_bounds, normalize, select_feature, softmax_scaled
+from mrforest.splitsel import (
+    feature_probability_bounds,
+    normalize,
+    select_feature,
+    selection_cdf,
+    softmax_scaled,
+)
 from mrforest.tree import build_tree
 from oracle import TieError, exhaustive_cart, inverse_cdf_draws, tree_shape
 
@@ -123,7 +129,8 @@ def test_criterion_3_completely_random_uniform_selection():
     from mrforest.privacy import _root_feature_scores
 
     scores = _root_feature_scores(dataset.features, dataset.labels, 2, "gini")
-    draws = np.array([select_feature(scores, 0.0, rng) for _ in range(10_000)])
+    cdf = selection_cdf(scores, 0.0)
+    draws = np.array([select_feature(cdf, rng) for _ in range(10_000)])
     counts = np.bincount(draws, minlength=5)
     pvalue = scipy.stats.chisquare(counts).pvalue
     assert pvalue > 0.001

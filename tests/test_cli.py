@@ -287,6 +287,43 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
         assert "folds must satisfy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, extra",
+        [
+            ("train", "--seed", ["--out"]),
+            ("cv", "--seed", []),
+            ("sweep", "--seed", ["--b1-grid", "1", "--b2-grid", "1"]),
+            ("tree-dist", "--seed", []),
+            ("tree-dist", "--eval-seed", []),
+        ],
+    )
+    def test_negative_seed_exits_2(self, data_csv, tmp_path, capsys, command, flag, extra):
+        # an absent data file would exit 3: the seed is checked before any read
+        model = tmp_path / "m.json"
+        extra = [*extra, str(model)] if extra == ["--out"] else extra
+        for data in (data_csv, tmp_path / "absent.csv"):
+            code = cli.main([command, "--data", str(data), "--trees", "2", flag, "-1", *extra])
+            assert code == cli.EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert f"{flag} must be >= 0, got -1" in captured.err
+            assert captured.out == ""
+        assert not model.exists()
+
+    def test_predict_negative_eval_seed_exits_2(self, data_csv, tmp_path, capsys):
+        # a finite-b3 model draws its votes from the eval seed's rng
+        model = tmp_path / "m.json"
+        train = ["train", "--data", str(data_csv), "--trees", "2", "--b3", "1", "--out", str(model)]
+        assert cli.main(train) == 0
+        capsys.readouterr()
+        out = tmp_path / "pred.json"
+        code = cli.main(
+            ["predict", "--model", str(model), "--data", str(data_csv), "--label-col", "label",
+             "--eval-seed", "-1", "--out", str(out)]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "--eval-seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_cell_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\noops,a\n1.0,b\n", encoding="utf-8")

@@ -49,6 +49,12 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             MrfConfig(**kwargs)
 
+    @pytest.mark.parametrize("config", [MrfConfig, BaselineConfig])
+    def test_negative_seed_rejected(self, config):
+        # numpy seeds must be nonnegative; the config says so before training
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            config(seed=-1)
+
     def test_too_small_dataset(self, rng):
         ds = random_dataset(rng, 9, 2)
         with pytest.raises(ConfigError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import mrforest.impurity
 from mrforest.errors import MismatchError
-from mrforest.impurity import ClassCounts, scan_features
+from mrforest.impurity import ClassCounts, cut_points, scan_features
 from oracle import impurity_of, naive_decrease, reference_scan_features
 
 
@@ -19,9 +19,8 @@ def scan_one(values, labels, class_count, criterion="gini"):
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     order = np.argsort(values, kind="stable")
-    valid, thresholds, decreases = scan_features(
-        values[order][None, :], labels[order][None, :], class_count, criterion
-    )
+    valid, thresholds = cut_points(values[order][None, :])
+    decreases = scan_features(labels[order][None, :], class_count, criterion)
     take = np.flatnonzero(valid[0])
     return [(float(thresholds[0, i]), float(decreases[0, i])) for i in take]
 
@@ -212,7 +211,8 @@ class TestCandidateSplits:
         y = rng.integers(0, 2, size=40)
         sorted_pos = np.argsort(x, axis=0).T
         cols = np.arange(3)[:, None]
-        valid, thr, dec = scan_features(x[sorted_pos, cols], y[sorted_pos], 2)
+        valid, thr = cut_points(x[sorted_pos, cols])
+        dec = scan_features(y[sorted_pos], 2)
         for j in range(3):
             cands = scan_one(x[:, j], y, 2)
             assert valid[j].sum() == len(cands)
@@ -265,7 +265,7 @@ class TestScanMatchesReference:
         for kind in self.KINDS:
             values, labels = _scan_case(rng, depth, m, class_count, kind)
             _assert_same_bytes(
-                scan_features(values, labels, class_count, criterion),
+                (*cut_points(values), scan_features(labels, class_count, criterion)),
                 reference_scan_features(values, labels, class_count, criterion),
             )
 
@@ -279,6 +279,6 @@ class TestScanMatchesReference:
             criterion = ("gini", "entropy")[seed % 2]
             values, labels = _scan_case(rng, depth, m, class_count, self.KINDS[seed % 4])
             _assert_same_bytes(
-                scan_features(values, labels, class_count, criterion),
+                (*cut_points(values), scan_features(labels, class_count, criterion)),
                 reference_scan_features(values, labels, class_count, criterion),
             )

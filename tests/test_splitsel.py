@@ -16,6 +16,7 @@ from mrforest.splitsel import (
     sample_index,
     select_feature,
     select_value,
+    selection_cdf,
     softmax_scaled,
     value_region_bound,
 )
@@ -88,19 +89,19 @@ class TestSoftmaxScaled:
 
 class TestSampleIndex:
     def test_singleton(self, rng):
-        assert sample_index(np.array([1.0]), rng) == 0
+        assert sample_index(np.cumsum([1.0]), rng) == 0
 
     def test_zero_mass_never_drawn(self, rng):
-        assert all(sample_index(np.array([0.0, 1.0]), rng) == 1 for _ in range(1000))
+        assert all(sample_index(np.cumsum([0.0, 1.0]), rng) == 1 for _ in range(1000))
 
     def test_fair_coin_frequency(self):
         rng = np.random.default_rng(99)
-        draws = np.array([sample_index(np.array([0.5, 0.5]), rng) for _ in range(100_000)])
+        draws = np.array([sample_index(np.cumsum([0.5, 0.5]), rng) for _ in range(100_000)])
         # binomial 99.99% bound: 0.5 +- ~0.0062; spec tolerance 0.01
         assert abs((draws == 0).mean() - 0.5) < 0.01
 
     def test_deterministic_given_state(self):
-        p = np.array([0.25, 0.25, 0.5])
+        p = np.cumsum([0.25, 0.25, 0.5])
         a = [sample_index(p, np.random.default_rng(3)) for _ in range(5)]
         b = [sample_index(p, np.random.default_rng(3)) for _ in range(5)]
         assert a == b
@@ -109,26 +110,26 @@ class TestSampleIndex:
 class TestSelection:
     def test_zero_budget_uniform_over_features(self):
         rng = np.random.default_rng(1)
-        draws = np.array([select_feature([0.7, 0.1, 0.4], 0.0, rng) for _ in range(9000)])
+        draws = np.array([select_feature(selection_cdf([0.7, 0.1, 0.4], 0.0), rng) for _ in range(9000)])
         freqs = np.bincount(draws, minlength=3) / draws.size
         assert np.allclose(freqs, 1 / 3, atol=0.02)
 
     def test_two_feature_probability(self):
         rng = np.random.default_rng(2)
-        draws = np.array([select_feature([0.4, 0.1], 2.0, rng) for _ in range(40_000)])
+        draws = np.array([select_feature(selection_cdf([0.4, 0.1], 2.0), rng) for _ in range(40_000)])
         expected = math.e / (math.e + 1)
         assert (draws == 0).mean() == pytest.approx(expected, abs=0.01)
 
     def test_infinite_budget_greedy(self):
         rng = np.random.default_rng(3)
-        assert all(select_feature([0.2, 0.9, 0.1], math.inf, rng) == 1 for _ in range(50))
+        assert all(select_feature(selection_cdf([0.2, 0.9, 0.1], math.inf), rng) == 1 for _ in range(50))
 
     def test_value_selection_singleton(self, rng):
-        assert select_value([0.3], 5.0, rng) == 0
+        assert select_value(selection_cdf([0.3], 5.0), rng) == 0
 
     def test_value_selection_uniform_when_degenerate(self):
         rng = np.random.default_rng(4)
-        draws = np.array([select_value([0.2, 0.2, 0.2], 50.0, rng) for _ in range(9000)])
+        draws = np.array([select_value(selection_cdf([0.2, 0.2, 0.2], 50.0), rng) for _ in range(9000)])
         freqs = np.bincount(draws, minlength=3) / draws.size
         assert np.allclose(freqs, 1 / 3, atol=0.02)
 
@@ -194,5 +195,6 @@ def test_scored_choices_probability_contract(values, budget):
     assert (probs > 0).all()
     expected = inverse_cdf_draws(probs, np.random.default_rng(7).random(2))
     rng = np.random.default_rng(7)
-    drawn = [select_feature(values, budget, rng), select_value(values, budget, rng)]
+    cdf = selection_cdf(values, budget)
+    drawn = [select_feature(cdf, rng), select_value(cdf, rng)]
     assert drawn == list(expected)

@@ -281,18 +281,80 @@ class TestSplitSearch:
         assert len(scans) == feasible_nodes
         assert kinds == {"infeasible", "no cut"} and 0 < feasible_nodes < 160
 
+    def test_each_law_is_built_at_most_once(self, monkeypatch):
+        # a scanned search builds one feature law, and one value law per drawn
+        # feature that has a feasible cut; a drawn feature without one builds
+        # none and makes no value draw
+        events = []
+        real_law = mrforest.tree.selection_cdf
+        real_feature, real_value = mrforest.tree.select_feature, mrforest.tree.select_value
+
+        def counted_law(*args):
+            cdf = real_law(*args)
+            events.append(("law", cdf, None))
+            return cdf
+
+        def counted_feature(cdf, rng):
+            index = real_feature(cdf, rng)
+            events.append(("feature", cdf, index))
+            return index
+
+        def counted_value(cdf, rng):
+            events.append(("value", cdf, None))
+            return real_value(cdf, rng)
+
+        monkeypatch.setattr(mrforest.tree, "selection_cdf", counted_law)
+        monkeypatch.setattr(mrforest.tree, "select_feature", counted_feature)
+        monkeypatch.setattr(mrforest.tree, "select_value", counted_value)
+        seen = set()
+        for seed in range(160):
+            node, config = _search_node(seed)
+            has_cut, has_feasible = _brute_force_feature_cuts(node, config.k)
+            eligible = np.flatnonzero(has_cut)
+            events.clear()
+            _sample_split(*node, config, np.random.default_rng(seed))
+            if not any(has_feasible):
+                assert events == []
+                continue
+            laws = [cdf for kind, cdf, _ in events if kind == "law"]
+            assert events[0][0] == "law"
+            feature_law = laws[0]
+            value_law_of: dict[int, np.ndarray] = {}
+            feature = -1
+            for kind, cdf, index in events[1:]:
+                if kind == "feature":
+                    assert cdf is feature_law
+                    feature = int(eligible[index])
+                    seen.add("reachable" if has_feasible[feature] else "unreachable")
+                elif kind == "value":
+                    assert has_feasible[feature]
+                    if feature in value_law_of:
+                        assert cdf is value_law_of[feature]
+                        seen.add("reused")
+                    value_law_of[feature] = cdf
+            assert len(laws) == 1 + len(value_law_of)
+            assert all(any(law is v for v in value_law_of.values()) for law in laws[1:])
+        assert seen == {"reachable", "unreachable", "reused"}
+
 
 def _brute_force_cuts(node, k) -> tuple[bool, bool]:
-    """Whether a node has a cut, and a cut leaving ``k`` estimation rows on each side.
+    """Whether a node has a cut, and a cut leaving ``k`` estimation rows on each side."""
+    has_cut, has_feasible = _brute_force_feature_cuts(node, k)
+    return any(has_cut), any(has_feasible)
+
+
+def _brute_force_feature_cuts(node, k) -> tuple[list[bool], list[bool]]:
+    """Per feature: whether it has a cut, and a cut leaving ``k`` estimation rows on each side.
 
     Each cut of a feature is the midpoint of two adjacent distinct structure
     values that lies below the upper one; its estimation rows are counted by
     comparing every row with it.
     """
     xs, _, xe, sorted_pos, est_pos, _ = node
-    any_cut = any_feasible = False
+    has_cut, has_feasible = [], []
     for feature in range(xs.shape[1]):
         distinct = np.unique(xs[sorted_pos[feature], feature])
+        any_cut = any_feasible = False
         for lower, upper in zip(distinct[:-1], distinct[1:]):
             threshold = 0.5 * (lower + upper)
             if threshold >= upper:
@@ -300,7 +362,9 @@ def _brute_force_cuts(node, k) -> tuple[bool, bool]:
             any_cut = True
             left = int((xe[est_pos, feature] <= threshold).sum())
             any_feasible |= left >= k and est_pos.size - left >= k
-    return any_cut, any_feasible
+        has_cut.append(any_cut)
+        has_feasible.append(any_feasible)
+    return has_cut, has_feasible
 
 
 class TestStoppingRules:

@@ -7,7 +7,6 @@ corrupt model included), 4 a privacy audit bound was violated.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -17,17 +16,24 @@ from pathlib import Path
 import numpy as np
 
 from . import errors
-from .data import Dataset, load_dataset, partition, structure_size
+from .data import (
+    Dataset,
+    label_position,
+    load_dataset,
+    parse_features,
+    partition,
+    read_table,
+    structure_size,
+)
 from .forest import (
     BaselineConfig,
     MrfConfig,
     load_forest,
     predict_batch,
     save_forest,
-    train_baseline_rf,
     train_mrf,
 )
-from .harness import emit_report, run_cv, sweep, TreeDistReport
+from .harness import _train_for_method, emit_report, run_cv, sweep, TreeDistReport
 from .impurity import ClassCounts
 from .privacy import (
     allocate_budget,
@@ -72,13 +78,12 @@ def _grid(text: str) -> list[float]:
     return [_budget_value(part) for part in text.split(",") if part.strip()]
 
 
-def _add_data_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", required=True, help="CSV file with a header row")
-    parser.add_argument(
-        "--label-col",
-        default=None,
-        help="label column name or index (default: last column)",
-    )
+def _add_data_flags(
+    parser: argparse.ArgumentParser,
+    label_help: str = "label column name or index (default: last column)",
+) -> None:
+    parser.add_argument("--data", required=True, help="CSV file with a header row; blank lines skipped")
+    parser.add_argument("--label-col", default=None, help=label_help)
     parser.add_argument("--delimiter", default=",", help="cell delimiter (default ,)")
 
 
@@ -111,7 +116,7 @@ def _add_out_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
-def _config_from_args(args: argparse.Namespace, n: int | None = None) -> MrfConfig:
+def _config_from_args(args: argparse.Namespace, n: int) -> MrfConfig:
     config = MrfConfig(
         b1=args.b1,
         b2=args.b2,
@@ -124,8 +129,6 @@ def _config_from_args(args: argparse.Namespace, n: int | None = None) -> MrfConf
         seed=args.seed,
     )
     if args.epsilon is not None:
-        if n is None:
-            raise errors.ConfigError("--epsilon requires a dataset to size the depth cap")
         estimation = n - structure_size(n, args.partition_rate)
         budget = allocate_budget(
             args.epsilon, args.trees, estimation, args.min_leaf, args.budget_split
@@ -163,12 +166,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
             criterion=args.criterion,
             seed=args.seed,
         )
-        forest = train_baseline_rf(dataset, config)
     else:
         config = _config_from_args(args, dataset.n)
-        if args.method == "completely_random":
-            config = replace(config, b1=0.0, b2=0.0)
-        forest = train_mrf(dataset, config)
+    forest = _train_for_method(dataset, args.method, config)
     save_forest(forest, args.out)
     summary = {
         "model": str(args.out),
@@ -181,34 +181,19 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_feature_rows(path: str, delimiter: str) -> np.ndarray:
-    """Rows of a feature-only CSV after its header; ``predict_batch`` checks them."""
-    with open(path, "r", newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle, delimiter=delimiter) if row][1:]
-    if not rows:
-        raise errors.EmptyError("input has no data rows")
-    try:
-        return np.array(rows, dtype=np.float64)
-    except ValueError:  # a ragged row or a cell that is not a number
-        raise errors.ParseError(f"{path}: every row must hold one number per column") from None
-
-
 def _cmd_predict(args: argparse.Namespace) -> int:
     forest = load_forest(args.model)
-    labels = None
-    if args.label_col is not None:
-        dataset = _load(args)
-        features = dataset.features
-        labels = dataset.labels if dataset.label_values == forest.label_values else None
-    else:
-        features = _read_feature_rows(args.data, args.delimiter)
-    rng = np.random.default_rng(args.eval_seed)
-    classes, _ = predict_batch(forest, features, rng)
-    result = {
-        "predictions": [forest.label_values[c] for c in classes],
-    }
-    if labels is not None:
-        result["accuracy"] = float(np.mean(classes == labels))
+    header, rows = read_table(args.data, args.delimiter)
+    label_col = _label_col(args.label_col)
+    label_pos = None if label_col is None else label_position(header, label_col)
+    features = parse_features(header, rows, [i for i in range(len(header)) if i != label_pos])
+    classes, _ = predict_batch(forest, features, np.random.default_rng(args.eval_seed))
+    predictions = [forest.label_values[c] for c in classes]
+    result = {"predictions": predictions}
+    if label_pos is not None:
+        # matched by value, so a label the model never saw is a miss
+        hits = [label == row[label_pos] for label, row in zip(predictions, rows)]
+        result["accuracy"] = float(np.mean(hits))
     _write(json.dumps(result, indent=2), args.out)
     return EXIT_OK
 
@@ -344,14 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_predict = sub.add_parser("predict", help="predict rows with a saved model")
     p_predict.add_argument("--model", required=True)
-    _add_data_flags(p_predict)
+    _add_data_flags(
+        p_predict,
+        "label column to score: accuracy is the share of rows whose label equals the predicted"
+        " label value, so a label the model never saw is a miss; omit for feature-only CSVs",
+    )
     p_predict.add_argument("--eval-seed", type=int, default=0)
     _add_out_flags(p_predict)
     p_predict.set_defaults(func=_cmd_predict)
-    # predict treats --label-col as optional scoring info, not a requirement
-    for action in p_predict._actions:
-        if action.dest == "label_col":
-            action.help = "label column for accuracy scoring; omit for feature-only CSVs"
 
     p_cv = sub.add_parser("cv", help="repeated cross-validation benchmark")
     _add_data_flags(p_cv)

@@ -25,6 +25,9 @@ __all__ = [
     "Partition",
     "FoldPlan",
     "load_dataset",
+    "read_table",
+    "label_position",
+    "parse_features",
     "partition",
     "structure_size",
     "make_folds",
@@ -184,6 +187,50 @@ class FoldPlan:
         )
 
 
+def read_table(
+    source: str | Path | IO[str] | IO[bytes], delimiter: str = ","
+) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a delimited text table, every cell stripped.
+
+    Blank and whitespace-only lines are skipped wherever they appear, so the
+    first other line is the header. Input with no header or no data row
+    raises :class:`EmptyError`; text that is not UTF-8 or not parseable as
+    CSV, and a row whose width differs from the header's, raise
+    :class:`ParseError`.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", newline="", encoding="utf-8") as handle:
+            return read_table(handle, delimiter)
+    if isinstance(source.read(0), bytes):
+        source = io.TextIOWrapper(source, encoding="utf-8")  # type: ignore[arg-type]
+    lines = (line for line in source if line.strip())
+    try:
+        table = [[cell.strip() for cell in row] for row in csv.reader(lines, delimiter=delimiter)]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"unreadable table: {exc}") from None
+    if not table:
+        raise EmptyError("input has no header row")
+    header, rows = table[0], table[1:]
+    if not rows:
+        raise EmptyError("input has no data rows")
+    for number, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ParseError(f"row {number}: expected {len(header)} cells, got {len(row)}")
+    return header, rows
+
+
+def label_position(header: list[str], label_col: str | int) -> int:
+    """Position of the label column, given by header name or (negative) index."""
+    if isinstance(label_col, int):
+        if not -len(header) <= label_col < len(header):
+            raise SchemaError(f"label column index {label_col} out of range")
+        return label_col % len(header)
+    try:
+        return header.index(label_col)
+    except ValueError:
+        raise SchemaError(f"label column {label_col!r} not in header") from None
+
+
 def _parse_cell(text: str, row: int, col: str) -> float:
     try:
         value = float(text)
@@ -194,6 +241,16 @@ def _parse_cell(text: str, row: int, col: str) -> float:
     return value
 
 
+def parse_features(header: list[str], rows: list[list[str]], columns: list[int]) -> np.ndarray:
+    """(n, len(columns)) matrix of the given columns' cells as finite reals.
+
+    The first cell that is not a number, or is NaN or infinite, raises
+    :class:`ParseError` naming its data row (from 1) and column.
+    """
+    values = [[_parse_cell(row[i], r, header[i]) for i in columns] for r, row in enumerate(rows, 1)]
+    return np.array(values, dtype=np.float64).reshape(len(rows), len(columns))
+
+
 def load_dataset(
     source: str | Path | IO[str] | IO[bytes],
     label_col: str | int | None = None,
@@ -201,65 +258,26 @@ def load_dataset(
 ) -> Dataset:
     """Load a delimited text file with a header row into a Dataset.
 
-    ``label_col`` selects the label column by header name or position
-    (default: last column). All other columns must parse as finite reals;
-    categorical features must be pre-encoded as numbers. Labels may be
-    arbitrary strings and are densely re-indexed in first-appearance order.
+    The table is read by :func:`read_table`. ``label_col`` selects the label
+    column by header name or position (default: last column). All other
+    columns must parse as finite reals; categorical features must be
+    pre-encoded as numbers. Labels may be arbitrary strings and are densely
+    re-indexed in first-appearance order.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", newline="", encoding="utf-8") as handle:
-            return load_dataset(handle, label_col=label_col, delimiter=delimiter)
-    if isinstance(source, io.BufferedIOBase) or (
-        hasattr(source, "read") and isinstance(source.read(0), bytes)
-    ):
-        source = io.TextIOWrapper(source, encoding="utf-8")  # type: ignore[arg-type]
-
-    reader = csv.reader(source, delimiter=delimiter)  # type: ignore[arg-type]
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyError("input has no header row") from None
-    header = [h.strip() for h in header]
+    header, rows = read_table(source, delimiter)
     if len(header) < 2:
         raise SchemaError("need at least one feature column and one label column")
-
-    if label_col is None:
-        label_pos = len(header) - 1
-    elif isinstance(label_col, int):
-        if not -len(header) <= label_col < len(header):
-            raise SchemaError(f"label column index {label_col} out of range")
-        label_pos = label_col % len(header)
-    else:
-        try:
-            label_pos = header.index(label_col)
-        except ValueError:
-            raise SchemaError(f"label column {label_col!r} not in header") from None
-
+    label_pos = label_position(header, -1 if label_col is None else label_col)
     feature_pos = [i for i in range(len(header)) if i != label_pos]
-    rows: list[list[float]] = []
-    raw_labels: list[str] = []
-    for line_no, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise ParseError(
-                f"row {line_no}: expected {len(header)} cells, got {len(row)}"
-            )
-        rows.append([_parse_cell(row[i].strip(), line_no, header[i]) for i in feature_pos])
-        raw_labels.append(row[label_pos].strip())
-
-    if not rows:
-        raise EmptyError("input has no data rows")
+    features = parse_features(header, rows, feature_pos)
 
     mapping: dict[str, int] = {}
-    labels = np.empty(len(raw_labels), dtype=np.int64)
-    for i, value in enumerate(raw_labels):
-        labels[i] = mapping.setdefault(value, len(mapping))
+    labels = np.array([mapping.setdefault(row[label_pos], len(mapping)) for row in rows])
     if len(mapping) < 2:
         raise SchemaError(f"need at least 2 classes, found {len(mapping)}")
 
     return Dataset(
-        features=np.asarray(rows, dtype=np.float64),
+        features=features,
         labels=labels,
         feature_names=tuple(header[i] for i in feature_pos),
         class_count=len(mapping),

@@ -272,21 +272,12 @@ def _grid_value_scores(
     return np.maximum(decreases, 0.0)
 
 
-def _candidate_thresholds(x: np.ndarray, feature: int) -> np.ndarray:
-    values = np.unique(x[:, feature])
-    return 0.5 * (values[:-1] + values[1:])
-
-
 def _candidate_mismatches(x: np.ndarray, feature: int, grid: np.ndarray) -> int:
     """How many of the stacked datasets (N, m, D) have candidates other than ``grid``."""
-    values = np.sort(x[..., feature], axis=-1)
-    distinct = np.ones(values.shape, dtype=bool)
-    distinct[:, 1:] = values[:, 1:] != values[:, :-1]
-    same_size = distinct.sum(axis=1) == grid.size + 1
-    own = values[same_size][distinct[same_size]].reshape(-1, grid.size + 1)
-    midpoints = 0.5 * (own[:, :-1] + own[:, 1:])
-    matches = np.isclose(midpoints, grid).all(axis=1)
-    return x.shape[0] - int(matches.sum())
+    valid, thresholds = cut_points(np.sort(x[..., feature], axis=-1))
+    same_size = valid.sum(axis=1) == grid.size
+    own = thresholds[same_size][valid[same_size]].reshape(-1, grid.size)
+    return x.shape[0] - int(np.isclose(own, grid).all(axis=1).sum())
 
 
 def _audit_bound(name: str, budget: float) -> float:
@@ -380,18 +371,21 @@ def audit_value_mechanism(
 ) -> AuditReport:
     """Worst-case ratio of the split-value mechanism over a fixed threshold grid.
 
-    The grid defaults to the base dataset's candidate midpoints for
-    ``feature``. Neighbors whose own candidate set differs from the grid are
-    counted in ``candidate_mismatches``: the ratio bound is only meaningful
-    on the shared output space, and the count sizes that gap. A ``feature``
-    outside the dataset's columns raises :class:`DomainError`.
+    The grid defaults to the base dataset's candidate thresholds for
+    ``feature``: the valid cuts of :func:`cut_points`, the ones a tree can
+    draw. Neighbors whose own candidate set, taken the same way, differs
+    from the grid are counted in ``candidate_mismatches``: the ratio bound
+    is only meaningful on the shared output space, and the count sizes that
+    gap. A ``feature`` outside the dataset's columns raises
+    :class:`DomainError`.
     """
     bound = _audit_bound("b2", b2)
     if not 0 <= feature < micro.feature_count:
         raise DomainError(f"feature {feature} is not one of the {micro.feature_count} columns")
     neigh = neighborhood or enumerate_neighbors(micro)
     if grid is None:
-        grid = _candidate_thresholds(neigh.features, feature)
+        valid, thresholds = cut_points(np.sort(neigh.features[:, feature])[None])
+        grid = thresholds[valid]
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise DomainError("feature has no candidate thresholds to audit")

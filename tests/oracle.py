@@ -344,8 +344,10 @@ def _grid_scores(x, y, feature, grid, class_count, criterion) -> np.ndarray:
 
 
 def _midpoints(x: np.ndarray, feature: int) -> np.ndarray:
+    """Midpoints of adjacent distinct values, less any that rounds onto the upper one."""
     values = np.unique(x[:, feature])
-    return 0.5 * (values[:-1] + values[1:])
+    midpoints = 0.5 * (values[:-1] + values[1:])
+    return midpoints[midpoints < values[1:]]
 
 
 def reference_feature_audit(micro, b1, criterion="gini", records=None) -> dict[str, Any]:

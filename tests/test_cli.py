@@ -12,7 +12,7 @@ import pytest
 
 import mrforest.cli as cli
 from mrforest.data import load_dataset, partition
-from mrforest.forest import predict_batch, train_mrf
+from mrforest.forest import load_forest, predict_batch, train_mrf
 from mrforest.harness import TreeDistReport, emit_report
 from mrforest.privacy import AuditReport
 
@@ -95,6 +95,119 @@ class TestTrainPredict:
         )
         assert code == 0
         assert json.loads(model.read_text())["variant"] == "breiman"
+
+
+@pytest.fixture
+def model_json(data_csv, tmp_path):
+    model = tmp_path / "model.json"
+    assert cli.main(["train", "--data", str(data_csv), "--trees", "5", "--out", str(model)]) == 0
+    return model
+
+
+def _predict(model, rows, tmp_path, *flags) -> tuple[int, dict]:
+    out = tmp_path / "pred.json"
+    out.unlink(missing_ok=True)
+    code = cli.main(["predict", "--model", str(model), "--data", str(rows), *flags, "--out", str(out)])
+    return code, json.loads(out.read_text()) if code == cli.EXIT_OK else {}
+
+
+def _library_accuracy(model, scored) -> float:
+    """Accuracy of the saved model on ``scored``, with classes matched by label value."""
+    forest = load_forest(model)
+    dataset = load_dataset(scored, label_col="label")
+    classes, _ = predict_batch(forest, dataset.features, np.random.default_rng(0))
+    predicted = np.array(forest.label_values)[classes]
+    return float(np.mean(predicted == np.array(dataset.label_values)[dataset.labels]))
+
+
+# every case is malformed in column f0 and otherwise a valid table of two labels
+MALFORMED = {
+    "ragged": (b"f0,f1\n0.5,0.5\n0.7\n", "row 2: expected 2 cells, got 1"),
+    "non-number": (b"f0,f1\n0.5,0.5\noops,1.5\n", "row 2, column 'f0': cannot parse 'oops'"),
+    "nan": (b"f0,f1\n0.5,0.5\nnan,1.5\n", "row 2, column 'f0': non-finite value 'nan'"),
+    "inf": (b"f0,f1\n0.5,0.5\n-inf,1.5\n", "row 2, column 'f0': non-finite value '-inf'"),
+    "header-only": (b"f0,f1\n", "input has no data rows"),
+    "empty": (b"", "input has no header row"),
+    "not-utf8": (
+        b"f0,f1\n0.5,0.5\n\xff,1.5\n",
+        "unreadable table: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte",
+    ),
+    "oversized-cell": (
+        b'f0,f1\n0.5,0.5\n"' + b"1" * 200_000 + b'",1.5\n',
+        "unreadable table: field larger than field limit (131072)",
+    ),
+}
+
+
+class TestOneTableReader:
+    """Training and prediction read every CSV through the same table reader."""
+
+    def test_scored_labels_match_by_value_not_first_appearance(self, data_csv, model_json, tmp_path, capsys):
+        header, *rows = data_csv.read_text(encoding="utf-8").splitlines()
+        reordered = tmp_path / "reordered.csv"
+        reordered.write_text("\n".join([header, *rows[::-1]]) + "\n", encoding="utf-8")
+        assert rows[0].endswith(",no") and rows[-1].endswith(",yes")
+        code, result = _predict(model_json, reordered, tmp_path, "--label-col", "label")
+        assert code == cli.EXIT_OK
+        assert result["accuracy"] == _library_accuracy(model_json, reordered)
+        assert result["accuracy"] >= 0.95
+        _, original = _predict(model_json, data_csv, tmp_path, "--label-col", "label")
+        assert result["accuracy"] == original["accuracy"]
+
+    def test_scored_file_with_one_label(self, data_csv, model_json, tmp_path):
+        header, *rows = data_csv.read_text(encoding="utf-8").splitlines()
+        only_yes = tmp_path / "yes.csv"
+        only_yes.write_text("\n".join([header, *(r for r in rows if r.endswith(",yes"))]) + "\n")
+        code, result = _predict(model_json, only_yes, tmp_path, "--label-col", "label")
+        assert code == cli.EXIT_OK
+        assert result["accuracy"] == np.mean(np.array(result["predictions"]) == "yes")
+
+    def test_scored_label_the_model_never_saw_is_a_miss(self, data_csv, model_json, tmp_path):
+        header, *rows = data_csv.read_text(encoding="utf-8").splitlines()
+        unseen = tmp_path / "unseen.csv"
+        unseen.write_text("\n".join([header, rows[0].rsplit(",", 1)[0] + ",maybe", *rows[1:]]) + "\n")
+        code, result = _predict(model_json, unseen, tmp_path, "--label-col", "label")
+        assert code == cli.EXIT_OK
+        _, original = _predict(model_json, data_csv, tmp_path, "--label-col", "label")
+        hits = np.array(original["predictions"]) == [r.rsplit(",", 1)[1] for r in rows]
+        hits[0] = False
+        assert result["accuracy"] == np.mean(hits)
+
+    @pytest.mark.parametrize(
+        "where, blank",
+        [("leading", ""), ("leading", "   \t"), ("inner", "   \t")],
+        ids=["leading-blank-line", "leading-whitespace-line", "inner-whitespace-line"],
+    )
+    def test_blank_lines_are_skipped_by_every_command(self, data_csv, model_json, tmp_path, blank, where):
+        header, *rows = data_csv.read_text(encoding="utf-8").splitlines()
+        lines = [blank, header, *rows] if where == "leading" else [header, rows[0], blank, *rows[1:]]
+        padded = tmp_path / "padded.csv"
+        padded.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        features_only = tmp_path / "features.csv"
+        features_only.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+        _, expected = _predict(model_json, data_csv, tmp_path, "--label-col", "label")
+
+        assert _predict(model_json, padded, tmp_path, "--label-col", "label") == (cli.EXIT_OK, expected)
+        code, result = _predict(model_json, features_only, tmp_path)
+        assert (code, result["predictions"]) == (cli.EXIT_OK, expected["predictions"])
+        retrained = tmp_path / "retrained.json"
+        assert cli.main(["train", "--data", str(padded), "--trees", "5", "--out", str(retrained)]) == 0
+        assert retrained.read_bytes() == model_json.read_bytes()
+
+    @pytest.mark.parametrize("text, message", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_table_exits_3_through_train_and_predict(
+        self, model_json, tmp_path, capsys, text, message
+    ):
+        table = tmp_path / "bad.csv"
+        table.write_bytes(text)
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        train = ["train", "--data", str(table), "--trees", "2", "--out", str(out)]
+        predict = ["predict", "--model", str(model_json), "--data", str(table), "--out", str(out)]
+        for argv in (train, predict):
+            assert cli.main(argv) == cli.EXIT_DATA
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
 
 class TestReportsAndSweep:

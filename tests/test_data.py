@@ -72,6 +72,12 @@ class TestLoadDataset:
         ds = load_dataset(_csv("x,y\n5,a\n1,b\n3,a\n"))
         assert ds.features[:, 0].tolist() == [5.0, 1.0, 3.0]
 
+    def test_bytes_stream_with_blank_lines(self):
+        # blank and whitespace-only lines are skipped before the header too
+        ds = load_dataset(io.BytesIO(b"\n  \t\nx,y\n1.0,a\n\n 2.0 , b \n"))
+        assert ds.features.tolist() == [[1.0], [2.0]]
+        assert ds.label_values == ("a", "b")
+
     def test_dataset_immutable(self):
         ds = load_dataset(_csv("x,y\n1.0,a\n2.0,b\n"))
         with pytest.raises(ValueError):

@@ -154,6 +154,16 @@ class TestValueAudit:
         with pytest.raises(DomainError):
             audit_value_mechanism(ds, 0, 1.0)
 
+    def test_feature_whose_only_midpoint_rounds_up_rejected(self):
+        # adjacent doubles: the midpoint rounds onto the upper value, a cut
+        # that routes every row left and that a tree never draws
+        low = -4.604265724722594
+        column = np.array([low, np.nextafter(low, np.inf)] * 2)
+        assert 0.5 * (column[0] + column[1]) == column[1]
+        ds = Dataset(column[:, None], np.array([0, 1, 0, 1]), ("x",), 2)
+        with pytest.raises(DomainError, match="no candidate thresholds"):
+            audit_value_mechanism(ds, 0, 1.0)
+
     @pytest.mark.parametrize("feature", (-1, 2, 7))
     def test_feature_outside_columns_rejected(self, rng, feature):
         with pytest.raises(DomainError):

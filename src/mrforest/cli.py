@@ -111,9 +111,13 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_out_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
+
+
+def _add_report_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_out_flag(parser)
 
 
 def _config_from_args(args: argparse.Namespace, n: int) -> MrfConfig:
@@ -335,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         " label value, so a label the model never saw is a miss; omit for feature-only CSVs",
     )
     p_predict.add_argument("--eval-seed", type=int, default=0)
-    _add_out_flags(p_predict)
+    _add_out_flag(p_predict)
     p_predict.set_defaults(func=_cmd_predict)
 
     p_cv = sub.add_parser("cv", help="repeated cross-validation benchmark")
@@ -347,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--folds", type=int, default=10)
     p_cv.add_argument("--repeats", type=int, default=10)
     p_cv.add_argument("--jobs", type=int, default=1)
-    _add_out_flags(p_cv)
+    _add_report_flags(p_cv)
     p_cv.set_defaults(func=_cmd_cv)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep over b1 and b2")
@@ -358,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--folds", type=int, default=5)
     p_sweep.add_argument("--repeats", type=int, default=1)
     p_sweep.add_argument("--jobs", type=int, default=1)
-    _add_out_flags(p_sweep)
+    _add_report_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_audit = sub.add_parser("audit", help="exhaustive privacy audits on a micro dataset")
@@ -368,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--b3", type=float, default=1.0)
     p_audit.add_argument("--feature", type=int, default=None, help="feature for the value audit")
     p_audit.add_argument("--criterion", choices=("gini", "entropy"), default="gini")
-    _add_out_flags(p_audit)
+    _add_report_flags(p_audit)
     p_audit.set_defaults(func=_cmd_audit)
 
     p_budget = sub.add_parser("budget", help="allocate a privacy budget")
@@ -381,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_budget.add_argument("--delimiter", default=",")
     p_budget.add_argument("--partition-rate", type=float, default=1.0)
     p_budget.add_argument("--budget-split", type=float, default=0.5)
-    p_budget.add_argument("--out", default=None)
+    _add_out_flag(p_budget)
     p_budget.set_defaults(func=_cmd_budget)
 
     p_dist = sub.add_parser("tree-dist", help="per-tree accuracy distribution")
@@ -389,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_dist)
     p_dist.add_argument("--holdout", type=float, default=0.3)
     p_dist.add_argument("--eval-seed", type=int, default=0)
-    _add_out_flags(p_dist)
+    _add_report_flags(p_dist)
     p_dist.set_defaults(func=_cmd_tree_dist)
 
     return parser

@@ -18,7 +18,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import EmptyError, ParseError, SchemaError, SizeError
+from .errors import ConfigError, EmptyError, ParseError, SchemaError, SizeError
 
 __all__ = [
     "Dataset",
@@ -196,8 +196,11 @@ def read_table(
     first other line is the header. Input with no header or no data row
     raises :class:`EmptyError`; text that is not UTF-8 or not parseable as
     CSV, and a row whose width differs from the header's, raise
-    :class:`ParseError`.
+    :class:`ParseError`. A delimiter that is not one character raises
+    :class:`ConfigError`.
     """
+    if len(delimiter) != 1:
+        raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="", encoding="utf-8") as handle:
             return read_table(handle, delimiter)

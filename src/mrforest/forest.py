@@ -9,7 +9,9 @@ matter how trees are scheduled.
 :func:`predict_batch` rejects rows of the wrong width or with NaN or inf, then
 runs all trees at once on the forest's compiled trees (see
 :mod:`mrforest.tree`), built on its first prediction and kept: its trees must
-not be mutated after that. Model documents are checked as they load.
+not be mutated after that. A model document (version 2) stores each tree's
+columns and nothing they determine; it is checked as it loads, as whole
+arrays. Version 1 documents, which list each tree's nodes, still load.
 """
 
 from __future__ import annotations
@@ -25,7 +27,15 @@ import numpy as np
 
 from .data import Dataset, partition
 from .errors import ConfigError, ParseError, SchemaError
-from .tree import CompiledTrees, Tree, build_baseline_tree, build_tree, compile_trees, tree_votes
+from .tree import (
+    CompiledTrees,
+    Tree,
+    _leaf_eta,
+    build_baseline_tree,
+    build_tree,
+    compile_trees,
+    tree_votes,
+)
 
 __all__ = [
     "MrfConfig",
@@ -40,7 +50,7 @@ __all__ = [
 ]
 
 FOREST_FORMAT = "mrforest"
-FOREST_VERSION = 1
+FOREST_VERSION = 2
 
 # Spawn-key domain for per-tree rng substreams of the master seed.
 _TREE_STREAM = 0
@@ -150,15 +160,16 @@ class Forest:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return json.dumps(self.to_dict(), separators=(",", ":"))
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "Forest":
-        """Forest of a :meth:`to_dict` document; :class:`ParseError` if it is malformed."""
+        """Forest of a :meth:`to_dict` or version 1 document; :class:`ParseError` if malformed."""
         if not isinstance(doc, dict) or doc.get("format") != FOREST_FORMAT:
             raise ConfigError("not a mrforest model document")
-        if doc.get("version") != FOREST_VERSION:
+        if doc.get("version") not in (1, FOREST_VERSION):
             raise ConfigError(f"unsupported model version {doc.get('version')!r}")
+        read_tree = Tree.from_dict if doc["version"] == FOREST_VERSION else _tree_from_v1
         try:
             raw = {
                 key: (math.inf if value == "inf" else value)
@@ -167,7 +178,7 @@ class Forest:
             config_cls = BaselineConfig if doc["variant"] == "breiman" else MrfConfig
             class_count, width = int(doc["class_count"]), len(doc["feature_names"])
             forest = cls(
-                trees=[Tree.from_dict(t, class_count, width) for t in doc["trees"]],
+                trees=[read_tree(t, class_count, width) for t in doc["trees"]],
                 variant=doc["variant"],
                 config=config_cls(**raw),
                 class_count=class_count,
@@ -189,6 +200,50 @@ class Forest:
         return cls.from_dict(doc)
 
 
+def _tree_from_v1(doc: dict[str, Any], class_count: int, feature_count: int) -> Tree:
+    """Tree of a version 1 node list, whose nodes follow their parent in any order.
+
+    The walk renumbers the nodes in the order the grower appends them, and
+    the columns then pass :meth:`Tree.from_dict`'s checks. A leaf ``eta``
+    that is not exactly its counts over their sum raises :class:`ParseError`.
+    """
+    entries = doc["nodes"]
+    size = len(entries)
+    order = [0]  # node list index of each node, in the grower's order
+    feature, threshold, left = [-1] * size, [0.0] * size, [-1] * size
+    stack = [0]
+    # children point forward, so the walk ends; it reaches each node once, and
+    # no more than ``size`` nodes, exactly when the nodes form a tree
+    while stack and len(order) <= size:
+        node = stack.pop()
+        index = order[node]
+        entry = entries[index]
+        if entry["kind"] != "split":
+            continue
+        if not (index < entry["left"] < size and index < entry["right"] < size):
+            raise ParseError(f"node {index}: child index out of order or range")
+        if not 0 <= entry["feature"] < feature_count:
+            raise ParseError(f"node {index}: feature {entry['feature']} out of range")
+        feature[node], threshold[node] = entry["feature"], entry["threshold"]
+        left[node] = len(order)
+        order += (entry["left"], entry["right"])
+        stack += (left[node], left[node] + 1)
+    if stack or len(set(order)) != size:
+        raise ParseError("nodes do not form a tree: a node is shared by two splits or orphaned")
+    leaves = [entries[i] for i in order if entries[i]["kind"] != "split"]
+    counts = [leaf["counts"] for leaf in leaves]
+    columns = {"feature": feature, "threshold": threshold, "left": left, "counts": counts}
+    tree = Tree.from_dict(columns, class_count, feature_count)
+    etas = np.array([leaf["eta"] for leaf in leaves], dtype=np.float64)
+    if etas.shape != tree.counts.shape:
+        raise ParseError(f"leaf eta does not have {class_count} classes")
+    if not np.isfinite(etas).all():
+        raise ParseError("leaf eta holds NaN or infinite values")
+    if not np.array_equal(etas, _leaf_eta(tree.counts)):
+        raise ParseError("leaf eta is not its counts over their sum")
+    return tree
+
+
 def train_mrf(dataset: Dataset, config: MrfConfig) -> Forest:
     """Train a multinomial forest: fresh partition plus one tree per substream."""
     if dataset.n < 2 * config.k:
@@ -199,11 +254,7 @@ def train_mrf(dataset: Dataset, config: MrfConfig) -> Forest:
     for index in range(config.t):
         rng = _tree_rng(config.seed, index)
         part = partition(dataset, config.partition_rate, rng)
-        trees.append(
-            build_tree(
-                dataset, part.structure_idx, part.estimation_idx, config, rng, seed=index
-            )
-        )
+        trees.append(build_tree(dataset, part.structure_idx, part.estimation_idx, config, rng))
     variant = "completely_random" if config.b1 == 0 and config.b2 == 0 else "mrf"
     return Forest(
         trees=trees,
@@ -237,7 +288,6 @@ def train_baseline_rf(dataset: Dataset, config: BaselineConfig) -> Forest:
             config.criterion,
             rng,
         )
-        tree.seed = index
         trees.append(tree)
     return Forest(
         trees=trees,

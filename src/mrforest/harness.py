@@ -153,18 +153,6 @@ class SweepReport:
             "cells": [dict(c) for c in self.cells],
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "SweepReport":
-        return cls(
-            dataset=doc["dataset"],
-            b1_grid=tuple(doc["b1_grid"]),
-            b2_grid=tuple(doc["b2_grid"]),
-            folds=doc["folds"],
-            repeats=doc["repeats"],
-            seed=doc["seed"],
-            cells=tuple(doc["cells"]),
-        )
-
     def csv_rows(self) -> tuple[list[str], list[list[Any]]]:
         header = ["B1", "B2", "mean_acc", "std"]
         rows = [[c["b1"], c["b2"], c["mean_acc"], c["std"]] for c in self.cells]

@@ -19,17 +19,20 @@ their estimation rows' class counts. A split rule decides each node:
 - the greedy rule of :func:`build_baseline_tree` takes Breiman's best split
   over a random feature subset, and its rows are their own estimation rows.
 
-The ``TreeNode`` graph under ``Tree.root`` is the one stored form of a tree.
-Prediction runs on a compiled form: :func:`compile_trees` copies all trees of
-a forest into flat per-node arrays, built on the forest's first prediction
-and kept, so its trees must not be mutated after that. :func:`route_eta`
-moves all rows down all trees a level per round; :func:`tree_votes` votes.
+A :class:`Tree` is flat per-node arrays, which the grower appends to, the
+model file stores, and prediction reads; ``Tree.root`` is a ``TreeNode``
+graph view built on demand, which no library code reads. :func:`compile_trees`
+concatenates all trees of a forest, on the forest's first prediction, and the
+result is kept, so its trees must not be mutated after that.
+:func:`route_eta` moves all rows down all trees a level per round;
+:func:`tree_votes` votes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
@@ -59,12 +62,10 @@ _SPLIT_ATTEMPTS = 10
 # (feature, threshold, estimation rows going left) of a chosen split
 _Split = tuple[int, float, np.ndarray]
 
-TREE_FORMAT_VERSION = 1
-
 
 @dataclass(eq=False)
 class TreeNode:
-    """Internal split node or leaf. Leaves have ``feature is None``."""
+    """One node of :attr:`Tree.root`'s read-only graph view. Leaves have ``feature is None``."""
 
     depth: int
     feature: int | None = None
@@ -81,113 +82,117 @@ class TreeNode:
 
 @dataclass(eq=False)
 class Tree:
-    root: TreeNode
-    depth: int
-    params: dict[str, Any] = field(default_factory=dict)
-    seed: int | None = None
+    """One tree in flat per-node arrays, the layout of scikit-learn's ``Tree``.
+
+    The root is node 0 and children always follow their parent. A split's
+    children are adjacent: the right child of node i is ``left[i] + 1``.
+    Leaves hold feature and left -1 and threshold 0; ``counts`` holds one row
+    of estimation class counts per leaf, in node order, and a leaf's
+    distribution is its row over the row's sum.
+    """
+
+    feature: np.ndarray  # (nodes,) split feature, -1 at leaves
+    threshold: np.ndarray  # (nodes,) rows with value <= threshold go left
+    left: np.ndarray  # (nodes,) left child, -1 at leaves
+    counts: np.ndarray  # (leaves, K) estimation class counts
+
+    @cached_property
+    def depth(self) -> int:
+        """Levels below the root of the deepest leaf."""
+        return _depth(self.feature, self.left, np.zeros(1, dtype=np.intp))
+
+    @property
+    def root(self) -> TreeNode:
+        """The tree as a fresh ``TreeNode`` graph; editing it leaves the arrays as they are."""
+        eta = _leaf_eta(self.counts)
+        nodes = [TreeNode(depth=0) for _ in range(self.feature.size)]
+        leaf = 0
+        for node, feature, threshold, left in zip(nodes, self.feature, self.threshold, self.left):
+            if feature == -1:
+                node.counts, node.eta = self.counts[leaf], eta[leaf]
+                leaf += 1
+                continue
+            node.feature, node.threshold = int(feature), float(threshold)
+            node.left, node.right = nodes[left], nodes[left + 1]
+            # children follow their parent, so its depth is final here
+            node.left.depth = node.right.depth = node.depth + 1
+        return nodes[0]
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready form: a flat node array with child indices (root first).
-
-        Flat instead of nested so pathologically deep trees survive the
-        recursive json encoder and plain dict comparison.
-        """
-        nodes: list[dict[str, Any]] = []
-        stack: list[tuple[TreeNode, dict[str, Any] | None, str]] = [(self.root, None, "")]
-        while stack:
-            node, parent_entry, side = stack.pop()
-            index = len(nodes)
-            if parent_entry is not None:
-                parent_entry[side] = index
-            if node.is_leaf:
-                entry = {
-                    "kind": "leaf",
-                    "depth": node.depth,
-                    "counts": [int(c) for c in node.counts],
-                    "eta": [float(p) for p in node.eta],
-                }
-                nodes.append(entry)
-            else:
-                entry = {
-                    "kind": "split",
-                    "depth": node.depth,
-                    "feature": int(node.feature),
-                    "threshold": float(node.threshold),
-                    "left": -1,
-                    "right": -1,
-                }
-                nodes.append(entry)
-                stack.append((node.right, entry, "right"))
-                stack.append((node.left, entry, "left"))
-        params = {
-            key: ("inf" if isinstance(value, float) and math.isinf(value) else value)
-            for key, value in self.params.items()
-        }
+        """JSON-ready columns; :meth:`from_dict` reads them back."""
         return {
-            "version": TREE_FORMAT_VERSION,
-            "nodes": nodes,
-            "depth": self.depth,
-            "params": params,
-            "seed": self.seed,
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "left": self.left.tolist(),
+            "counts": self.counts.tolist(),
         }
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any], class_count: int, feature_count: int) -> "Tree":
-        """Tree of a :meth:`to_dict` document; children must follow their parent.
+        """Tree of a :meth:`to_dict` document, checked as whole arrays.
 
-        A corrupt document raises :class:`ParseError`: a child index out of
-        order or range, nodes that are not a tree (a node that is the child
-        of two splits, or of none but is not the root), a feature outside
-        the columns, a threshold or leaf eta that is NaN or infinite, leaves
-        without ``class_count`` classes, negative leaf counts, or a leaf eta
-        that is negative or does not sum to 1.
+        A corrupt document raises :class:`ParseError`: columns that are not
+        integers (thresholds: numbers), empty or of different lengths; a
+        split whose left child is not after it or whose right child is out
+        of range, or a leaf with a child; nodes that are not a tree (a node
+        other than the root with no parent or with two); a split feature
+        outside ``[0, feature_count)``; a threshold that is NaN or infinite;
+        or leaf counts that are not ``class_count`` per leaf, are negative,
+        or sum to zero.
         """
-        entries = doc["nodes"]
-        nodes = [TreeNode(depth=int(entry["depth"])) for entry in entries]
-        size = len(nodes)
-        leaves = []
-        children = []
-        for index, (node, entry) in enumerate(zip(nodes, entries)):
-            if entry["kind"] != "split":
-                leaves.append(index)
-                continue
-            node.feature = int(entry["feature"])
-            node.threshold = float(entry["threshold"])
-            if not math.isfinite(node.threshold):
-                raise ParseError(f"node {index}: threshold {node.threshold} is not finite")
-            left, right = entry["left"], entry["right"]
-            if not (index < left < size and index < right < size):
-                raise ParseError(f"node {index}: child index out of order or range")
-            if not 0 <= node.feature < feature_count:
-                raise ParseError(f"node {index}: feature {node.feature} out of range")
-            node.left = nodes[left]
-            node.right = nodes[right]
-            children.append(left)
-            children.append(right)
-        # children follow their parent, so the root is no node's child, and
-        # every other node is one child exactly when they are n-1 distinct ones
-        if not len(children) == len(set(children)) == size - 1:
+        feature = _column(doc["feature"], "i", "feature")
+        left = _column(doc["left"], "i", "left")
+        threshold = _column(doc["threshold"], "if", "threshold").astype(np.float64)
+        counts = _column(doc["counts"], "i", "counts")
+        size = feature.size
+        if size == 0 or not feature.shape == threshold.shape == left.shape == (size,):
+            raise ParseError("tree columns are empty or of different lengths")
+        split = feature != -1
+        nodes = np.arange(size)
+        bad = np.where(split, (left <= nodes) | (left >= size - 1), left != -1)
+        if bad.any():
+            raise ParseError(f"node {np.argmax(bad)}: child index out of order or range")
+        # a left child is after its parent, so the root is no node's child; every
+        # other node must be exactly one split's child
+        child = left[split]
+        parents = np.bincount(np.concatenate((child, child + 1)), minlength=size)
+        if (parents[1:] != 1).any():
             raise ParseError("nodes do not form a tree: a node is shared by two splits or orphaned")
-        # one conversion per tree, not per leaf: each leaf gets a row of both
-        etas = np.array([entries[i]["eta"] for i in leaves], dtype=np.float64)
-        counts = np.array([entries[i]["counts"] for i in leaves], dtype=np.int64)
-        if etas.shape != (len(leaves), class_count) or counts.shape != etas.shape:
-            raise ParseError(f"leaf counts or eta do not have {class_count} classes")
-        if not np.isfinite(etas).all():
-            raise ParseError("leaf eta holds NaN or infinite values")
-        if (etas < 0).any() or (counts < 0).any() or (abs(etas.sum(axis=1) - 1) > 1e-9).any():
-            raise ParseError("leaf eta is not a distribution or leaf counts are negative")
-        for i, eta, count in zip(leaves, etas, counts):
-            nodes[i].eta, nodes[i].counts = eta, count
+        outside = split & ((feature < 0) | (feature >= feature_count))
+        if outside.any():
+            raise ParseError(f"node {np.argmax(outside)}: feature out of range")
+        if not np.isfinite(threshold).all():
+            raise ParseError("a threshold is not finite")
+        if counts.shape != (size - child.size, class_count):
+            raise ParseError(f"leaf counts are not {class_count} per leaf")
+        if (counts < 0).any() or (counts.sum(axis=1) == 0).any():
+            raise ParseError("leaf counts are negative or sum to zero")
         return cls(
-            root=nodes[0],
-            depth=int(doc["depth"]),
-            params={
-                key: (math.inf if value == "inf" else value)
-                for key, value in doc.get("params", {}).items()
-            },
-            seed=doc.get("seed"),
+            feature.astype(np.intp, copy=False), threshold, left.astype(np.intp, copy=False), counts
         )
+
+
+def _leaf_eta(counts: np.ndarray) -> np.ndarray:
+    """Each leaf's class distribution: its row of ``counts`` over the row's sum."""
+    return counts / counts.sum(axis=1, keepdims=True)
+
+
+def _column(values: Any, kinds: str, name: str) -> np.ndarray:
+    # one conversion per column; numpy raises ValueError on ragged nesting
+    column = np.asarray(values)
+    if column.dtype.kind not in kinds:
+        raise ParseError(f"tree column {name!r} holds values of the wrong type")
+    return column
+
+
+def _depth(feature: np.ndarray, left: np.ndarray, roots: np.ndarray) -> int:
+    """Levels below ``roots`` of the deepest leaf, walking all trees a level at a time."""
+    depth, frontier = -1, roots
+    while frontier.size:
+        depth += 1
+        children = left[frontier[feature[frontier] != -1]]
+        frontier = np.concatenate((children, children + 1))
+    return depth
 
 
 def _sorted_index_matrix(x: np.ndarray) -> np.ndarray:
@@ -211,44 +216,52 @@ def _grow(
     est_y: np.ndarray,
     class_count: int,
     choose: Callable[[int, np.ndarray, np.ndarray, np.ndarray], _Split | None],
-) -> tuple[TreeNode, int]:
-    """Grow a node graph depth first from rows ``x``; return its root and depth.
+) -> Tree:
+    """Grow a tree depth first from rows ``x``.
 
     Each node holds ``sorted_pos``, its rows of ``x`` sorted per feature, and
     ``est_pos``, its positions in ``est_y``. ``choose(depth, sorted_pos,
     est_pos, counts)`` gets the node's estimation label counts and returns
     ``(feature, threshold, est_left)``, where ``est_left`` marks the
-    estimation rows that go left, or None for a leaf. A leaf's distribution
-    is its counts over its estimation rows. The left child is pushed first,
-    so the right subtree is grown, and draws from the rng, first.
+    estimation rows that go left, or None for a leaf. A leaf keeps its
+    counts. A split appends its two children to the arrays at once, so they
+    are adjacent; the left child is pushed first, so the right subtree is
+    grown, and draws from the rng, first.
     """
     member = np.zeros(x.shape[0], dtype=bool)  # scratch for sorted-slice filtering
-    root = TreeNode(depth=0)
-    depth = 0
-    stack = [(root, _sorted_index_matrix(x), np.arange(est_y.size))]
+    feature, threshold, left = [-1], [0.0], [-1]
+    leaf_counts: list[np.ndarray | None] = [None]  # per node, None at splits
+    stack = [(0, 0, _sorted_index_matrix(x), np.arange(est_y.size))]
     while stack:
-        node, sorted_pos, est_pos = stack.pop()
+        node, depth, sorted_pos, est_pos = stack.pop()
         counts = np.bincount(est_y[est_pos], minlength=class_count)
-        split = choose(node.depth, sorted_pos, est_pos, counts)
+        split = choose(depth, sorted_pos, est_pos, counts)
         if split is None:
-            node.counts = counts
-            node.eta = counts / est_pos.size
-            depth = max(depth, node.depth)
+            leaf_counts[node] = counts
             continue
-        node.feature, node.threshold, est_left = split
-        node.left = TreeNode(depth=node.depth + 1)
-        node.right = TreeNode(depth=node.depth + 1)
+        split_feature, split_threshold, est_left = split
+        child = len(feature)
+        feature[node], threshold[node], left[node] = split_feature, split_threshold, child
+        feature += (-1, -1)
+        threshold += (0.0, 0.0)
+        left += (-1, -1)
+        leaf_counts += (None, None)
         rows = sorted_pos[0]
-        left_rows = rows[x[rows, node.feature] <= node.threshold]
+        left_rows = rows[x[rows, split_feature] <= split_threshold]
         member[left_rows] = True
         keep = member[sorted_pos]
         member[left_rows] = False
         features, m = sorted_pos.shape
         left_sorted = sorted_pos[keep].reshape(features, left_rows.size)
         right_sorted = sorted_pos[~keep].reshape(features, m - left_rows.size)
-        stack.append((node.left, left_sorted, est_pos[est_left]))
-        stack.append((node.right, right_sorted, est_pos[~est_left]))
-    return root, depth
+        stack.append((child, depth + 1, left_sorted, est_pos[est_left]))
+        stack.append((child + 1, depth + 1, right_sorted, est_pos[~est_left]))
+    return Tree(
+        np.array(feature, dtype=np.intp),
+        np.array(threshold),
+        np.array(left, dtype=np.intp),
+        np.array([counts for counts in leaf_counts if counts is not None]),
+    )
 
 
 def build_tree(
@@ -257,7 +270,6 @@ def build_tree(
     estimation_idx: np.ndarray,
     config: "MrfConfig",
     rng: np.random.Generator,
-    seed: int | None = None,
 ) -> Tree:
     """Grow one multinomial tree from a structure/estimation row split.
 
@@ -277,20 +289,7 @@ def build_tree(
             return None
         return _sample_split(xs, ys, xe, sorted_pos, est_pos, class_count, config, rng)
 
-    root, depth = _grow(xs, dataset.labels[estimation_idx], class_count, multinomial_split)
-    return Tree(
-        root=root,
-        depth=depth,
-        params={
-            "variant": "mrf",
-            "b1": config.b1,
-            "b2": config.b2,
-            "k": config.k,
-            "criterion": config.criterion,
-            "max_depth": config.max_depth,
-        },
-        seed=seed,
-    )
+    return _grow(xs, dataset.labels[estimation_idx], class_count, multinomial_split)
 
 
 def _sample_split(
@@ -403,55 +402,49 @@ def build_baseline_tree(
         feature, threshold = int(subset[feat_row]), float(thresholds[feat_row, pos])
         return feature, threshold, x[est_pos, feature] <= threshold
 
-    root, depth = _grow(x, y, class_count, greedy_split)
-    return Tree(
-        root=root,
-        depth=depth,
-        params={"variant": "breiman", "k": k, "mtry": mtry, "criterion": criterion},
-    )
+    return _grow(x, y, class_count, greedy_split)
 
 
 @dataclass(frozen=True)
 class CompiledTrees:
-    """Several trees in flat per-node arrays; tree ``i`` is rooted at node ``i``.
+    """Several trees in flat per-node arrays; tree ``i`` is rooted at ``roots[i]``.
 
     Leaves point to themselves, so a row routed past its leaf stays there.
     """
 
-    feature: np.ndarray  # (nodes,) split feature, 0 at leaves
+    feature: np.ndarray  # (nodes,) split feature; -1 at leaves, read as the last column
     threshold: np.ndarray  # (nodes,) rows with value <= threshold go left
     left: np.ndarray  # (nodes,) node index of the left child
     right: np.ndarray  # (nodes,) node index of the right child
     eta: np.ndarray  # (nodes, K) leaf class distribution, zero at splits
     label: np.ndarray  # (nodes,) argmax class of eta, lowest index on ties
-    tree_count: int
+    roots: np.ndarray  # (trees,) root node of each tree
     depth: int  # routing rounds that bring every row to its leaf
 
 
 def compile_trees(trees: Sequence[Tree], class_count: int) -> CompiledTrees:
-    """Copy the node graphs of ``trees`` into flat arrays, breadth first.
+    """Concatenate the arrays of ``trees``, each tree's child indices shifted by its offset.
 
-    The walk's level count, not the stored ``Tree.depth``, sets ``depth``.
+    :func:`_leaf_eta` runs once, on all leaves. A level-by-level walk of all
+    trees, not a stored depth, sets ``depth``.
     """
-    nodes = [tree.root for tree in trees]
-    levels = [0] * len(nodes)
-    left: list[int] = []
-    while len(left) < len(nodes):  # the walk appends the children it meets
-        i = len(left)
-        node = nodes[i]
-        left.append(i if node.feature is None else len(nodes))
-        if node.feature is not None:
-            nodes += (node.left, node.right)
-            levels += (levels[i] + 1, levels[i] + 1)
-    leaf = np.array([node.feature is None for node in nodes])
-    feature = np.array([node.feature or 0 for node in nodes], dtype=np.intp)
-    threshold = np.array([0.0 if node.feature is None else node.threshold for node in nodes])
-    eta = np.zeros((len(nodes), class_count))
-    eta[leaf] = [node.eta for node in nodes if node.feature is None]
-    right = np.array(left) + ~leaf  # the two children of a split are adjacent
-    label = np.argmax(eta, axis=1)
+    sizes = np.array([tree.feature.size for tree in trees])
+    roots = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    feature = np.concatenate([tree.feature for tree in trees])
+    leaf = feature == -1
+    left = np.concatenate([tree.left for tree in trees]) + np.repeat(roots, sizes)
+    left[leaf] = np.flatnonzero(leaf)
+    eta = np.zeros((feature.size, class_count))
+    eta[leaf] = _leaf_eta(np.concatenate([tree.counts for tree in trees]))
     return CompiledTrees(
-        feature, threshold, np.array(left), right, eta, label, len(trees), max(levels)
+        feature,
+        np.concatenate([tree.threshold for tree in trees]),
+        left,
+        left + ~leaf,  # the two children of a split are adjacent
+        eta,
+        np.argmax(eta, axis=1),
+        roots,
+        _depth(feature, left, roots),
     )
 
 
@@ -462,7 +455,7 @@ def route_eta(trees: CompiledTrees, x: np.ndarray) -> np.ndarray:
     with one gather (left iff value <= threshold).
     """
     rows = np.arange(x.shape[0])
-    node = np.repeat(np.arange(trees.tree_count)[:, None], x.shape[0], axis=1)
+    node = np.repeat(trees.roots[:, None], x.shape[0], axis=1)
     for _ in range(trees.depth):
         go_left = x[rows, trees.feature[node]] <= trees.threshold[node]
         node = np.where(go_left, trees.left[node], trees.right[node])

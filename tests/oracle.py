@@ -10,7 +10,10 @@ in a sequential loop, as the library did before it scored all neighbors in
 one batched pass; they return ``AuditReport.to_dict()`` documents.
 :func:`reference_build_tree` and :func:`reference_build_baseline_tree` grow
 each kind of tree with its own node loop, as the library did before both
-became split rules over one grower. :func:`reference_sample_split` is the
+became split rules over one grower, and return the ``TreeNode`` graph the
+library then stored (:class:`GraphTree`). :func:`v1_tree_doc` and
+:func:`v1_forest_doc` write the version 1 model document the library wrote
+before it stored trees as columns. :func:`reference_sample_split` is the
 multinomial split search as it was before the library checked feasibility
 with one mask per node: every attempt rebuilds both mechanisms' laws, draws
 from them, and counts the estimation rows its cut sends left;
@@ -21,10 +24,12 @@ from them, and counts the estimation rows its cut sends left;
 from __future__ import annotations
 
 import math
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
 
+from mrforest.forest import _tree_from_v1
 from mrforest.impurity import cut_points, scan_features
 from mrforest.splitsel import normalize, softmax_scaled
 from mrforest.tree import _SPLIT_ATTEMPTS, Tree, TreeNode, _gather_sorted, _sorted_index_matrix
@@ -218,6 +223,98 @@ def tree_shape(node) -> tuple:
         tree_shape(node.left),
         tree_shape(node.right),
     )
+
+
+@dataclass
+class GraphTree:
+    """A tree as a ``TreeNode`` graph, the form the library stored before flat arrays."""
+
+    root: TreeNode
+    depth: int
+
+
+def v1_tree_doc(tree, params: dict[str, Any] | None = None, seed: int | None = None) -> dict:
+    """The version 1 document of a tree with ``root`` and ``depth``, as the library wrote it.
+
+    A flat node list with child indices, root first, then the left subtree
+    and then the right one; every node holds its depth, every leaf its
+    counts and eta.
+    """
+    nodes: list[dict[str, Any]] = []
+    stack: list[tuple[TreeNode, dict[str, Any] | None, str]] = [(tree.root, None, "")]
+    while stack:
+        node, parent_entry, side = stack.pop()
+        if parent_entry is not None:
+            parent_entry[side] = len(nodes)
+        if node.is_leaf:
+            nodes.append({
+                "kind": "leaf",
+                "depth": node.depth,
+                "counts": [int(c) for c in node.counts],
+                "eta": [float(p) for p in node.eta],
+            })
+            continue
+        entry = {
+            "kind": "split",
+            "depth": node.depth,
+            "feature": int(node.feature),
+            "threshold": float(node.threshold),
+            "left": -1,
+            "right": -1,
+        }
+        nodes.append(entry)
+        stack.append((node.right, entry, "right"))
+        stack.append((node.left, entry, "left"))
+    return {
+        "version": 1,
+        "nodes": nodes,
+        "depth": tree.depth,
+        "params": _infinities_named(params or {}),
+        "seed": seed,
+    }
+
+
+def _infinities_named(values: dict[str, Any]) -> dict[str, Any]:
+    return {
+        key: ("inf" if isinstance(value, float) and math.isinf(value) else value)
+        for key, value in values.items()
+    }
+
+
+def v1_forest_doc(forest) -> dict:
+    """The version 1 model document of ``forest``, as the library wrote it.
+
+    Each tree carries the parameters its builder recorded and its index as
+    its seed.
+    """
+    config = forest.config
+    if forest.variant == "breiman":
+        mtry = config.mtry or max(1, math.isqrt(len(forest.feature_names)))
+        params = {"variant": "breiman", "k": config.k, "mtry": mtry, "criterion": config.criterion}
+    else:
+        params = {
+            "variant": "mrf",
+            "b1": config.b1,
+            "b2": config.b2,
+            "k": config.k,
+            "criterion": config.criterion,
+            "max_depth": config.max_depth,
+        }
+    return {
+        "format": "mrforest",
+        "version": 1,
+        "variant": forest.variant,
+        "config": _infinities_named(asdict(config)),
+        "class_count": forest.class_count,
+        "label_values": list(forest.label_values),
+        "feature_names": list(forest.feature_names),
+        "trees": [v1_tree_doc(tree, params, seed) for seed, tree in enumerate(forest.trees)],
+    }
+
+
+def flat_tree(root: TreeNode, class_count: int, feature_count: int) -> Tree:
+    """The library's tree of a ``TreeNode`` graph, read through its version 1 reader."""
+    return _tree_from_v1(v1_tree_doc(GraphTree(root, 0)), class_count, feature_count)
 
 
 def walk_eta(tree, x: np.ndarray, class_count: int) -> np.ndarray:
@@ -451,7 +548,7 @@ def reference_sample_split(xs, ys, xe, sorted_pos, est_pos, class_count, config,
     return None
 
 
-def reference_build_tree(dataset, structure_idx, estimation_idx, config, rng, seed=None):
+def reference_build_tree(dataset, structure_idx, estimation_idx, config, rng):
     """``build_tree`` with its own stack walk, child filtering, leaf emission and split search."""
     xs = np.ascontiguousarray(dataset.features[structure_idx])
     ys = dataset.labels[structure_idx]
@@ -491,15 +588,7 @@ def reference_build_tree(dataset, structure_idx, estimation_idx, config, rng, se
         node_eta = _leaf_distribution(ye[est_pos], class_count, parent_eta)
         stack.append((node.left, left_sorted, est_pos[est_left_mask], node_eta))
         stack.append((node.right, right_sorted, est_pos[~est_left_mask], node_eta))
-    params = {
-        "variant": "mrf",
-        "b1": config.b1,
-        "b2": config.b2,
-        "k": config.k,
-        "criterion": config.criterion,
-        "max_depth": config.max_depth,
-    }
-    return Tree(root=root, depth=tree_max_depth, params=params, seed=seed)
+    return GraphTree(root, tree_max_depth)
 
 
 def reference_build_baseline_tree(x, y, class_count, k, mtry, criterion, rng):
@@ -541,5 +630,4 @@ def reference_build_baseline_tree(x, y, class_count, k, mtry, criterion, rng):
         member[left_rows] = False
         stack.append((node.left, sorted_pos[keep].reshape(sorted_pos.shape[0], left_rows.size)))
         stack.append((node.right, sorted_pos[~keep].reshape(sorted_pos.shape[0], m - left_rows.size)))
-    params = {"variant": "breiman", "k": k, "mtry": mtry, "criterion": criterion}
-    return Tree(root=root, depth=tree_max_depth, params=params)
+    return GraphTree(root, tree_max_depth)

@@ -175,6 +175,26 @@ def test_criterion_4_selection_probability_envelope(d, b1):
     _announce(4, f"D={d}, b1={b1}: all empirical frequencies inside [P1, upper] +- 3 sigma")
 
 
+@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize("b1", [0.0, 1.0, 10.0])
+def test_criterion_4_exact_law_inside_tight_envelope(d, b1):
+    # the mechanism weighs exp(b1/2 * x) with x in [0, 1], so no feature's
+    # probability leaves [1/(1 + (D-1)e^(b1/2)), e^(b1/2)/(e^(b1/2) + D-1)];
+    # the envelope above is the same bounds at 2*b1, twice as wide in the exponent
+    rng = np.random.default_rng(int(10 * b1) * 100 + d)
+    half = math.exp(b1 / 2)
+    lower, upper = 1 / (1 + (d - 1) * half), half / (half + d - 1)
+    dominant, dominated = np.eye(d)[0], 1 - np.eye(d)[0]
+    for scores in [*rng.uniform(0.0, 0.6, size=(20, d)), dominant, dominated]:
+        probs = softmax_scaled(normalize(scores), b1)
+        assert (probs >= lower * (1 - 1e-12)).all()
+        assert (probs <= upper * (1 + 1e-12)).all()
+    # a feature alone at the top attains the upper bound, alone at the bottom the lower
+    assert softmax_scaled(normalize(dominant), b1)[0] == pytest.approx(upper, rel=1e-12)
+    assert softmax_scaled(normalize(dominated), b1)[0] == pytest.approx(lower, rel=1e-12)
+    _announce(4, f"D={d}, b1={b1}: exact law inside the tight envelope, both bounds attained")
+
+
 # --------------------------------------------------------------------------
 # Criterion 5: exhaustive privacy audits on 1000 fuzzed micro-datasets
 # --------------------------------------------------------------------------

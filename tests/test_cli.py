@@ -209,6 +209,27 @@ class TestOneTableReader:
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not out.exists()
 
+    @pytest.mark.parametrize("delimiter", (";;", ""), ids=("two-characters", "empty"))
+    def test_delimiter_of_other_than_one_character_exits_2(
+        self, data_csv, model_json, tmp_path, capsys, delimiter
+    ):
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        flag = ["--delimiter", delimiter, "--out", str(out)]
+        train = ["train", "--data", str(data_csv), "--trees", "2", *flag]
+        predict = ["predict", "--model", str(model_json), "--data", str(data_csv), *flag]
+        for argv in (train, predict):
+            assert cli.main(argv) == cli.EXIT_CONFIG
+            assert "delimiter must be one character" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_predict_takes_no_format_flag(self, data_csv, model_json, capsys):
+        argv = ["predict", "--model", str(model_json), "--data", str(data_csv), "--format", "csv"]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == cli.EXIT_CONFIG
+        assert "--format" in capsys.readouterr().err
+
 
 class TestReportsAndSweep:
     def test_cv_json(self, data_csv, tmp_path):

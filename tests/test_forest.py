@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import mrforest.forest
 from conftest import random_dataset
 from mrforest.data import Dataset, partition
 from mrforest.errors import ConfigError
@@ -20,7 +21,8 @@ from mrforest.forest import (
     train_baseline_rf,
     train_mrf,
 )
-from oracle import naive_decrease
+from mrforest.tree import build_baseline_tree
+from oracle import flat_tree, naive_decrease
 
 
 class TestConfigs:
@@ -72,7 +74,7 @@ class TestTrainMrf:
     def test_trees_differ_across_indices(self, rng):
         ds = random_dataset(rng, 80, 3)
         forest = train_mrf(ds, MrfConfig(t=5, k=4, seed=1))
-        dicts = [str(t.to_dict()["nodes"]) for t in forest.trees]
+        dicts = [str(t.to_dict()) for t in forest.trees]
         assert len(set(dicts)) > 1
 
     def test_greedy_limit_single_tree_fits_separable_training_set(self):
@@ -141,10 +143,17 @@ class TestBaseline:
         assert (classes == labels).all()
         assert forest.trees[0].depth == 2
 
-    def test_default_mtry_is_floor_sqrt(self, rng):
+    def test_default_mtry_is_floor_sqrt(self, rng, monkeypatch):
         ds = random_dataset(rng, 60, 5)
-        forest = train_baseline_rf(ds, BaselineConfig(t=1, k=5, seed=1))
-        assert forest.trees[0].params["mtry"] == 2
+        mtrys = []
+
+        def build(x, y, class_count, k, mtry, criterion, tree_rng):
+            mtrys.append(mtry)
+            return build_baseline_tree(x, y, class_count, k, mtry, criterion, tree_rng)
+
+        monkeypatch.setattr(mrforest.forest, "build_baseline_tree", build)
+        train_baseline_rf(ds, BaselineConfig(t=2, k=5, seed=1))
+        assert mtrys == [2, 2]
 
     def test_mtry_exceeding_features_rejected(self, rng):
         ds = random_dataset(rng, 30, 2)
@@ -185,12 +194,12 @@ class TestPrediction:
 
     def test_tie_breaks_to_lowest_class(self):
         # two trees voting 0 and 1 produce class 0
-        from mrforest.tree import Tree, TreeNode
+        from mrforest.tree import TreeNode
 
         def leaf_tree(c):
             eta = np.zeros(2)
             eta[c] = 1.0
-            return Tree(root=TreeNode(depth=0, counts=(eta * 5).astype(np.int64), eta=eta), depth=0)
+            return flat_tree(TreeNode(depth=0, counts=(eta * 5).astype(np.int64), eta=eta), 2, 1)
 
         forest = Forest(
             trees=[leaf_tree(1), leaf_tree(0)],

@@ -29,7 +29,7 @@ from mrforest.forest import (
     train_baseline_rf,
     train_mrf,
 )
-from oracle import walk_votes
+from oracle import v1_forest_doc, walk_votes
 
 VARIANTS = ("mrf", "completely_random", "breiman")
 
@@ -175,8 +175,9 @@ class TestBadRows:
 
 
 def _model_doc() -> dict:
+    """A version 1 model document, as the library wrote it before columns."""
     ds = random_dataset(np.random.default_rng(1), 80, 2, n_classes=3)
-    doc = json.loads(train_mrf(ds, MrfConfig(t=2, k=3, seed=1)).to_json())
+    doc = json.loads(json.dumps(v1_forest_doc(train_mrf(ds, MrfConfig(t=2, k=3, seed=1)))))
     assert doc["trees"][0]["nodes"][0]["kind"] == "split"
     return doc
 
@@ -254,6 +255,14 @@ def _shared_child(doc):
     nodes[0]["right"] = nodes[0]["left"]
 
 
+def _every_split_shares_its_children(doc):
+    # each split's right child is its left one: without a bound on the walk,
+    # a chain of such splits is visited 2^depth times
+    for node in doc["trees"][0]["nodes"]:
+        if node["kind"] == "split":
+            node["right"] = node["left"]
+
+
 def _orphan_node(doc):
     # a leaf that no split points to
     doc["trees"][0]["nodes"].append(dict(_first_leaf(doc)))
@@ -277,6 +286,7 @@ CORRUPTIONS = (
     _negative_counts,
     _shared_child,
     _orphan_node,
+    _every_split_shares_its_children,
 )
 
 
@@ -291,6 +301,122 @@ def test_bad_model_document_raises_parse_error(corrupt):
 def test_intact_model_document_loads():
     forest = Forest.from_json(json.dumps(_model_doc()))
     assert predict_batch(forest, np.zeros((1, 2)))[1].shape == (2, 1)
+
+
+def _model_doc_v2() -> dict:
+    ds = random_dataset(np.random.default_rng(1), 80, 2, n_classes=3)
+    doc = json.loads(train_mrf(ds, MrfConfig(t=2, k=3, seed=1)).to_json())
+    assert doc["version"] == 2 and doc["trees"][0]["feature"][0] != -1
+    return doc
+
+
+def _splits(doc, tree=0):
+    return [i for i, f in enumerate(doc["trees"][tree]["feature"]) if f != -1]
+
+
+def _self_loop_v2(doc):
+    doc["trees"][0]["left"][0] = 0
+
+
+def _backward_child_v2(doc):
+    index = _splits(doc)[1]
+    doc["trees"][0]["left"][index] = index - 1
+
+
+def _child_out_of_range_v2(doc):
+    # the left child is the last node, so the right one is past the end
+    doc["trees"][0]["left"][0] = len(doc["trees"][0]["feature"]) - 1
+
+
+def _shared_child_v2(doc):
+    # the root takes the last split's children; its own are orphaned
+    tree = doc["trees"][0]
+    tree["left"][0] = tree["left"][_splits(doc)[-1]]
+
+
+def _orphan_node_v2(doc):
+    # a leaf that no split points to
+    tree = doc["trees"][0]
+    tree["feature"].append(-1)
+    tree["threshold"].append(0.0)
+    tree["left"].append(-1)
+    tree["counts"].append(tree["counts"][0])
+
+
+def _feature_out_of_range_v2(doc):
+    doc["trees"][0]["feature"][0] = len(doc["feature_names"])
+
+
+def _nan_threshold_v2(doc):
+    doc["trees"][0]["threshold"][0] = math.nan
+
+
+def _negative_counts_v2(doc):
+    doc["trees"][1]["counts"][0][0] = -1
+
+
+def _zero_sum_leaf_v2(doc):
+    counts = doc["trees"][0]["counts"][0]
+    counts[:] = [0] * len(counts)
+
+
+def _wrong_class_count_v2(doc):
+    for counts in doc["trees"][0]["counts"]:
+        counts.append(1)
+
+
+def _column_lengths_differ_v2(doc):
+    doc["trees"][1]["threshold"].pop()
+
+
+CORRUPTIONS_V2 = (
+    _self_loop_v2,
+    _backward_child_v2,
+    _child_out_of_range_v2,
+    _shared_child_v2,
+    _orphan_node_v2,
+    _feature_out_of_range_v2,
+    _nan_threshold_v2,
+    _negative_counts_v2,
+    _zero_sum_leaf_v2,
+    _wrong_class_count_v2,
+    _column_lengths_differ_v2,
+)
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS_V2, ids=lambda f: f.__name__.strip("_"))
+def test_bad_v2_model_document_raises_parse_error(corrupt):
+    doc = _model_doc_v2()
+    corrupt(doc)
+    with pytest.raises(ParseError):
+        Forest.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_v1_document_loads_to_the_same_votes_and_resaves_as_v2(variant):
+    ds, forest = _forest(variant, 5, 3, seed=12)
+    loaded = Forest.from_json(json.dumps(v1_forest_doc(forest)))
+    # the version 1 reader renumbers nodes in the grower's order
+    assert loaded.to_json() == forest.to_json()
+    assert json.loads(loaded.to_json())["version"] == 2
+    x = np.vstack([ds.features, _on_thresholds(forest, ds)])
+    budgets = (math.inf,) if variant == "breiman" else (math.inf, 1.5)
+    for b3 in budgets:
+        a, b = (f if math.isinf(b3) else _with_b3(f, b3) for f in (forest, loaded))
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        got, again = predict_batch(a, x, rng_a), predict_batch(b, x, rng_b)
+        assert np.array_equal(got[0], again[0]) and np.array_equal(got[1], again[1])
+        assert rng_a.random() == rng_b.random()
+
+
+def test_v1_eta_that_is_not_counts_over_their_sum_raises_parse_error():
+    doc = _model_doc()
+    leaf = _first_leaf(doc)
+    leaf["eta"] = [c / sum(leaf["counts"]) for c in leaf["counts"]]
+    Forest.from_json(json.dumps(doc))  # the same division loads
+    leaf["eta"][0] = math.nextafter(leaf["eta"][0], 2.0)
+    with pytest.raises(ParseError, match="counts over their sum"):
+        Forest.from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
@@ -317,9 +443,17 @@ def test_truncated_model_file_exits_3_on_the_cli(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("corrupt", (_nan_threshold, _inf_eta), ids=("nan-threshold", "inf-eta"))
-def test_non_finite_model_value_exits_3_on_the_cli(tmp_path, capsys, corrupt):
-    doc = _model_doc()
+@pytest.mark.parametrize(
+    "make_doc, corrupt",
+    (
+        (_model_doc, _nan_threshold),
+        (_model_doc, _inf_eta),
+        (_model_doc_v2, _nan_threshold_v2),
+    ),
+    ids=("nan-threshold", "inf-eta", "nan-threshold-v2"),
+)
+def test_non_finite_model_value_exits_3_on_the_cli(tmp_path, capsys, make_doc, corrupt):
+    doc = make_doc()
     corrupt(doc)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc), encoding="utf-8")
@@ -331,9 +465,18 @@ def test_non_finite_model_value_exits_3_on_the_cli(tmp_path, capsys, corrupt):
     assert "error:" in err and ("not finite" in err or "infinite" in err)
 
 
-@pytest.mark.parametrize("corrupt", (_shared_child, _orphan_node), ids=("shared", "orphan"))
-def test_model_that_is_not_a_tree_exits_3_on_the_cli(tmp_path, capsys, corrupt):
-    doc = _model_doc()
+@pytest.mark.parametrize(
+    "make_doc, corrupt",
+    (
+        (_model_doc, _shared_child),
+        (_model_doc, _orphan_node),
+        (_model_doc_v2, _shared_child_v2),
+        (_model_doc_v2, _orphan_node_v2),
+    ),
+    ids=("shared", "orphan", "shared-v2", "orphan-v2"),
+)
+def test_model_that_is_not_a_tree_exits_3_on_the_cli(tmp_path, capsys, make_doc, corrupt):
+    doc = make_doc()
     corrupt(doc)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc), encoding="utf-8")

@@ -27,10 +27,12 @@ from mrforest.tree import (
 from oracle import (
     TieError,
     exhaustive_cart,
+    flat_tree,
     reference_build_baseline_tree,
     reference_build_tree,
     reference_sample_split,
     tree_shape,
+    v1_tree_doc,
     walk_eta,
 )
 
@@ -100,7 +102,7 @@ def _grow_mrf(build, ds: Dataset, config: MrfConfig, seed: int) -> tuple[Tree, f
     """The tree ``build`` grows and the next draw of its rng."""
     rng = np.random.default_rng(seed)
     part = partition(ds, config.partition_rate, rng)
-    tree = build(ds, part.structure_idx, part.estimation_idx, config, rng, seed=seed)
+    tree = build(ds, part.structure_idx, part.estimation_idx, config, rng)
     return tree, rng.random()
 
 
@@ -124,23 +126,30 @@ def _grow_baseline(build, ds: Dataset, k: int, mtry: int, rule: dict, seed: int)
 
 
 class TestOneGrower:
-    """Both builders grow the trees, and draw the rng stream, of their former own node loops."""
+    """Both builders grow the trees, and draw the rng stream, of their former own node loops.
+
+    The version 1 documents compare every node's feature, threshold, depth,
+    counts and eta, in the same node order; the grown arrays must also pass
+    the model loader's checks.
+    """
 
     @pytest.mark.parametrize("seed", range(48))
     def test_mrf_matches_reference(self, seed):
         ds, config = _mrf_case(seed)
         tree, draw = _grow_mrf(build_tree, ds, config, seed)
         reference, reference_draw = _grow_mrf(reference_build_tree, ds, config, seed)
-        assert tree.to_dict() == reference.to_dict()
+        assert v1_tree_doc(tree) == v1_tree_doc(reference)
         assert draw == reference_draw
+        Tree.from_dict(tree.to_dict(), ds.class_count, ds.feature_count)
 
     @pytest.mark.parametrize("seed", range(32))
     def test_baseline_matches_reference(self, seed):
         case = _baseline_case(seed)
         tree, draw = _grow_baseline(build_baseline_tree, *case, seed)
         reference, reference_draw = _grow_baseline(reference_build_baseline_tree, *case, seed)
-        assert tree.to_dict() == reference.to_dict()
+        assert v1_tree_doc(tree) == v1_tree_doc(reference)
         assert draw == reference_draw
+        Tree.from_dict(tree.to_dict(), case[0].class_count, case[0].feature_count)
 
     def test_fuzzed_cases_reach_root_only_and_deep_trees(self):
         mrf = [_grow_mrf(build_tree, *_mrf_case(seed), seed)[0].depth for seed in range(48)]
@@ -485,7 +494,7 @@ class TestPrediction:
     def _leaf_tree(self, eta):
         eta = np.asarray(eta, dtype=float)
         counts = (eta * 10).astype(np.int64)
-        return Tree(root=TreeNode(depth=0, counts=counts, eta=eta), depth=0)
+        return flat_tree(TreeNode(depth=0, counts=counts, eta=eta), 2, 1)
 
     def test_infinite_b3_argmax_with_low_index_ties(self):
         tree = self._leaf_tree([0.5, 0.5])
@@ -528,14 +537,14 @@ class TestPrediction:
         left = TreeNode(depth=1, counts=np.array([3, 0]), eta=np.array([1.0, 0.0]))
         right = TreeNode(depth=1, counts=np.array([0, 3]), eta=np.array([0.0, 1.0]))
         root = TreeNode(depth=0, feature=0, threshold=0.5, left=left, right=right)
-        tree = Tree(root=root, depth=1)
+        tree = flat_tree(root, 2, 1)
         assert votes(tree, np.array([[0.5], [0.51]]), math.inf).tolist() == [0, 1]
 
 
 class TestDepthAndSerialization:
     def test_depth_examples(self, rng):
         leaf = TreeNode(depth=0, counts=np.array([1, 0]), eta=np.array([1.0, 0.0]))
-        single = Tree(root=leaf, depth=0)
+        single = flat_tree(leaf, 2, 2)
         assert single.depth == compile_trees([single], 2).depth == 0
         ds = random_dataset(rng, 200, 2)
         tree, _ = _build(ds, MrfConfig(t=1, k=5, seed=4))

@@ -11,7 +11,9 @@ runs all trees at once on the forest's compiled trees (see
 :mod:`mrforest.tree`), built on its first prediction and kept: its trees must
 not be mutated after that. A model document (version 2) stores each tree's
 columns and nothing they determine; it is checked as it loads, as whole
-arrays. Version 1 documents, which list each tree's nodes, still load.
+arrays, all trees' columns at once. Version 1 documents, which list each
+tree's nodes, still load; their nodes are renumbered in level order, so a
+version 1 document of a tree re-saves as that tree's version 2 document.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .tree import (
     build_baseline_tree,
     build_tree,
     compile_trees,
+    read_trees,
     tree_votes,
 )
 
@@ -169,7 +172,6 @@ class Forest:
             raise ConfigError("not a mrforest model document")
         if doc.get("version") not in (1, FOREST_VERSION):
             raise ConfigError(f"unsupported model version {doc.get('version')!r}")
-        read_tree = Tree.from_dict if doc["version"] == FOREST_VERSION else _tree_from_v1
         try:
             raw = {
                 key: (math.inf if value == "inf" else value)
@@ -177,8 +179,12 @@ class Forest:
             }
             config_cls = BaselineConfig if doc["variant"] == "breiman" else MrfConfig
             class_count, width = int(doc["class_count"]), len(doc["feature_names"])
+            if doc["version"] == FOREST_VERSION:
+                trees = read_trees(doc["trees"], class_count, width)
+            else:
+                trees = [_tree_from_v1(tree, class_count, width) for tree in doc["trees"]]
             forest = cls(
-                trees=[read_tree(t, class_count, width) for t in doc["trees"]],
+                trees=trees,
                 variant=doc["variant"],
                 config=config_cls(**raw),
                 class_count=class_count,
@@ -203,32 +209,31 @@ class Forest:
 def _tree_from_v1(doc: dict[str, Any], class_count: int, feature_count: int) -> Tree:
     """Tree of a version 1 node list, whose nodes follow their parent in any order.
 
-    The walk renumbers the nodes in the order the grower appends them, and
-    the columns then pass :meth:`Tree.from_dict`'s checks. A leaf ``eta``
-    that is not exactly its counts over their sum raises :class:`ParseError`.
+    A first-in first-out walk renumbers the nodes in level order, the order
+    the grower numbers them in, and the columns then pass
+    :func:`read_trees`' checks. A leaf ``eta`` that is not exactly its counts
+    over their sum raises :class:`ParseError`.
     """
     entries = doc["nodes"]
     size = len(entries)
-    order = [0]  # node list index of each node, in the grower's order
+    order = [0]  # node list index of each node in level order; the walk's queue
     feature, threshold, left = [-1] * size, [0.0] * size, [-1] * size
-    stack = [0]
+    node = 0
     # children point forward, so the walk ends; it reaches each node once, and
     # no more than ``size`` nodes, exactly when the nodes form a tree
-    while stack and len(order) <= size:
-        node = stack.pop()
+    while node < len(order) <= size:
         index = order[node]
         entry = entries[index]
-        if entry["kind"] != "split":
-            continue
-        if not (index < entry["left"] < size and index < entry["right"] < size):
-            raise ParseError(f"node {index}: child index out of order or range")
-        if not 0 <= entry["feature"] < feature_count:
-            raise ParseError(f"node {index}: feature {entry['feature']} out of range")
-        feature[node], threshold[node] = entry["feature"], entry["threshold"]
-        left[node] = len(order)
-        order += (entry["left"], entry["right"])
-        stack += (left[node], left[node] + 1)
-    if stack or len(set(order)) != size:
+        if entry["kind"] == "split":
+            if not (index < entry["left"] < size and index < entry["right"] < size):
+                raise ParseError(f"node {index}: child index out of order or range")
+            if not 0 <= entry["feature"] < feature_count:
+                raise ParseError(f"node {index}: feature {entry['feature']} out of range")
+            feature[node], threshold[node] = entry["feature"], entry["threshold"]
+            left[node] = len(order)
+            order += (entry["left"], entry["right"])
+        node += 1
+    if len(order) != size or len(set(order)) != size:
         raise ParseError("nodes do not form a tree: a node is shared by two splits or orphaned")
     leaves = [entries[i] for i in order if entries[i]["kind"] != "split"]
     counts = [leaf["counts"] for leaf in leaves]

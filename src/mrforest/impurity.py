@@ -22,6 +22,7 @@ axis, while no pass runs along the short class axis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,19 +125,26 @@ def scan_features(
     labels: np.ndarray,
     class_count: int,
     criterion: str = "gini",
+    starts: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Impurity decrease of every cut of every feature row of a node.
+    """Impurity decrease of every cut of every feature row of one node, or of a level's nodes.
 
     Args:
         labels: (D, m) matrix; row j holds the node's labels ordered by
-            feature j's values, ascending.
+            feature j's values, ascending. With ``starts``, the columns are
+            several nodes' segments side by side, each ordered so.
         class_count: number of classes K.
         criterion: "gini" or "entropy".
+        starts: first column of each segment, ascending from 0; None for one
+            segment.
 
     Returns:
         The (D, m-1) decreases: position i is the cut between sorted
         positions i and i+1, where :func:`cut_points` of the sorted values
-        puts its threshold and says whether it is valid.
+        puts its threshold and says whether it is valid. A cut after a
+        segment's last column crosses into the next segment, and its value
+        is meaningless. Each segment's decreases are bit-equal to a call on
+        that segment alone.
     """
     depth, m = labels.shape
     decreases = np.empty((depth, max(m - 1, 0)))
@@ -145,12 +153,22 @@ def scan_features(
 
     # rows left and right of the cut after each position; the last position's
     # left side is the whole node, so its impurity is the parent's, and its
-    # weight is m / m = 1
+    # weight is m / m = 1. Per-segment values reach their columns by
+    # ``spread``, which with one segment is a broadcast.
+    if starts is None or len(starts) == 1:
+        starts, ends, widths = None, np.array([m - 1]), m
+        spread = _same
+    else:
+        ends = np.append(starts[1:], m) - 1
+        widths = np.repeat(ends - starts + 1, ends - starts + 1)
+        spread = functools.partial(np.repeat, repeats=ends - starts + 1, axis=-1)
     sizes = np.empty((2, 1, m))
     left_n = sizes[0, 0]
     left_n[:] = np.arange(1, m + 1)
-    np.subtract(m, left_n, out=sizes[1, 0])
-    weights = sizes / m
+    if starts is not None:
+        left_n -= spread(starts)
+    np.subtract(widths, left_n, out=sizes[1, 0])
+    weights = sizes / widths
     rows = max(1, min(depth, _SCAN_BLOCK_BUDGET // (m * class_count)))
     buffer = np.empty((class_count, 2, rows, m))
     classes = np.arange(class_count - 1)[:, None, None]
@@ -160,16 +178,24 @@ def scan_features(
         left, right = counts[:, 0], counts[:, 1]
         np.equal(block, classes, out=left[:-1], casting="unsafe")
         np.cumsum(left[:-1], axis=2, out=left[:-1])
+        if starts is not None:  # restart each segment's prefix counts (exact in float64)
+            before = np.zeros(left[:-1, :, ends].shape)
+            before[..., 1:] = left[:-1, :, ends[:-1]]
+            left[:-1] -= spread(before)
         last = left[-1]
         np.copyto(last, left_n)
         for prefix in left[:-1]:
             last -= prefix
-        np.subtract(left[:, :, -1:], left, out=right)
+        np.subtract(spread(left[:, :, ends]), left, out=right)
         impurity = _impurity(counts, sizes, criterion)
         impurity *= weights
         out = decreases[start : start + rows]
         np.add(impurity[0, :, :-1], impurity[1, :, :-1], out=out)
-        np.subtract(impurity[0, :, -1:], out, out=out)
+        np.subtract(spread(impurity[0][:, ends])[:, : m - 1], out, out=out)
 
     np.copyto(decreases, 0.0, where=(decreases < 0.0) & (decreases > -_NEG_TOL))
     return decreases
+
+
+def _same(values: np.ndarray) -> np.ndarray:
+    return values

@@ -10,6 +10,12 @@ from the same scores builds the law once; each draw from it equals a draw
 from a freshly built law. :func:`select_feature` and :func:`select_value`
 are that draw under each mechanism's name.
 
+:func:`selection_cdfs` builds many laws at once, each over its own run of
+scores, into :class:`Laws`; each equals :func:`selection_cdf` of its run up to
+rounding (sums of eight or more terms, and the running sum across runs, add
+in another order). :func:`sample_indices` makes one draw per given uniform,
+each from the law it names, and the mechanisms' draws take that form too.
+
 B = 0 gives uniform selection, B = math.inf gives a uniform draw over the
 argmax set, and anything between interpolates; the normalized scores keep
 the mechanism's sensitivity at one. The closed-form bounds state the paper's
@@ -19,6 +25,8 @@ selection envelope.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +36,11 @@ __all__ = [
     "normalize",
     "softmax_scaled",
     "selection_cdf",
+    "Laws",
+    "selection_cdfs",
     "sample_index",
+    "sample_indices",
+    "ragged_arange",
     "select_feature",
     "select_value",
     "feature_probability_bounds",
@@ -72,6 +84,64 @@ def selection_cdf(scores: np.ndarray | list[float], budget: float) -> np.ndarray
     return np.cumsum(softmax_scaled(normalize(scores), budget))
 
 
+@dataclass(frozen=True)
+class Laws:
+    """Cumulative laws end to end: law i is ``cdf[start[i] : start[i] + size[i]]``.
+
+    ``key`` holds each entry as the complex number i + cdf j, which numpy
+    orders by law first and then by cumulative probability, so one binary
+    search over all laws draws from any of them.
+    """
+
+    cdf: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+
+    @cached_property
+    def key(self) -> np.ndarray:
+        return np.repeat(np.arange(self.size.size), self.size) + 1j * self.cdf
+
+    def law(self, index: int) -> np.ndarray:
+        return self.cdf[self.start[index] : self.start[index] + self.size[index]]
+
+    def extend(self, other: "Laws") -> "Laws":
+        """These laws followed by ``other``'s, which are numbered after them."""
+        return Laws(
+            np.concatenate((self.cdf, other.cdf)),
+            np.concatenate((self.start, other.start + self.cdf.size)),
+            np.concatenate((self.size, other.size)),
+        )
+
+
+def ragged_arange(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``starts[i], ..., starts[i] + sizes[i] - 1`` for each i, concatenated."""
+    ends = sizes.cumsum()
+    return np.arange(ends[-1] if ends.size else 0) + (starts - ends + sizes).repeat(sizes)
+
+
+def selection_cdfs(scores: np.ndarray, sizes: np.ndarray, budget: float) -> Laws:
+    """:func:`selection_cdf` of each run of ``scores``, run i holding ``sizes[i]`` >= 1 scores."""
+    start = sizes.cumsum() - sizes
+    lo = np.minimum.reduceat(scores, start)
+    span = np.maximum.reduceat(scores, start) - lo
+    normalized = (scores - lo.repeat(sizes)) / (span + (span == 0)).repeat(sizes)
+    # a run's largest normalized score is exactly 1, or 0 when its scores are all equal
+    top = (span > 0).repeat(sizes)
+    if math.isinf(budget):
+        mass = (normalized == top).astype(np.float64)
+    else:
+        z = 0.5 * budget * normalized
+        z -= 0.5 * budget * top
+        mass = np.exp(z)
+    mass /= np.add.reduceat(mass, start).repeat(sizes)
+    cdf = mass.cumsum()
+    # each run's law starts from zero: take off the running sum before it
+    before = np.zeros(sizes.size)
+    before[1:] = cdf[start[1:] - 1]
+    cdf -= before.repeat(sizes)
+    return Laws(cdf, start, sizes)
+
+
 def sample_index(cdf: np.ndarray, rng: np.random.Generator) -> int:
     """Draw one index from a cumulative law; consumes exactly one uniform from ``rng``.
 
@@ -81,14 +151,41 @@ def sample_index(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return min(int(cdf.searchsorted(rng.random(), side="right")), cdf.size - 1)
 
 
-def select_feature(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw a split feature from ``selection_cdf(best decrease per feature, b1)``."""
+def sample_indices(laws: Laws, which: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """:func:`sample_index` of law ``which[i]`` of ``laws`` at ``uniforms[i]``, for each i."""
+    # the first entry above (which, uniform): in law ``which``, or the next law's first
+    found = laws.key.searchsorted(which + 1j * uniforms, side="right") - laws.start[which]
+    return np.minimum(found, laws.size[which] - 1)
+
+
+def _draw(
+    cdf: np.ndarray | Laws, rng: np.random.Generator | np.ndarray, which: np.ndarray | None
+) -> int | np.ndarray:
+    if isinstance(cdf, Laws):
+        return sample_indices(cdf, which, rng)
     return sample_index(cdf, rng)
 
 
-def select_value(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw a split value from ``selection_cdf(one feature's cut decreases, b2)``."""
-    return sample_index(cdf, rng)
+def select_feature(
+    cdf: np.ndarray | Laws, rng: np.random.Generator | np.ndarray, which: np.ndarray | None = None
+) -> int | np.ndarray:
+    """Draw a split feature from ``selection_cdf(best decrease per feature, b1)``.
+
+    Given :class:`Laws`, ``rng`` is an array of uniforms instead, and the
+    draws are :func:`sample_indices` of the laws ``which``.
+    """
+    return _draw(cdf, rng, which)
+
+
+def select_value(
+    cdf: np.ndarray | Laws, rng: np.random.Generator | np.ndarray, which: np.ndarray | None = None
+) -> int | np.ndarray:
+    """Draw a split value from ``selection_cdf(one feature's cut decreases, b2)``.
+
+    Given :class:`Laws`, ``rng`` is an array of uniforms instead, and the
+    draws are :func:`sample_indices` of the laws ``which``.
+    """
+    return _draw(cdf, rng, which)
 
 
 def feature_probability_bounds(feature_count: int, b1: float) -> tuple[float, float]:

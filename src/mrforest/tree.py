@@ -1,27 +1,36 @@
 """Decision tree construction and prediction for multinomial random forests.
 
-Both kinds of tree grow through one grower, :func:`_grow`, which walks the
-nodes depth first, filters each node's per-feature index slices (sorted once
-at tree start) down to its children, and emits leaves whose distribution is
-their estimation rows' class counts. A split rule decides each node:
+Both kinds of tree grow through one grower, :func:`_grow`, a level at a time.
+A level's nodes share two matrices of row positions, one for the structure
+rows and one for the estimation rows: row j lists every node's positions
+sorted by feature j, each node owning one column segment in every row
+(:class:`_Segments`). A split rule decides all nodes of a level in one
+batched pass, and one stable partition per matrix moves the split nodes'
+positions into their children's segments. Leaves keep their estimation rows'
+class counts. Node ids follow level order: the root is 0, and a split's two
+children are adjacent and numbered after every node of its own level.
 
-- the multinomial rule of :func:`build_tree` grows from structure rows only,
-  while estimation rows ride along and set the leaf distributions. It
+- The multinomial rule of :func:`build_tree` reads structure rows only;
+  estimation rows set the leaf distributions and gate the splits. It
   composes the two multinomial mechanisms; a sampled split is accepted only
   if both children keep at least ``k`` estimation rows and one structure
-  row. Ten attempts are made before giving up and emitting a leaf: even
-  attempts draw a feature and a value, odd attempts a value only. Impurity
-  is scanned only at nodes where some cut can be accepted. Each mechanism's
-  law is built once per search (a value law the first time its feature is
-  drawn), so an attempt costs a uniform and a binary search per draw; a
-  feature with no acceptable cut builds no law, and its value draw only
-  consumes its uniform;
-- the greedy rule of :func:`build_baseline_tree` takes Breiman's best split
+  row. Each node with a valid cut takes a block of 15 uniforms, one block
+  per such node in id order and one ``rng.random`` call per level, and makes
+  ten attempts before giving up and emitting a leaf: even attempts draw a
+  feature and a value, odd attempts a value only, and attempt a reads the
+  block's uniforms 3(a // 2) (feature) and 3(a // 2) + 1 + a % 2 (value).
+  Impurity is scanned only at nodes where some cut can be accepted. Each
+  mechanism's law is built once per node (a value law the first time its
+  feature is drawn), as one batch per level and per attempt; a feature with
+  no acceptable cut builds no law, and its value uniform goes unread.
+- The greedy rule of :func:`build_baseline_tree` takes Breiman's best split
   over a random feature subset, and its rows are their own estimation rows.
+  Each node it searches takes D uniforms, one ``rng.random`` call per level,
+  and its subset is the first ``mtry`` features of their order.
 
-A :class:`Tree` is flat per-node arrays, which the grower appends to, the
-model file stores, and prediction reads; ``Tree.root`` is a ``TreeNode``
-graph view built on demand, which no library code reads. :func:`compile_trees`
+A :class:`Tree` is flat per-node arrays, which the grower writes, the model
+file stores, and prediction reads; ``Tree.root`` is a ``TreeNode`` graph view
+built on demand, which no library code reads. :func:`compile_trees`
 concatenates all trees of a forest, on the forest's first prediction, and the
 result is kept, so its trees must not be mutated after that.
 :func:`route_eta` moves all rows down all trees a level per round;
@@ -30,6 +39,7 @@ result is kept, so its trees must not be mutated after that.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,7 +49,7 @@ import numpy as np
 
 from .errors import ParseError
 from .impurity import cut_points, scan_features
-from .splitsel import select_feature, select_value, selection_cdf
+from .splitsel import Laws, ragged_arange, select_feature, select_value, selection_cdfs
 
 if TYPE_CHECKING:
     from .data import Dataset
@@ -48,6 +58,7 @@ if TYPE_CHECKING:
 __all__ = [
     "TreeNode",
     "Tree",
+    "read_trees",
     "build_tree",
     "build_baseline_tree",
     "CompiledTrees",
@@ -56,11 +67,14 @@ __all__ = [
     "tree_votes",
 ]
 
-# Total (feature, value) samples tried per node before falling back to a leaf.
-_SPLIT_ATTEMPTS = 10
+# (feature, value) samples tried per node before falling back to a leaf: ten
+# attempts in pairs, the first of a pair drawing a feature and a value, the
+# second a value for the same feature
+_PAIRS = 5
+# Uniforms of a searched node: per pair, one for the feature and one per value.
+_BLOCK = 3 * _PAIRS
 
-# (feature, threshold, estimation rows going left) of a chosen split
-_Split = tuple[int, float, np.ndarray]
+_COLUMNS = ("feature", "threshold", "left", "counts")
 
 
 @dataclass(eq=False)
@@ -129,47 +143,67 @@ class Tree:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any], class_count: int, feature_count: int) -> "Tree":
-        """Tree of a :meth:`to_dict` document, checked as whole arrays.
+        """Tree of a :meth:`to_dict` document, checked as :func:`read_trees` checks."""
+        return read_trees([doc], class_count, feature_count)[0]
 
-        A corrupt document raises :class:`ParseError`: columns that are not
-        integers (thresholds: numbers), empty or of different lengths; a
-        split whose left child is not after it or whose right child is out
-        of range, or a leaf with a child; nodes that are not a tree (a node
-        other than the root with no parent or with two); a split feature
-        outside ``[0, feature_count)``; a threshold that is NaN or infinite;
-        or leaf counts that are not ``class_count`` per leaf, are negative,
-        or sum to zero.
-        """
-        feature = _column(doc["feature"], "i", "feature")
-        left = _column(doc["left"], "i", "left")
-        threshold = _column(doc["threshold"], "if", "threshold").astype(np.float64)
-        counts = _column(doc["counts"], "i", "counts")
-        size = feature.size
-        if size == 0 or not feature.shape == threshold.shape == left.shape == (size,):
-            raise ParseError("tree columns are empty or of different lengths")
-        split = feature != -1
-        nodes = np.arange(size)
-        bad = np.where(split, (left <= nodes) | (left >= size - 1), left != -1)
-        if bad.any():
-            raise ParseError(f"node {np.argmax(bad)}: child index out of order or range")
-        # a left child is after its parent, so the root is no node's child; every
-        # other node must be exactly one split's child
-        child = left[split]
-        parents = np.bincount(np.concatenate((child, child + 1)), minlength=size)
-        if (parents[1:] != 1).any():
-            raise ParseError("nodes do not form a tree: a node is shared by two splits or orphaned")
-        outside = split & ((feature < 0) | (feature >= feature_count))
-        if outside.any():
-            raise ParseError(f"node {np.argmax(outside)}: feature out of range")
-        if not np.isfinite(threshold).all():
-            raise ParseError("a threshold is not finite")
-        if counts.shape != (size - child.size, class_count):
-            raise ParseError(f"leaf counts are not {class_count} per leaf")
-        if (counts < 0).any() or (counts.sum(axis=1) == 0).any():
-            raise ParseError("leaf counts are negative or sum to zero")
-        return cls(
-            feature.astype(np.intp, copy=False), threshold, left.astype(np.intp, copy=False), counts
-        )
+
+def read_trees(docs: Sequence[dict[str, Any]], class_count: int, feature_count: int) -> list[Tree]:
+    """Trees of :meth:`Tree.to_dict` documents, checked once as whole arrays for all of them.
+
+    Each column of all trees is converted once and checked with per-tree
+    offsets. A corrupt document raises :class:`ParseError`: columns that are
+    not integers (thresholds: numbers), empty or of different lengths; a
+    split whose left child is not after it or whose right child is out of
+    its tree, or a leaf with a child; nodes that are not a tree (a node other
+    than a root with no parent or with two); a split feature outside
+    ``[0, feature_count)``; a threshold that is NaN or infinite; or leaf
+    counts that are not ``class_count`` per leaf, are negative, or sum to
+    zero.
+    """
+    if not docs:
+        return []
+    lengths = np.array([[len(doc[name]) for name in _COLUMNS] for doc in docs])
+    size = lengths[:, 0]
+    if (size == 0).any() or (lengths[:, 1:3] != size[:, None]).any():
+        raise ParseError("tree columns are empty or of different lengths")
+    feature, left, counts = (_column(docs, name, "i") for name in ("feature", "left", "counts"))
+    threshold = _column(docs, "threshold", "if").astype(np.float64)
+    total = int(size.sum())
+    if not feature.shape == threshold.shape == left.shape == (total,):
+        raise ParseError("tree columns are not flat lists")
+    ends = np.cumsum(size)
+    roots = ends - size
+    offset = np.repeat(roots, size)
+    node = np.arange(total) - offset
+    split = feature != -1
+
+    def where(i: int) -> str:
+        return f"tree {np.searchsorted(roots, i, side='right') - 1} node {node[i]}"
+
+    bad = np.where(split, (left <= node) | (left >= np.repeat(size, size) - 1), left != -1)
+    if bad.any():
+        raise ParseError(f"{where(np.argmax(bad))}: child index out of order or range")
+    # a left child is after its parent, so a root is no node's child; every
+    # other node must be exactly one split's child
+    child = (left + offset)[split]
+    parents = np.bincount(np.concatenate((child, child + 1)), minlength=total)
+    parents[roots] += 1
+    if (parents != 1).any():
+        raise ParseError("nodes do not form a tree: a node is shared by two splits or orphaned")
+    outside = split & ((feature < 0) | (feature >= feature_count))
+    if outside.any():
+        raise ParseError(f"{where(np.argmax(outside))}: feature out of range")
+    if not np.isfinite(threshold).all():
+        raise ParseError("a threshold is not finite")
+    leaves = size - np.add.reduceat(split, roots, dtype=np.intp)
+    if counts.shape != (leaves.sum(), class_count) or (lengths[:, 3] != leaves).any():
+        raise ParseError(f"leaf counts are not {class_count} per leaf")
+    if (counts < 0).any() or (counts.sum(axis=1) == 0).any():
+        raise ParseError("leaf counts are negative or sum to zero")
+    feature, left = feature.astype(np.intp, copy=False), left.astype(np.intp, copy=False)
+    leaf_ends = np.cumsum(leaves)
+    spans = zip(roots.tolist(), ends.tolist(), (leaf_ends - leaves).tolist(), leaf_ends.tolist())
+    return [Tree(feature[a:b], threshold[a:b], left[a:b], counts[c:d]) for a, b, c, d in spans]
 
 
 def _leaf_eta(counts: np.ndarray) -> np.ndarray:
@@ -177,12 +211,12 @@ def _leaf_eta(counts: np.ndarray) -> np.ndarray:
     return counts / counts.sum(axis=1, keepdims=True)
 
 
-def _column(values: Any, kinds: str, name: str) -> np.ndarray:
-    # one conversion per column; numpy raises ValueError on ragged nesting
-    column = np.asarray(values)
-    if column.dtype.kind not in kinds:
+def _column(docs: Sequence[dict[str, Any]], name: str, kinds: str) -> np.ndarray:
+    # one conversion per tree and column; numpy raises ValueError on ragged nesting
+    parts = [np.asarray(doc[name]) for doc in docs]
+    if any(part.dtype.kind not in kinds for part in parts):
         raise ParseError(f"tree column {name!r} holds values of the wrong type")
-    return column
+    return np.concatenate(parts)
 
 
 def _depth(feature: np.ndarray, left: np.ndarray, roots: np.ndarray) -> int:
@@ -197,71 +231,117 @@ def _depth(feature: np.ndarray, left: np.ndarray, roots: np.ndarray) -> int:
 
 def _sorted_index_matrix(x: np.ndarray) -> np.ndarray:
     # row j of the result lists row positions sorted by feature j
-    return np.argsort(x, axis=0, kind="stable").T.copy()
+    return np.argsort(x, axis=0, kind="stable").T.astype(np.int32)
 
 
-def _gather_sorted(
-    x: np.ndarray, sorted_pos: np.ndarray, features: np.ndarray | None = None
-) -> np.ndarray:
-    # row i of sorted_pos holds positions sorted by features[i] (default: 0..D-1)
-    if features is None:
-        cols = np.arange(sorted_pos.shape[0])[:, None]
-    else:
-        cols = np.asarray(features)[:, None]
-    return x[sorted_pos, cols]
+@dataclass(frozen=True)
+class _Segments:
+    """Row positions of a level's nodes, sorted per feature within each node.
+
+    Row j of ``pos`` lists every node's positions sorted by feature j; node
+    i owns columns ``bounds[i] : bounds[i + 1]`` of every row.
+    """
+
+    pos: np.ndarray  # (D, positions) int32
+    bounds: np.ndarray  # (nodes + 1,) ascending from 0
+
+    @classmethod
+    def root(cls, x: np.ndarray) -> "_Segments":
+        return cls(_sorted_index_matrix(x), np.array([0, x.shape[0]]))
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.bounds)
+
+    @cached_property
+    def node(self) -> np.ndarray:
+        """The node owning each column."""
+        return np.repeat(np.arange(self.sizes.size), self.sizes)
+
+    def children(self, x: np.ndarray, feature: np.ndarray, threshold: np.ndarray) -> "_Segments":
+        """The segments of the split nodes' children: left, then right, in node order.
+
+        Node i splits when ``feature[i] >= 0``; its positions whose row of
+        ``x`` holds at most ``threshold[i]`` in that feature go left. Leaves'
+        positions go. Every row is partitioned stably, so each child's
+        positions stay sorted, by one boolean selection per side and one
+        column permutation shared by every row. Both children of a split
+        are nonempty.
+        """
+        node, rows = self.node, self.pos[0]
+        splits = feature >= 0
+        split = splits[node]
+        goes_left = np.zeros(x.shape[0], dtype=bool)
+        goes_left[rows] = split & (x[rows, feature[node]] <= threshold[node])
+        left = goes_left[self.pos]
+        right = ~left
+        right &= split
+        features = self.pos.shape[0]
+        sides = np.concatenate(
+            (self.pos[left].reshape(features, -1), self.pos[right].reshape(features, -1)), axis=1
+        )
+        # each side's block lists the split nodes in order, the same in every
+        # row; a stable sort by child (left 2i, right 2i + 1) interleaves them
+        first_child = 2 * np.cumsum(splits) - 2
+        child = np.concatenate((first_child[node[left[0]]], first_child[node[right[0]]] + 1))
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(child))))
+        return _Segments(sides[:, np.argsort(child, kind="stable")], bounds)
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The nodes of one depth, in id order."""
+
+    depth: int
+    structure: _Segments
+    estimation: _Segments
+    counts: np.ndarray  # (nodes, K) estimation class counts
+
+
+# A split rule: each node's split feature (-1 for a leaf) and threshold (0 at leaves).
+_Rule = Callable[[_Level], tuple[np.ndarray, np.ndarray]]
 
 
 def _grow(
-    x: np.ndarray,
-    est_y: np.ndarray,
-    class_count: int,
-    choose: Callable[[int, np.ndarray, np.ndarray, np.ndarray], _Split | None],
+    xs: np.ndarray, xe: np.ndarray | None, ye: np.ndarray, class_count: int, rule: _Rule
 ) -> Tree:
-    """Grow a tree depth first from rows ``x``.
+    """Grow a tree a level at a time from structure rows ``xs``.
 
-    Each node holds ``sorted_pos``, its rows of ``x`` sorted per feature, and
-    ``est_pos``, its positions in ``est_y``. ``choose(depth, sorted_pos,
-    est_pos, counts)`` gets the node's estimation label counts and returns
-    ``(feature, threshold, est_left)``, where ``est_left`` marks the
-    estimation rows that go left, or None for a leaf. A leaf keeps its
-    counts. A split appends its two children to the arrays at once, so they
-    are adjacent; the left child is pushed first, so the right subtree is
-    grown, and draws from the rng, first.
+    ``xe`` and ``ye`` are the estimation rows and labels; with ``xe`` None
+    the structure rows are their own estimation rows, labelled ``ye``. Each
+    level asks ``rule`` for all its nodes' splits at once, and the split
+    nodes' children, left then right in node order, make the next level.
     """
-    member = np.zeros(x.shape[0], dtype=bool)  # scratch for sorted-slice filtering
-    feature, threshold, left = [-1], [0.0], [-1]
-    leaf_counts: list[np.ndarray | None] = [None]  # per node, None at splits
-    stack = [(0, 0, _sorted_index_matrix(x), np.arange(est_y.size))]
-    while stack:
-        node, depth, sorted_pos, est_pos = stack.pop()
-        counts = np.bincount(est_y[est_pos], minlength=class_count)
-        split = choose(depth, sorted_pos, est_pos, counts)
-        if split is None:
-            leaf_counts[node] = counts
-            continue
-        split_feature, split_threshold, est_left = split
-        child = len(feature)
-        feature[node], threshold[node], left[node] = split_feature, split_threshold, child
-        feature += (-1, -1)
-        threshold += (0.0, 0.0)
-        left += (-1, -1)
-        leaf_counts += (None, None)
-        rows = sorted_pos[0]
-        left_rows = rows[x[rows, split_feature] <= split_threshold]
-        member[left_rows] = True
-        keep = member[sorted_pos]
-        member[left_rows] = False
-        features, m = sorted_pos.shape
-        left_sorted = sorted_pos[keep].reshape(features, left_rows.size)
-        right_sorted = sorted_pos[~keep].reshape(features, m - left_rows.size)
-        stack.append((child, depth + 1, left_sorted, est_pos[est_left]))
-        stack.append((child + 1, depth + 1, right_sorted, est_pos[~est_left]))
-    return Tree(
-        np.array(feature, dtype=np.intp),
-        np.array(threshold),
-        np.array(left, dtype=np.intp),
-        np.array([counts for counts in leaf_counts if counts is not None]),
-    )
+    structure = _Segments.root(xs)
+    estimation = structure if xe is None else _Segments.root(xe)
+    columns, leaf_counts = [], []
+    depth, next_id = 0, 1
+    while True:
+        nodes = structure.sizes.size
+        labels = estimation.node * class_count + ye[estimation.pos[0]]
+        counts = np.bincount(labels, minlength=nodes * class_count).reshape(nodes, class_count)
+        feature, threshold = rule(_Level(depth, structure, estimation, counts))
+        split = feature >= 0
+        splits = np.count_nonzero(split)
+        left = np.full(nodes, -1)
+        left[split] = next_id + 2 * np.arange(splits)
+        next_id += 2 * splits
+        columns.append((feature, threshold, left))
+        leaf_counts.append(counts[~split])
+        if not splits:
+            break
+        structure = structure.children(xs, feature, threshold)
+        estimation = structure if xe is None else estimation.children(xe, feature, threshold)
+        depth += 1
+    feature, threshold, left = (np.concatenate(column) for column in zip(*columns))
+    return Tree(feature, threshold, left, np.concatenate(leaf_counts))
+
+
+def _nodes_with(mask: np.ndarray, node: np.ndarray, nodes: int) -> np.ndarray:
+    """Which of ``nodes`` own a column of ``mask`` holding a True; column c is ``node[c]``'s."""
+    found = np.zeros(nodes, dtype=bool)
+    found[node[mask.any(axis=0)]] = True
+    return found
 
 
 def build_tree(
@@ -279,92 +359,134 @@ def build_tree(
     paths resolve to leaves.
     """
     xs = np.ascontiguousarray(dataset.features[structure_idx])
-    ys = dataset.labels[structure_idx]
     xe = np.ascontiguousarray(dataset.features[estimation_idx])
-    class_count = dataset.class_count
-
-    def multinomial_split(depth, sorted_pos, est_pos, counts):
-        capped = config.max_depth is not None and depth >= config.max_depth
-        if capped or est_pos.size <= config.k or sorted_pos.shape[1] < 2:
-            return None
-        return _sample_split(xs, ys, xe, sorted_pos, est_pos, class_count, config, rng)
-
-    return _grow(xs, dataset.labels[estimation_idx], class_count, multinomial_split)
+    rule = functools.partial(
+        _sample_splits, xs, dataset.labels[structure_idx], xe, dataset.class_count, config, rng
+    )
+    return _grow(xs, xe, dataset.labels[estimation_idx], dataset.class_count, rule)
 
 
-def _sample_split(
+def _sample_splits(
     xs: np.ndarray,
     ys: np.ndarray,
     xe: np.ndarray,
-    sorted_pos: np.ndarray,
-    est_pos: np.ndarray,
     class_count: int,
     config: "MrfConfig",
     rng: np.random.Generator,
-) -> _Split | None:
-    """Draw (feature, threshold) via the two mechanisms, enforcing split validity.
+    level: _Level,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw each node's (feature, threshold) via the two mechanisms, enforcing split validity.
 
-    The search runs in three steps, each only if the one before leaves a
-    draw to make:
+    The search runs in three steps over all of the level's nodes, each step
+    only for the nodes that the one before leaves a draw to make:
 
-    1. Cut points: the :func:`cut_points` of the node's sorted structure
-       values. Without a valid cut there is nothing to draw: None, and no
-       rng use.
+    1. Cut points: the :func:`cut_points` of every node's sorted structure
+       values, less the cuts between two nodes' segments and those of nodes
+       the gate stops. A node without a valid cut is a leaf and draws no
+       uniforms; every other node takes its block of 15.
     2. Feasibility: a cut keeps at least ``k`` of the node's n estimation
        rows on each side exactly when ``threshold`` lies in ``[lo, hi)``,
        where lo and hi are the feature's k-th smallest and k-th largest
-       estimation values; one partition per node finds both. If no cut is
-       feasible, every attempt would fail: no impurity is scanned and no
-       mechanism runs, and the rng advances by the 15 uniforms the attempts
-       would draw (one per value, one per feature on even attempts).
-    3. Scan and draw: :func:`scan_features` scores the cuts, and each
-       attempt's draw is checked against the feasibility mask. Each law is
-       built once per search: the feature law from the features' best
-       decreases, and a feature's value law the first time that feature is
-       drawn. A feature with no feasible cut gets no value law: its value
-       draw can only fail, so it consumes its uniform and draws nothing.
-       Every attempt thus uses the uniforms, and picks the cuts, of a search
-       that rebuilds both laws at every attempt.
+       estimation values, at columns ``start + k - 1`` and ``end - k`` of the
+       node's sorted estimation segment. A node with no feasible cut would
+       fail every attempt: it is a leaf, no impurity is scanned and no
+       mechanism runs.
+    3. Scan and draw: one :func:`scan_features` call scores the remaining
+       nodes' cuts, and one batch of feature laws is built from each node's
+       best decreases per feature. The five feature draws of every node
+       depend on no outcome and are made at once. Then each attempt pair
+       draws both values for the nodes still searching and checks them
+       against the feasibility mask; the odd attempt's draw counts only if
+       the even one missed. A node's value law for a feature is built the
+       first time that feature is drawn there, in one batch per pair. A
+       drawn feature with no feasible cut gets no value law: its value draws
+       could only fail, so their uniforms go unread.
 
-    Returns None when no valid split was sampled within the attempt budget.
+    Each node thus picks the cut of a search that rebuilds both laws at
+    every attempt and reads its block's uniforms in order, and is a leaf
+    when no attempt hits a feasible cut.
     """
-    values = _gather_sorted(xs, sorted_pos)
-    valid, thresholds = cut_points(values)
-    if not valid.any():
-        return None
+    structure, estimation = level.structure, level.estimation
+    nodes = structure.sizes.size
+    feature, threshold = np.full(nodes, -1), np.zeros(nodes)
+    k = config.k
+    gated = (estimation.sizes > k) & (structure.sizes >= 2)
+    if not gated.any() or config.max_depth is not None and level.depth >= config.max_depth:
+        return feature, threshold
+    features = np.arange(xs.shape[1])[:, None]
+    valid, thresholds = cut_points(xs[structure.pos, features])
+    node = structure.node[:-1]  # the node of each cut
+    valid &= gated[node] & (node == structure.node[1:])
+    has_cut = _nodes_with(valid, node, nodes)
+    uniforms = rng.random((np.count_nonzero(has_cut), _BLOCK))
 
-    k, n_est = config.k, est_pos.size
-    bounds = np.partition(xe[est_pos], (k - 1, n_est - k), axis=0)
-    lo, hi = bounds[k - 1, :, None], bounds[n_est - k, :, None]
-    feasible = valid & (lo <= thresholds) & (thresholds < hi)
-    if not feasible.any():
-        rng.random(_SPLIT_ATTEMPTS + math.ceil(_SPLIT_ATTEMPTS / 2))
-        return None
+    # a gated node's k-th smallest and k-th largest estimation values; the
+    # lookups of the other nodes, whose cuts are all invalid, are only kept in range
+    kth = np.minimum(estimation.bounds[:-1] + k - 1, estimation.pos.shape[1] - 1)
+    lo = xe[estimation.pos[:, kth], features]
+    hi = xe[estimation.pos[:, estimation.bounds[1:] - k], features]
+    feasible = valid & (lo[:, node] <= thresholds) & (thresholds < hi[:, node])
+    is_searched = _nodes_with(feasible, node, nodes)
+    searched = np.flatnonzero(is_searched)
+    if not searched.size:
+        return feature, threshold
 
-    decreases = scan_features(ys[sorted_pos], class_count, config.criterion)
-    best = np.where(valid, decreases, -np.inf).max(axis=1)
-    eligible = np.flatnonzero(best > -np.inf)
-    feature_cdf = selection_cdf(best[eligible], config.b1)
-    reachable = feasible.any(axis=1)
-    value_laws: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    feature = -1
-    for attempt in range(_SPLIT_ATTEMPTS):
-        if attempt % 2 == 0:  # even attempts draw a feature and a value, odd ones a value
-            feature = int(eligible[select_feature(feature_cdf, rng)])
-        if not reachable[feature]:  # its value draw can only fail: spend the uniform
-            rng.random()
+    pos = structure.pos
+    if searched.size < nodes:
+        # keep the searched nodes' columns; a cut after a segment's last
+        # column crosses into the next segment and is already invalid
+        columns = np.flatnonzero(is_searched[structure.node])
+        pos = pos[:, columns]
+        valid, thresholds, feasible = (a[:, columns[:-1]] for a in (valid, thresholds, feasible))
+    sizes = structure.sizes[searched]
+    starts = np.cumsum(sizes) - sizes
+    decreases = scan_features(ys[pos], class_count, config.criterion, starts)
+    best = np.maximum.reduceat(np.where(valid, decreases, -np.inf), starts, axis=1).T
+    reachable = np.logical_or.reduceat(feasible, starts, axis=1).T
+    eligible = best > -np.inf
+    feature_laws = selection_cdfs(best[eligible], eligible.sum(axis=1), config.b1)
+    eligible_feature = np.nonzero(eligible)[1]
+
+    # attempt pair p draws its feature with uniform 3p and its two values with
+    # 3p + 1 and 3p + 2; the five feature draws read no outcome, so all run at once
+    block = uniforms[is_searched[has_cut]].reshape(searched.size, _PAIRS, 3)
+    laws = np.repeat(np.arange(searched.size), _PAIRS)
+    picks = select_feature(feature_laws, block[:, :, 0].ravel(), laws)
+    drawn = eligible_feature[feature_laws.start[laws] + picks].reshape(searched.size, _PAIRS)
+    valid_cuts, width = np.flatnonzero(valid), valid.shape[1]
+    law_of = np.full(eligible.shape, -1)  # value law of each (node, feature), -1 until built
+    value_laws = Laws(np.zeros(0), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
+    law_cuts = np.zeros(0, dtype=np.intp)  # each value law's first entry in valid_cuts
+    searching = np.arange(searched.size)
+    for pair in range(_PAIRS):
+        # a drawn feature without a feasible cut can only fail: its value uniforms go unread
+        live = searching[reachable[searching, drawn[searching, pair]]]
+        if not live.size:
             continue
-        if feature not in value_laws:
-            positions = np.flatnonzero(valid[feature])
-            value_laws[feature] = positions, selection_cdf(decreases[feature, positions], config.b2)
-        positions, value_cdf = value_laws[feature]
-        cut = positions[select_value(value_cdf, rng)]
+        f = drawn[live, pair]
+        new = live[law_of[live, f] < 0]
+        if new.size:
+            # the valid cuts of a (node, feature) are one run of valid_cuts
+            origin = drawn[new, pair] * width + starts[new]
+            run = np.searchsorted(valid_cuts, origin)
+            run_sizes = np.searchsorted(valid_cuts, origin + sizes[new] - 1) - run
+            scores = decreases.ravel()[valid_cuts[ragged_arange(run, run_sizes)]]
+            law_of[new, drawn[new, pair]] = law_cuts.size + np.arange(new.size)
+            value_laws = value_laws.extend(selection_cdfs(scores, run_sizes, config.b2))
+            law_cuts = np.concatenate((law_cuts, run))
+        laws = law_of[live, f]
+        # both attempts of the pair draw; the odd one counts only if the even one missed
+        picks = select_value(value_laws, block[live, pair, 1:].ravel(), np.repeat(laws, 2))
         # structure children are nonempty by construction: valid thresholds
         # lie strictly between two observed structure values
-        if feasible[feature, cut]:
-            threshold = thresholds[feature, cut]
-            return feature, float(threshold), xe[est_pos, feature] <= threshold
-    return None
+        cut = valid_cuts[np.repeat(law_cuts[laws], 2) + picks].reshape(live.size, 2)
+        hit = feasible.ravel()[cut]
+        won = hit.any(axis=1)
+        cut = cut[won, np.argmax(hit[won], axis=1)]
+        feature[searched[live[won]]] = f[won]
+        threshold[searched[live[won]]] = thresholds.ravel()[cut]
+        searching = searching[feature[searched[searching]] < 0]
+    return feature, threshold
 
 
 def build_baseline_tree(
@@ -386,23 +508,54 @@ def build_baseline_tree(
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    feature_count = x.shape[1]
+    rule = functools.partial(_greedy_splits, x, y, class_count, k, mtry, criterion, rng)
+    return _grow(x, None, y, class_count, rule)
 
-    def greedy_split(depth, sorted_pos, est_pos, counts):
-        if est_pos.size <= k or counts.max() == est_pos.size:
-            return None
-        subset = np.sort(rng.choice(feature_count, size=mtry, replace=False))
-        valid, thresholds = cut_points(_gather_sorted(x, sorted_pos[subset], subset))
-        decreases = scan_features(y[sorted_pos[subset]], class_count, criterion)
-        masked = np.where(valid, decreases, -np.inf)
-        if not np.isfinite(masked.max()):
-            return None
-        # first flat argmax = lowest feature, then lowest threshold
-        feat_row, pos = divmod(int(np.argmax(masked)), masked.shape[1])
-        feature, threshold = int(subset[feat_row]), float(thresholds[feat_row, pos])
-        return feature, threshold, x[est_pos, feature] <= threshold
 
-    return _grow(x, y, class_count, greedy_split)
+def _greedy_splits(
+    x: np.ndarray,
+    y: np.ndarray,
+    class_count: int,
+    k: int,
+    mtry: int,
+    criterion: str,
+    rng: np.random.Generator,
+    level: _Level,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's best split over its feature subset, by one scan of the level.
+
+    A node that is not pure and holds more than ``k`` rows draws D uniforms;
+    its subset is the first ``mtry`` features in their order, ascending.
+    Row i of the scanned matrix holds each node's i-th subset feature.
+    """
+    structure = level.structure
+    nodes = structure.sizes.size
+    feature, threshold = np.full(nodes, -1), np.zeros(nodes)
+    is_searched = (structure.sizes > k) & (level.counts.max(axis=1) < structure.sizes)
+    searched = np.flatnonzero(is_searched)
+    if not searched.size:
+        return feature, threshold
+    order = np.argsort(rng.random((searched.size, x.shape[1])), axis=1, kind="stable")
+    subset = np.sort(order[:, :mtry], axis=1)
+    sizes = structure.sizes[searched]
+    starts = np.cumsum(sizes) - sizes
+    node = np.repeat(np.arange(searched.size), sizes)
+    rows = subset[node].T
+    pos = structure.pos[rows, np.flatnonzero(is_searched[structure.node])]
+    valid, thresholds = cut_points(x[pos, rows])
+    valid &= node[:-1] == node[1:]
+    masked = np.where(valid, scan_features(y[pos], class_count, criterion, starts), -np.inf)
+    best = np.maximum.reduceat(masked, starts, axis=1)
+    # the first best is the lowest feature's, and in it the lowest threshold's
+    row = np.argmax(best, axis=0)
+    top = best[row, np.arange(searched.size)]
+    found = np.flatnonzero(top > -np.inf)
+    cut_node = node[:-1]
+    hits = np.flatnonzero(masked[row[cut_node], np.arange(cut_node.size)] == top[cut_node])
+    cut = hits[np.searchsorted(hits, starts[found])]
+    feature[searched[found]] = subset[found, row[found]]
+    threshold[searched[found]] = thresholds[row[found], cut]
+    return feature, threshold
 
 
 @dataclass(frozen=True)

@@ -9,21 +9,28 @@ The ``reference_*`` audits score one neighbor at a time and scan the ratios
 in a sequential loop, as the library did before it scored all neighbors in
 one batched pass; they return ``AuditReport.to_dict()`` documents.
 :func:`reference_build_tree` and :func:`reference_build_baseline_tree` grow
-each kind of tree with its own node loop, as the library did before both
-became split rules over one grower, and return the ``TreeNode`` graph the
-library then stored (:class:`GraphTree`). :func:`v1_tree_doc` and
-:func:`v1_forest_doc` write the version 1 model document the library wrote
-before it stored trees as columns. :func:`reference_sample_split` is the
-multinomial split search as it was before the library checked feasibility
-with one mask per node: every attempt rebuilds both mechanisms' laws, draws
-from them, and counts the estimation rows its cut sends left;
-``reference_build_tree`` searches with it. :func:`inverse_cdf_draws` repeats
-``sample_index``'s one inverse-CDF draw over many uniforms at once.
+each kind of tree with its own first-in first-out node loop, one node at a
+time, where the library grows a level at a time, and return a ``TreeNode``
+graph (:class:`GraphTree`). Each node the multinomial loop searches, and
+that has a valid cut, takes a block of 15 uniforms and searches with them
+replayed in order (:class:`Replay`); each node the greedy loop searches takes
+D uniforms and splits on the first ``mtry`` features of their order.
+:func:`depth_first_build_tree` is the library's multinomial grower as it was
+before: depth first, each search drawing from the rng only the uniforms it
+reads. :func:`v1_tree_doc` and :func:`v1_forest_doc` write the version 1
+model document the library wrote before it stored trees as columns.
+:func:`reference_sample_split` is the multinomial split search as it was
+before the library checked feasibility with one mask per node: every
+attempt rebuilds both mechanisms' laws, draws from them, and counts the
+estimation rows its cut sends left; ``reference_build_tree`` searches with
+it. :func:`inverse_cdf_draws` repeats ``sample_index``'s one inverse-CDF draw
+over many uniforms at once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -32,7 +39,11 @@ import numpy as np
 from mrforest.forest import _tree_from_v1
 from mrforest.impurity import cut_points, scan_features
 from mrforest.splitsel import normalize, softmax_scaled
-from mrforest.tree import _SPLIT_ATTEMPTS, Tree, TreeNode, _gather_sorted, _sorted_index_matrix
+from mrforest.tree import Tree, TreeNode
+
+# (feature, value) samples of one split search, and the uniforms they can read
+SPLIT_ATTEMPTS = 10
+BLOCK = 15
 
 GAP = 1e-9  # optima closer than this count as ties and disqualify a dataset
 
@@ -500,28 +511,43 @@ def reference_label_audit(counts: np.ndarray, b3: float) -> dict[str, Any]:
     return _report("label", b3, probs_of(counts), probs, descs)
 
 
-def _leaf_distribution(labels: np.ndarray, class_count: int, parent: np.ndarray | None) -> np.ndarray:
-    # an empty leaf inherits its parent's distribution, uniform without a parent
-    if labels.size == 0:
-        return parent if parent is not None else np.full(class_count, 1.0 / class_count)
-    return np.bincount(labels, minlength=class_count) / labels.size
-
-
 def _draw_rebuilding_law(scores, budget, rng) -> int:
     """One mechanism draw that builds its law from the scores for this draw alone."""
     cum = np.cumsum(softmax_scaled(normalize(scores), budget))
     return min(int(np.searchsorted(cum, rng.random(), side="right")), cum.size - 1)
 
 
-def reference_sample_split(xs, ys, xe, sorted_pos, est_pos, class_count, config, rng):
-    """``_sample_split`` drawing both mechanisms on every attempt, with no feasibility mask.
+def sorted_positions(x: np.ndarray) -> np.ndarray:
+    """Row j lists the row positions sorted by feature j, ties by position."""
+    return np.argsort(x, axis=0, kind="stable").T.copy()
+
+
+def gather_sorted(x: np.ndarray, sorted_pos: np.ndarray, features=None) -> np.ndarray:
+    """Row i holds the values of feature ``features[i]`` (default i) in row i's order."""
+    cols = np.arange(sorted_pos.shape[0]) if features is None else np.asarray(features)
+    return x[sorted_pos, cols[:, None]]
+
+
+class Replay:
+    """Stands in for an rng whose ``random()`` returns the given uniforms in order."""
+
+    def __init__(self, uniforms: np.ndarray) -> None:
+        self._uniforms = iter(uniforms)
+
+    def random(self) -> float:
+        return float(next(self._uniforms))
+
+
+def reference_sample_split(xs, ys, xe, sorted_pos, est_pos, class_count, config, rng, trace=None):
+    """The split search drawing both mechanisms on every attempt, with no feasibility mask.
 
     Each attempt rebuilds the laws it draws from and counts the estimation
     rows its cut sends left; the search returns ``(feature, threshold,
     est_left)`` for the first cut that leaves ``k`` on each side, or None
-    after ``_SPLIT_ATTEMPTS`` attempts.
+    after ``SPLIT_ATTEMPTS`` attempts. ``trace``, when given, gets each
+    attempt's feature.
     """
-    valid, thresholds = cut_points(_gather_sorted(xs, sorted_pos))
+    valid, thresholds = cut_points(gather_sorted(xs, sorted_pos))
     decreases = scan_features(ys[sorted_pos], class_count, config.criterion)
     best = np.where(valid, decreases, -np.inf).max(axis=1)
     eligible = np.flatnonzero(best > -np.inf)
@@ -531,9 +557,11 @@ def reference_sample_split(xs, ys, xe, sorted_pos, est_pos, class_count, config,
     k = config.k
     est_col_cache: dict[int, np.ndarray] = {}
     feature = -1
-    for attempt in range(_SPLIT_ATTEMPTS):
+    for attempt in range(SPLIT_ATTEMPTS):
         if attempt % 2 == 0:  # even attempts redraw the feature, odd ones the value
             feature = int(eligible[_draw_rebuilding_law(best[eligible], config.b1, rng)])
+        if trace is not None:
+            trace.append(feature)
         positions = np.flatnonzero(valid[feature])
         choice = _draw_rebuilding_law(decreases[feature, positions], config.b2, rng)
         threshold = thresholds[feature, positions[choice]]
@@ -548,86 +576,189 @@ def reference_sample_split(xs, ys, xe, sorted_pos, est_pos, class_count, config,
     return None
 
 
-def reference_build_tree(dataset, structure_idx, estimation_idx, config, rng):
-    """``build_tree`` with its own stack walk, child filtering, leaf emission and split search."""
-    xs = np.ascontiguousarray(dataset.features[structure_idx])
-    ys = dataset.labels[structure_idx]
-    xe = np.ascontiguousarray(dataset.features[estimation_idx])
-    ye = dataset.labels[estimation_idx]
-    class_count = dataset.class_count
-    k, max_depth = config.k, config.max_depth
-    member = np.zeros(xs.shape[0], dtype=bool)
+def reference_node_split(
+    xs, ys, xe, sorted_pos, est_pos, class_count, config, depth, rng, trace=None
+):
+    """One node's split as the level grower decides it, searched on its own.
+
+    A node past the gate with a valid cut takes ``rng.random(15)`` and runs
+    :func:`reference_sample_split` on those uniforms replayed; any other
+    node is a leaf and draws nothing.
+    """
+    capped = config.max_depth is not None and depth >= config.max_depth
+    if capped or est_pos.size <= config.k or sorted_pos.shape[1] < 2:
+        return None
+    valid, _ = cut_points(gather_sorted(xs, sorted_pos))
+    if not valid.any():
+        return None
+    block = Replay(rng.random(BLOCK))
+    return reference_sample_split(
+        xs, ys, xe, sorted_pos, est_pos, class_count, config, block, trace
+    )
+
+
+def _children(x, sorted_pos, feature, threshold):
+    """A node's left and right children's sorted positions, each row filtered in order."""
+    goes_left = x[sorted_pos, feature] <= threshold
+    rows, m = sorted_pos.shape
+    left_n = int(goes_left[0].sum())
+    return (
+        sorted_pos[goes_left].reshape(rows, left_n),
+        sorted_pos[~goes_left].reshape(rows, m - left_n),
+    )
+
+
+def _grow_reference(xs, ye, class_count, search):
+    """A ``TreeNode`` graph grown one node at a time, first in first out, from
+    ``search(node, sorted_pos, est_pos)``, which returns None for a leaf or
+    ``(feature, threshold, est_left)``."""
     root = TreeNode(depth=0)
-    tree_max_depth = 0
-    stack = [(root, _sorted_index_matrix(xs), np.arange(xe.shape[0]), None)]
-    while stack:
-        node, sorted_pos, est_pos, parent_eta = stack.pop()
-        m = sorted_pos.shape[1]
-        split = None
-        if est_pos.size > k and m >= 2 and (max_depth is None or node.depth < max_depth):
-            split = reference_sample_split(
-                xs, ys, xe, sorted_pos, est_pos, class_count, config, rng
-            )
+    pending = deque([(root, sorted_positions(xs), np.arange(ye.size))])
+    tree_depth = 0
+    while pending:
+        node, sorted_pos, est_pos = pending.popleft()
+        split = search(node, sorted_pos, est_pos)
         if split is None:
             node.counts = np.bincount(ye[est_pos], minlength=class_count)
-            node.eta = _leaf_distribution(ye[est_pos], class_count, parent_eta)
-            tree_max_depth = max(tree_max_depth, node.depth)
+            node.eta = node.counts / est_pos.size
+            tree_depth = max(tree_depth, node.depth)
             continue
-        feature, threshold, est_left_mask = split
-        node.feature = feature
-        node.threshold = float(threshold)
-        node.left = TreeNode(depth=node.depth + 1)
-        node.right = TreeNode(depth=node.depth + 1)
+        node.feature, node.threshold, est_left = split
+        node.left, node.right = TreeNode(depth=node.depth + 1), TreeNode(depth=node.depth + 1)
+        left_sorted, right_sorted = _children(xs, sorted_pos, node.feature, node.threshold)
+        pending.append((node.left, left_sorted, est_pos[est_left]))
+        pending.append((node.right, right_sorted, est_pos[~est_left]))
+    return GraphTree(root, tree_depth)
+
+
+def _mrf_rows(dataset, structure_idx, estimation_idx):
+    xs = np.ascontiguousarray(dataset.features[structure_idx])
+    xe = np.ascontiguousarray(dataset.features[estimation_idx])
+    return xs, dataset.labels[structure_idx], xe, dataset.labels[estimation_idx]
+
+
+def reference_build_tree(dataset, structure_idx, estimation_idx, config, rng):
+    """``build_tree`` one node at a time, first in first out, each node split as
+    :func:`reference_node_split` splits it."""
+    xs, ys, xe, ye = _mrf_rows(dataset, structure_idx, estimation_idx)
+
+    def search(node, sorted_pos, est_pos):
+        return reference_node_split(
+            xs, ys, xe, sorted_pos, est_pos, dataset.class_count, config, node.depth, rng
+        )
+
+    return _grow_reference(xs, ye, dataset.class_count, search)
+
+
+def depth_first_build_tree(dataset, structure_idx, estimation_idx, config, rng) -> Tree:
+    """``build_tree`` as the library grew trees before it grew a level at a time.
+
+    Depth first, right subtree first; each node's children are appended to
+    the arrays when it splits. Each search draws from ``rng`` only the
+    uniforms its attempts read: none without a valid cut, all 15 when no cut
+    is feasible, and otherwise until an attempt hits a feasible cut.
+    """
+    xs, ys, xe, ye = _mrf_rows(dataset, structure_idx, estimation_idx)
+    class_count = dataset.class_count
+    member = np.zeros(xs.shape[0], dtype=bool)
+    feature, threshold, left = [-1], [0.0], [-1]
+    leaf_counts: list[np.ndarray | None] = [None]
+    stack = [(0, 0, sorted_positions(xs), np.arange(ye.size))]
+    while stack:
+        node, depth, sorted_pos, est_pos = stack.pop()
+        counts = np.bincount(ye[est_pos], minlength=class_count)
+        capped = config.max_depth is not None and depth >= config.max_depth
+        split = None
+        if not (capped or est_pos.size <= config.k or sorted_pos.shape[1] < 2):
+            split = _depth_first_search(xs, ys, xe, sorted_pos, est_pos, class_count, config, rng)
+        if split is None:
+            leaf_counts[node] = counts
+            continue
+        split_feature, split_threshold, est_left = split
+        child = len(feature)
+        feature[node], threshold[node], left[node] = split_feature, split_threshold, child
+        feature += (-1, -1)
+        threshold += (0.0, 0.0)
+        left += (-1, -1)
+        leaf_counts += (None, None)
         rows = sorted_pos[0]
-        left_rows = rows[xs[rows, feature] <= threshold]
+        left_rows = rows[xs[rows, split_feature] <= split_threshold]
         member[left_rows] = True
         keep = member[sorted_pos]
         member[left_rows] = False
-        left_sorted = sorted_pos[keep].reshape(sorted_pos.shape[0], left_rows.size)
-        right_sorted = sorted_pos[~keep].reshape(sorted_pos.shape[0], m - left_rows.size)
-        node_eta = _leaf_distribution(ye[est_pos], class_count, parent_eta)
-        stack.append((node.left, left_sorted, est_pos[est_left_mask], node_eta))
-        stack.append((node.right, right_sorted, est_pos[~est_left_mask], node_eta))
-    return GraphTree(root, tree_max_depth)
+        features, m = sorted_pos.shape
+        left_sorted = sorted_pos[keep].reshape(features, left_rows.size)
+        right_sorted = sorted_pos[~keep].reshape(features, m - left_rows.size)
+        stack.append((child, depth + 1, left_sorted, est_pos[est_left]))
+        stack.append((child + 1, depth + 1, right_sorted, est_pos[~est_left]))
+    return Tree(
+        np.array(feature, dtype=np.intp),
+        np.array(threshold),
+        np.array(left, dtype=np.intp),
+        np.array([counts for counts in leaf_counts if counts is not None]),
+    )
+
+
+def _depth_first_search(xs, ys, xe, sorted_pos, est_pos, class_count, config, rng):
+    """The depth-first grower's split search: laws built once, draws straight from ``rng``."""
+    valid, thresholds = cut_points(gather_sorted(xs, sorted_pos))
+    if not valid.any():
+        return None
+    k, n_est = config.k, est_pos.size
+    bounds = np.partition(xe[est_pos], (k - 1, n_est - k), axis=0)
+    lo, hi = bounds[k - 1, :, None], bounds[n_est - k, :, None]
+    feasible = valid & (lo <= thresholds) & (thresholds < hi)
+    if not feasible.any():
+        rng.random(BLOCK)
+        return None
+    decreases = scan_features(ys[sorted_pos], class_count, config.criterion)
+    best = np.where(valid, decreases, -np.inf).max(axis=1)
+    eligible = np.flatnonzero(best > -np.inf)
+    feature_cdf = np.cumsum(softmax_scaled(normalize(best[eligible]), config.b1))
+    reachable = feasible.any(axis=1)
+    value_laws: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    feature = -1
+    for attempt in range(SPLIT_ATTEMPTS):
+        if attempt % 2 == 0:  # even attempts draw a feature and a value, odd ones a value
+            feature = int(eligible[_inverse_cdf_draw(feature_cdf, rng)])
+        if not reachable[feature]:  # its value draw can only fail: spend the uniform
+            rng.random()
+            continue
+        if feature not in value_laws:
+            positions = np.flatnonzero(valid[feature])
+            scores = decreases[feature, positions]
+            value_laws[feature] = positions, np.cumsum(softmax_scaled(normalize(scores), config.b2))
+        positions, value_cdf = value_laws[feature]
+        cut = positions[_inverse_cdf_draw(value_cdf, rng)]
+        if feasible[feature, cut]:
+            threshold = thresholds[feature, cut]
+            return feature, float(threshold), xe[est_pos, feature] <= threshold
+    return None
+
+
+def _inverse_cdf_draw(cdf, rng) -> int:
+    return min(int(cdf.searchsorted(rng.random(), side="right")), cdf.size - 1)
 
 
 def reference_build_baseline_tree(x, y, class_count, k, mtry, criterion, rng):
-    """``build_baseline_tree`` with its own stack walk, child filtering and leaf emission."""
+    """``build_baseline_tree`` one node at a time, first in first out, with its own
+    feature subsets, child filtering and leaf emission."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    n, feature_count = x.shape
-    member = np.zeros(n, dtype=bool)
-    root = TreeNode(depth=0)
-    tree_max_depth = 0
-    stack = [(root, _sorted_index_matrix(x))]
-    while stack:
-        node, sorted_pos = stack.pop()
-        rows = sorted_pos[0]
-        m = rows.size
-        counts = np.bincount(y[rows], minlength=class_count)
-        split = None
-        if m > k and counts.max() < m:
-            subset = np.sort(rng.choice(feature_count, size=mtry, replace=False))
-            valid, thresholds = cut_points(_gather_sorted(x, sorted_pos[subset], subset))
-            decreases = scan_features(y[sorted_pos[subset]], class_count, criterion)
-            masked = np.where(valid, decreases, -np.inf)
-            if np.isfinite(masked.max()):
-                feat_row, pos = divmod(int(np.argmax(masked)), masked.shape[1])
-                split = (int(subset[feat_row]), float(thresholds[feat_row, pos]))
-        if split is None:
-            node.counts = counts
-            node.eta = counts / m
-            tree_max_depth = max(tree_max_depth, node.depth)
-            continue
-        feature, threshold = split
-        node.feature = feature
-        node.threshold = threshold
-        node.left = TreeNode(depth=node.depth + 1)
-        node.right = TreeNode(depth=node.depth + 1)
-        left_rows = rows[x[rows, feature] <= threshold]
-        member[left_rows] = True
-        keep = member[sorted_pos]
-        member[left_rows] = False
-        stack.append((node.left, sorted_pos[keep].reshape(sorted_pos.shape[0], left_rows.size)))
-        stack.append((node.right, sorted_pos[~keep].reshape(sorted_pos.shape[0], m - left_rows.size)))
-    return GraphTree(root, tree_max_depth)
+
+    def search(node, sorted_pos, est_pos):
+        m = est_pos.size
+        if m <= k or np.bincount(y[est_pos]).max() == m:
+            return None
+        order = np.argsort(rng.random(x.shape[1]), kind="stable")
+        subset = np.sort(order[:mtry])
+        valid, thresholds = cut_points(gather_sorted(x, sorted_pos[subset], subset))
+        decreases = scan_features(y[sorted_pos[subset]], class_count, criterion)
+        masked = np.where(valid, decreases, -np.inf)
+        if not np.isfinite(masked.max()):
+            return None
+        feat_row, pos = divmod(int(np.argmax(masked)), masked.shape[1])
+        feature, threshold = int(subset[feat_row]), float(thresholds[feat_row, pos])
+        return feature, threshold, x[est_pos, feature] <= threshold
+
+    return _grow_reference(x, y, class_count, search)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import mrforest.cli as cli
+import mrforest.forest
 from conftest import random_dataset
 from mrforest.errors import ParseError, SchemaError
 from mrforest.forest import (
@@ -29,6 +30,7 @@ from mrforest.forest import (
     train_baseline_rf,
     train_mrf,
 )
+from mrforest.tree import Tree
 from oracle import v1_forest_doc, walk_votes
 
 VARIANTS = ("mrf", "completely_random", "breiman")
@@ -389,6 +391,31 @@ def test_bad_v2_model_document_raises_parse_error(corrupt):
     doc = _model_doc_v2()
     corrupt(doc)
     with pytest.raises(ParseError):
+        Forest.from_json(json.dumps(doc))
+
+
+def test_v2_trees_are_read_and_checked_once_per_forest(monkeypatch):
+    # all trees' columns go through one read_trees call, never through the
+    # one-tree reader, and a fault is reported with its tree and node
+    calls = []
+    real_read_trees = mrforest.forest.read_trees
+
+    def counted(docs, *args):
+        calls.append(len(docs))
+        return real_read_trees(docs, *args)
+
+    def one_tree(*args):
+        raise AssertionError("a version 2 tree was read on its own")
+
+    monkeypatch.setattr(mrforest.forest, "read_trees", counted)
+    monkeypatch.setattr(Tree, "from_dict", one_tree)
+    doc = _model_doc_v2()
+    forest = Forest.from_json(json.dumps(doc))
+    assert calls == [2]
+    assert forest.to_dict() == doc
+    split = _splits(doc, tree=1)[0]
+    doc["trees"][1]["feature"][split] = len(doc["feature_names"])
+    with pytest.raises(ParseError, match=f"tree 1 node {split}: feature out of range"):
         Forest.from_json(json.dumps(doc))
 
 

@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 
 from mrforest.errors import DomainError
 from mrforest.splitsel import (
+    Laws,
     feature_probability_bounds,
     normalize,
+    ragged_arange,
     sample_index,
+    sample_indices,
     select_feature,
     select_value,
     selection_cdf,
+    selection_cdfs,
     softmax_scaled,
     value_region_bound,
 )
@@ -139,6 +143,65 @@ class TestSelection:
         expected = weights / weights.sum()
         probs = softmax_scaled(normalize([0.3, 0.2, 0.1]), 10.0)
         assert np.allclose(probs, expected)
+
+
+def _runs(rng):
+    """1-7 runs of 1-40 scores, rounded so that ties and all-equal runs occur."""
+    sizes = rng.integers(1, 41, size=int(rng.integers(1, 8)))
+    scores = np.round(rng.random(sizes.sum()), int(rng.integers(1, 4)))
+    return scores, sizes
+
+
+class TestBatchedLaws:
+    @pytest.mark.parametrize("budget", [0.0, 0.05, 1.0, 10.0, math.inf])
+    def test_each_law_is_its_runs_selection_cdf(self, budget):
+        rng = np.random.default_rng(int(10 * min(budget, 99)))
+        for _ in range(100):
+            scores, sizes = _runs(rng)
+            laws = selection_cdfs(scores, sizes, budget)
+            assert laws.size.tolist() == sizes.tolist()
+            for i, start in enumerate(np.cumsum(sizes) - sizes):
+                own = selection_cdf(scores[start : start + sizes[i]], budget)
+                np.testing.assert_allclose(laws.law(i), own, rtol=1e-9)
+
+    @pytest.mark.parametrize("budget", [0.0, 1.0, math.inf])
+    def test_batched_draws_are_each_laws_own_draws(self, budget):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            scores, sizes = _runs(rng)
+            laws = selection_cdfs(scores, sizes, budget)
+            which = rng.integers(0, sizes.size, size=50)
+            uniforms = rng.random(50)
+            drawn = sample_indices(laws, which, uniforms)
+            for law, u, index in zip(which, uniforms, drawn):
+                own = int(laws.law(law).searchsorted(u, side="right"))
+                assert index == min(own, sizes[law] - 1)
+
+    def test_uniform_past_a_laws_end_draws_its_last_index(self):
+        laws = Laws(np.array([0.5, 0.75, 0.5, 0.5]), np.array([0, 2]), np.array([2, 2]))
+        drawn = sample_indices(laws, np.array([0, 1, 1]), np.array([0.9, 0.4, 0.6]))
+        assert drawn.tolist() == [1, 0, 1]
+
+    def test_mechanisms_draw_batches_from_laws_and_single_draws_from_a_cdf(self):
+        laws = selection_cdfs(np.array([0.2, 0.9, 0.1, 0.3]), np.array([3, 1]), math.inf)
+        which, uniforms = np.array([0, 1, 0]), np.array([0.1, 0.5, 0.99])
+        assert select_feature(laws, uniforms, which).tolist() == [1, 0, 1]
+        assert select_value(laws, uniforms, which).tolist() == [1, 0, 1]
+        assert select_feature(laws.law(0), np.random.default_rng(0)) == 1
+
+    def test_extended_laws_are_numbered_after_the_first(self):
+        first = selection_cdfs(np.array([0.1, 0.2]), np.array([2]), 1.0)
+        second = selection_cdfs(np.array([0.3, 0.3, 0.9]), np.array([1, 2]), 1.0)
+        both = first.extend(second)
+        assert both.size.tolist() == [2, 1, 2]
+        for index, law in enumerate((first.law(0), second.law(0), second.law(1))):
+            assert np.array_equal(both.law(index), law)
+        drawn = sample_indices(both, np.array([2, 2, 1]), np.array([0.0, 0.999, 0.5]))
+        assert drawn.tolist() == [0, 1, 0]
+
+    def test_ragged_arange(self):
+        assert ragged_arange(np.array([5, 0, 9]), np.array([2, 0, 3])).tolist() == [5, 6, 9, 10, 11]
+        assert ragged_arange(np.zeros(0, dtype=int), np.zeros(0, dtype=int)).tolist() == []
 
 
 class TestBounds:

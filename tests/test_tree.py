@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from conftest import random_dataset
 from mrforest.data import Dataset, partition
@@ -13,11 +15,14 @@ from mrforest.forest import MrfConfig
 from mrforest.errors import ConfigError
 from mrforest.forest import Forest, predict_batch
 import mrforest.tree
+from mrforest.impurity import cut_points, scan_features
+from mrforest.splitsel import selection_cdf
 from mrforest.tree import (
     Tree,
     TreeNode,
-    _sample_split,
-    _sorted_index_matrix,
+    _Level,
+    _sample_splits,
+    _Segments,
     build_baseline_tree,
     build_tree,
     compile_trees,
@@ -25,12 +30,16 @@ from mrforest.tree import (
     tree_votes,
 )
 from oracle import (
+    BLOCK,
     TieError,
+    depth_first_build_tree,
     exhaustive_cart,
     flat_tree,
+    gather_sorted,
     reference_build_baseline_tree,
     reference_build_tree,
-    reference_sample_split,
+    reference_node_split,
+    sorted_positions,
     tree_shape,
     v1_tree_doc,
     walk_eta,
@@ -161,8 +170,8 @@ class TestOneGrower:
             assert min(depths) == 0 and max(depths) >= 5
 
 
-# estimation row counts of a searched node, each above k as the split rule requires
-EST_SIZES = (lambda k: k + 1, lambda k: 2 * k - 1, lambda k: 2 * k, lambda k: 2 * k + 1)
+# estimation row counts of a node, the first three above k as the split rule requires
+EST_SIZES = (lambda k: k + 1, lambda k: 2 * k, lambda k: 2 * k + 1, lambda k: 2 * k - 1)
 SEARCH_RULES = (
     dict(b1=10.0, b2=10.0),
     dict(b1=math.inf, b2=math.inf),
@@ -172,69 +181,104 @@ SEARCH_RULES = (
 )
 
 
-def _search_node(seed: int) -> tuple[tuple, MrfConfig]:
-    """A fuzzed node for ``_sample_split`` and the config searching it.
+def _search_level(seed: int):
+    """A fuzzed level of 1-6 nodes for ``_sample_splits``, its nodes one by one, and its config.
 
     Values are integers 0-5, so structure rows tie and every candidate
     threshold is a multiple of 0.5; estimation values are drawn from those
-    multiples, so they land on cut points. Every other node draws them from
-    only two values, so both order statistics sit inside runs of ties.
+    multiples, so they land on cut points. Every other level draws them from
+    only two values, so both order statistics sit inside runs of ties. Most
+    nodes pass the gate; some hold one structure row or ``2k - 1``
+    estimation rows, and a level at depth 3 under the depth cap has none
+    that pass. Returns the level, each node's ``(xs, ys, xe, sorted_pos,
+    est_pos, classes)`` for :func:`reference_node_split`, and the config.
     """
     rng = np.random.default_rng(seed)
-    size_of = EST_SIZES[seed % len(EST_SIZES)]
-    # k = 1 on every third group of sizes, except where 2k - 1 rows do not exceed k
-    k = 1 if (seed // len(EST_SIZES)) % 3 == 0 and size_of(1) > 1 else int(rng.integers(2, 7))
-    n_est, d, classes = size_of(k), int(rng.integers(1, 5)), int(rng.integers(2, 4))
-    xs = rng.integers(0, 6, size=(int(rng.integers(2, 40)), d)).astype(np.float64)
+    k = 1 if seed % 3 == 0 else int(rng.integers(2, 7))
+    count, d, classes = int(rng.integers(1, 7)), int(rng.integers(1, 5)), int(rng.integers(2, 4))
+    m = rng.integers(2, 20, size=count)
+    m[rng.random(count) < 0.1] = 1
+    n_est = np.array([EST_SIZES[int(rng.integers(0, len(EST_SIZES)))](k) for _ in range(count)])
+    xs = rng.integers(0, 6, size=(m.sum(), d)).astype(np.float64)
     ys = rng.integers(0, classes, size=xs.shape[0])
     pool = np.arange(0.0, 5.5, 0.5)
     if seed % 2:
         pool = rng.choice(pool, size=2, replace=False)
-    xe = rng.choice(pool, size=(n_est + int(rng.integers(0, 5)), d))
-    est_pos = np.sort(rng.choice(xe.shape[0], size=n_est, replace=False))
-    # the node holds a subset of the structure rows, still sorted per feature
-    member = rng.random(xs.shape[0]) < 0.8
-    member[rng.choice(xs.shape[0], size=2, replace=False)] = True
-    full = _sorted_index_matrix(xs)
-    sorted_pos = full[member[full]].reshape(d, int(member.sum()))
+    xe = rng.choice(pool, size=(n_est.sum() + int(rng.integers(0, 5)), d))
+    s_rows = np.split(rng.permutation(xs.shape[0]), np.cumsum(m)[:-1])
+    e_rows = np.split(rng.permutation(xe.shape[0])[: n_est.sum()], np.cumsum(n_est)[:-1])
+    nodes = []
+    for rows, est in zip(s_rows, e_rows):
+        rows = np.sort(rows)  # ties in row order, as the grower keeps them
+        nodes.append((xs, ys, xe, rows[sorted_positions(xs[rows])], est, classes))
+
+    def segments(x, positions):
+        sorted_pos = [p[sorted_positions(x[p])] for p in map(np.sort, positions)]
+        bounds = np.concatenate(([0], np.cumsum([p.size for p in positions])))
+        return _Segments(np.concatenate(sorted_pos, axis=1).astype(np.int32), bounds)
+
+    counts = np.zeros((count, classes), dtype=np.int64)  # the multinomial rule reads none
+    level = _Level(seed % 4, segments(xs, s_rows), segments(xe, e_rows), counts)
     config = MrfConfig(t=1, k=k, **SEARCH_RULES[seed % len(SEARCH_RULES)])
-    return (xs, ys, xe, sorted_pos, est_pos, classes), config
+    return level, nodes, config
+
+
+def _decide_level(seed, rng=None):
+    level, nodes, config = _search_level(seed)
+    xs, ys, xe, _, _, classes = nodes[0]
+    rng = np.random.default_rng(seed) if rng is None else rng
+    return _sample_splits(xs, ys, xe, classes, config, rng, level)
+
+
+class _CountingRng:
+    """An rng that records the shape of each ``random`` call."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def random(self, size=None):
+        self.calls.append(size)
+        return self.rng.random(size)
 
 
 class TestSplitSearch:
-    """``_sample_split`` returns the splits, and draws the rng stream, of the search
-    that runs both mechanisms on every attempt and counts estimation rows per cut."""
+    """A level's nodes get the splits, and the level draws the rng stream, of
+    each node searched on its own with its block of 15 uniforms replayed, by
+    the search that runs both mechanisms on every attempt and counts
+    estimation rows per cut."""
 
     @pytest.mark.parametrize("seed", range(160))
     def test_matches_reference_search(self, seed):
-        node, config = _search_node(seed)
+        level, nodes, config = _search_level(seed)
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        split = _sample_split(*node, config, rng)
-        reference = reference_sample_split(*node, config, reference_rng)
+        feature, threshold = _decide_level(seed, rng)
+        for i, node in enumerate(nodes):
+            split = reference_node_split(*node, config, level.depth, reference_rng)
+            if split is None:
+                assert (feature[i], threshold[i]) == (-1, 0.0)
+            else:
+                assert (feature[i], threshold[i]) == split[:2]
         assert rng.bit_generator.state == reference_rng.bit_generator.state
-        assert (split is None) == (reference is None)
-        if split is not None:
-            assert split[:2] == reference[:2]
-            np.testing.assert_array_equal(split[2], reference[2])
 
-    def test_fuzzed_nodes_reach_every_outcome(self, monkeypatch):
-        # outcomes: a split, no feasible cut (no mechanism runs), and feasible
-        # cuts that the attempts all missed
-        draws = []
-        real_select_value = mrforest.tree.select_value
-
-        def counted_select_value(*args):
-            draws.append(1)
-            return real_select_value(*args)
-
-        monkeypatch.setattr(mrforest.tree, "select_value", counted_select_value)
+    def test_fuzzed_nodes_reach_every_outcome(self):
+        # outcomes: a split, feasible cuts that the attempts all missed, a cut
+        # but none feasible (no mechanism runs), no cut, and a gated node
         outcomes = set()
         for seed in range(160):
-            node, config = _search_node(seed)
-            draws.clear()
-            split = _sample_split(*node, config, np.random.default_rng(seed))
-            outcomes.add("split" if split else "missed" if draws else "infeasible")
-        assert outcomes == {"split", "missed", "infeasible"}
+            level, nodes, config = _search_level(seed)
+            feature, _ = _decide_level(seed)
+            for i, node in enumerate(nodes):
+                has_cut, has_feasible = _brute_force_cuts(node, config.k)
+                capped = config.max_depth is not None and level.depth >= config.max_depth
+                if capped or node[4].size <= config.k or node[3].shape[1] < 2:
+                    outcomes.add("gated")
+                elif feature[i] >= 0:
+                    assert has_feasible
+                    outcomes.add("split")
+                else:
+                    missed = "missed" if has_feasible else "infeasible"
+                    outcomes.add(missed if has_cut else "no cut")
+        assert outcomes == {"split", "missed", "infeasible", "no cut", "gated"}
 
     @pytest.mark.parametrize(
         "xe, k",
@@ -250,18 +294,21 @@ class TestSplitSearch:
 
         monkeypatch.setattr(mrforest.tree, "select_feature", no_draw)
         monkeypatch.setattr(mrforest.tree, "select_value", no_draw)
+        monkeypatch.setattr(mrforest.tree, "selection_cdfs", no_draw)
         xs = np.arange(8.0)[:, None]
-        node = (xs, np.arange(8) % 2, xe, _sorted_index_matrix(xs), np.arange(xe.shape[0]), 2)
+        level = _Level(
+            0, _Segments.root(xs), _Segments.root(xe), np.zeros((1, 2), dtype=np.int64)
+        )
         rng, expected = np.random.default_rng(5), np.random.default_rng(5)
-        assert _sample_split(*node, MrfConfig(t=1, k=k), rng) is None
-        for _ in range(15):  # the ten value and five feature draws of the attempts
-            expected.random()
+        feature, _ = _sample_splits(xs, np.arange(8) % 2, xe, 2, MrfConfig(t=1, k=k), rng, level)
+        assert feature.tolist() == [-1]
+        expected.random(BLOCK)  # the ten value and five feature draws of the attempts
         assert rng.bit_generator.state == expected.bit_generator.state
 
-
     def test_scan_runs_only_at_nodes_with_a_feasible_cut(self, monkeypatch):
-        # a node whose cuts all leave fewer than k estimation rows on a side runs
-        # no scan, and still draws the 15 uniforms of the attempts if it has a cut
+        # a level with a node past the gate draws one (nodes, 15) block of
+        # uniforms for its nodes past the gate with a valid cut, and runs one
+        # scan over exactly the columns of its nodes with a feasible cut, or none
         scans = []
         real_scan = mrforest.tree.scan_features
 
@@ -270,80 +317,128 @@ class TestSplitSearch:
             return real_scan(*args)
 
         monkeypatch.setattr(mrforest.tree, "scan_features", counted_scan)
-        feasible_nodes = 0
         kinds = set()
         for seed in range(160):
-            node, config = _search_node(seed)
-            cuts, feasible = _brute_force_cuts(node, config.k)
-            feasible_nodes += feasible
-            rng, expected = np.random.default_rng(seed), np.random.default_rng(seed)
-            before = len(scans)
-            split = _sample_split(*node, config, rng)
-            if feasible:
-                assert len(scans) == before + 1
-                continue
-            kinds.add("infeasible" if cuts else "no cut")
-            assert len(scans) == before and split is None
-            if cuts:
-                expected.random(15)  # the ten value and five feature draws of the attempts
-            assert rng.bit_generator.state == expected.bit_generator.state
-        assert len(scans) == feasible_nodes
-        assert kinds == {"infeasible", "no cut"} and 0 < feasible_nodes < 160
+            level, nodes, config = _search_level(seed)
+            capped = config.max_depth is not None and level.depth >= config.max_depth
+            passing = with_cut = feasible_columns = 0
+            for node in nodes:
+                if capped or node[4].size <= config.k or node[3].shape[1] < 2:
+                    continue
+                has_cut, has_feasible = _brute_force_cuts(node, config.k)
+                passing += 1
+                with_cut += has_cut
+                feasible_columns += has_feasible * node[3].shape[1]
+            rng = _CountingRng(seed)
+            scans.clear()
+            _decide_level(seed, rng)
+            assert rng.calls == ([(with_cut, BLOCK)] if passing else [])
+            if feasible_columns:
+                assert [shape[1] for shape in scans] == [feasible_columns]
+                kinds.add("scanned")
+            else:
+                assert scans == []
+                kinds.add("cut, no scan" if with_cut else "no cut")
+        assert kinds == {"scanned", "cut, no scan", "no cut"}
 
     def test_each_law_is_built_at_most_once(self, monkeypatch):
-        # a scanned search builds one feature law, and one value law per drawn
-        # feature that has a feasible cut; a drawn feature without one builds
-        # none and makes no value draw
-        events = []
-        real_law = mrforest.tree.selection_cdf
-        real_feature, real_value = mrforest.tree.select_feature, mrforest.tree.select_value
+        # per level: one batch of feature laws, equal to each searched node's
+        # own selection_cdf; value laws only for the (node, feature) pairs the
+        # attempts draw whose feature has a feasible cut, once each
+        built = []
+        real_laws = mrforest.tree.selection_cdfs
 
-        def counted_law(*args):
-            cdf = real_law(*args)
-            events.append(("law", cdf, None))
-            return cdf
+        def counted_laws(scores, sizes, budget):
+            laws = real_laws(scores, sizes, budget)
+            built.append((scores, sizes, laws))
+            return laws
 
-        def counted_feature(cdf, rng):
-            index = real_feature(cdf, rng)
-            events.append(("feature", cdf, index))
-            return index
-
-        def counted_value(cdf, rng):
-            events.append(("value", cdf, None))
-            return real_value(cdf, rng)
-
-        monkeypatch.setattr(mrforest.tree, "selection_cdf", counted_law)
-        monkeypatch.setattr(mrforest.tree, "select_feature", counted_feature)
-        monkeypatch.setattr(mrforest.tree, "select_value", counted_value)
+        monkeypatch.setattr(mrforest.tree, "selection_cdfs", counted_laws)
         seen = set()
         for seed in range(160):
-            node, config = _search_node(seed)
-            has_cut, has_feasible = _brute_force_feature_cuts(node, config.k)
-            eligible = np.flatnonzero(has_cut)
-            events.clear()
-            _sample_split(*node, config, np.random.default_rng(seed))
-            if not any(has_feasible):
-                assert events == []
+            level, nodes, config = _search_level(seed)
+            built.clear()
+            _decide_level(seed)
+            reference_rng = np.random.default_rng(seed)
+            own_laws, value_law_sizes = [], []
+            for node in nodes:
+                trace = []
+                reference_node_split(*node, config, level.depth, reference_rng, trace)
+                has_cut, has_feasible = _brute_force_feature_cuts(node, config.k)
+                if not any(has_feasible) or not trace:
+                    continue
+                xs, ys, _, sorted_pos, _, classes = node
+                valid, _ = cut_points(gather_sorted(xs, sorted_pos))
+                decreases = scan_features(ys[sorted_pos], classes, config.criterion)
+                best = np.where(valid, decreases, -np.inf).max(axis=1)
+                own_laws.append(selection_cdf(best[np.array(has_cut)], config.b1))
+                reached = [f for f in trace if has_feasible[f]]
+                value_law_sizes += [int(valid[f].sum()) for f in set(reached)]
+                seen.add("reused" if len(set(reached)) < len(reached) else "one")
+            if not own_laws:
+                assert built == []
                 continue
-            laws = [cdf for kind, cdf, _ in events if kind == "law"]
-            assert events[0][0] == "law"
-            feature_law = laws[0]
-            value_law_of: dict[int, np.ndarray] = {}
-            feature = -1
-            for kind, cdf, index in events[1:]:
-                if kind == "feature":
-                    assert cdf is feature_law
-                    feature = int(eligible[index])
-                    seen.add("reachable" if has_feasible[feature] else "unreachable")
-                elif kind == "value":
-                    assert has_feasible[feature]
-                    if feature in value_law_of:
-                        assert cdf is value_law_of[feature]
-                        seen.add("reused")
-                    value_law_of[feature] = cdf
-            assert len(laws) == 1 + len(value_law_of)
-            assert all(any(law is v for v in value_law_of.values()) for law in laws[1:])
-        assert seen == {"reachable", "unreachable", "reused"}
+            feature_laws = built[0][2]
+            assert len(own_laws) == feature_laws.size.size
+            for i, law in enumerate(own_laws):
+                np.testing.assert_allclose(feature_laws.law(i), law, rtol=1e-9)
+            sizes = sorted(int(size) for _, run_sizes, _ in built[1:] for size in run_sizes)
+            assert sizes == sorted(value_law_sizes)
+        assert seen == {"reused", "one"}
+
+
+# a micro-dataset: n=8, D=2, K=2, whose k=1 trees at b1 = b2 = 1 take many shapes
+WITNESS_X = np.array([[0.0, 3.0], [1, 1], [2, 4], [3, 0], [4, 2], [5, 5], [6, 7], [7, 6]])
+WITNESS_Y = np.array([0, 0, 1, 0, 1, 1, 0, 1])
+WITNESS_SEEDS = 3000
+
+
+def _split_key(tree: Tree, node: int = 0) -> tuple:
+    """A tree's splits as nested tuples, whatever order its nodes are numbered in."""
+    if tree.feature[node] == -1:
+        return ()
+    left = int(tree.left[node])
+    return (
+        int(tree.feature[node]),
+        float(tree.threshold[node]),
+        _split_key(tree, left),
+        _split_key(tree, left + 1),
+    )
+
+
+def _two_sample_p(first: Counter, second: Counter) -> float:
+    """Chi-square p of two samples over categories; rare categories are pooled."""
+    keys = sorted(set(first) | set(second), key=lambda key: -(first[key] + second[key]))
+    table, pooled = [], [0, 0]
+    for key in keys:
+        if first[key] + second[key] >= 20:
+            table.append([first[key], second[key]])
+        else:
+            pooled[0] += first[key]
+            pooled[1] += second[key]
+    if sum(pooled) >= 20:
+        table.append(pooled)
+    return float(scipy.stats.chi2_contingency(np.array(table).T).pvalue)
+
+
+class TestDistributionWitness:
+    """The level grower draws trees from the distribution of the depth-first
+    grower it replaced: the nodes read other uniforms, under the same law."""
+
+    def test_root_splits_and_tree_shapes_match_the_depth_first_grower(self):
+        ds = Dataset(WITNESS_X, WITNESS_Y, ("a", "b"), 2)
+        config = MrfConfig(t=1, k=1, b1=1.0, b2=1.0)
+        roots, shapes = (Counter(), Counter()), (Counter(), Counter())
+        for side, build in enumerate((build_tree, depth_first_build_tree)):
+            for seed in range(side * WITNESS_SEEDS, (side + 1) * WITNESS_SEEDS):
+                tree, _ = _grow_mrf(build, ds, config, seed)
+                shape = _split_key(tree)
+                roots[side][shape[:2]] += 1
+                shapes[side][shape] += 1
+        # enough kinds of root and shape that the test can tell them apart
+        assert len(roots[0]) >= 6 and len(shapes[0]) >= 20
+        assert _two_sample_p(*roots) > 0.001
+        assert _two_sample_p(*shapes) > 0.001
 
 
 def _brute_force_cuts(node, k) -> tuple[bool, bool]:

@@ -35,10 +35,8 @@ from .privacy import (
 from .splitsel import (
     feature_probability_bounds,
     normalize,
-    sample_index,
     select_feature,
     select_value,
-    selection_cdf,
     softmax_scaled,
     value_region_bound,
 )
@@ -56,8 +54,6 @@ __all__ = [
     "ClassCounts",
     "normalize",
     "softmax_scaled",
-    "selection_cdf",
-    "sample_index",
     "select_feature",
     "select_value",
     "feature_probability_bounds",

@@ -101,7 +101,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "--epsilon",
         type=float,
         default=None,
-        help="total privacy budget; overrides b1/b2/b3 and caps depth",
+        help="total privacy budget; overrides b1/b2/b3 and caps depth (not for breiman)",
     )
     parser.add_argument(
         "--budget-split",
@@ -159,7 +159,14 @@ def _load(args: argparse.Namespace) -> Dataset:
     )
 
 
+def _check_epsilon(args: argparse.Namespace) -> None:
+    """Reject a privacy budget for the greedy baseline, which no budget makes private."""
+    if args.method == "breiman" and args.epsilon is not None:
+        raise errors.ConfigError("--epsilon does not apply to --method breiman")
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
+    _check_epsilon(args)
     dataset = _load(args)
     if args.method == "breiman":
         config = BaselineConfig(
@@ -215,6 +222,7 @@ def _check_cv_flags(args: argparse.Namespace) -> None:
 
 def _cmd_cv(args: argparse.Namespace) -> int:
     _check_cv_flags(args)
+    _check_epsilon(args)
     dataset = _load(args)
     config = _config_from_args(args, dataset.n)
     report = run_cv(
@@ -372,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--b3", type=float, default=1.0)
     p_audit.add_argument("--feature", type=int, default=None, help="feature for the value audit")
     p_audit.add_argument("--criterion", choices=("gini", "entropy"), default="gini")
-    _add_report_flags(p_audit)
+    _add_out_flag(p_audit)
     p_audit.set_defaults(func=_cmd_audit)
 
     p_budget = sub.add_parser("budget", help="allocate a privacy budget")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -123,8 +122,7 @@ class Partition:
 class FoldPlan:
     """Repeated k-fold assignment: per repeat, disjoint test folds covering 0..n-1.
 
-    Train indices are derived on demand, so the serialized form stores only
-    the test folds.
+    Train indices are derived on demand from the test folds.
     """
 
     def __init__(self, n: int, test_folds: Sequence[Sequence[np.ndarray]]):
@@ -159,32 +157,6 @@ class FoldPlan:
         mask = np.ones(self.n, dtype=bool)
         mask[self.test_folds[repeat][fold]] = False
         return np.nonzero(mask)[0]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "repeats": self.repeats,
-                "folds": self.folds,
-                "test_folds": [
-                    [f.tolist() for f in repeat] for repeat in self.test_folds
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FoldPlan":
-        doc = json.loads(text)
-        return cls(doc["n"], doc["test_folds"])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FoldPlan):
-            return NotImplemented
-        return self.n == other.n and all(
-            np.array_equal(a, b)
-            for ra, rb in zip(self.test_folds, other.test_folds, strict=True)
-            for a, b in zip(ra, rb, strict=True)
-        )
 
 
 def read_table(

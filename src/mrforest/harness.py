@@ -12,14 +12,13 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Any, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
 from .data import Dataset, make_folds
-from .errors import ConfigError, IoError, TooFewPairs
+from .errors import ConfigError, TooFewPairs
 from .forest import (
     BaselineConfig,
     Forest,
@@ -48,19 +47,22 @@ _TRAIN_STREAM = 11
 _EVAL_STREAM = 12
 
 
+# A report's JSON is its kind and then its fields in declaration order (emit_report),
+# so the order of the fields below is part of the report format.
 @dataclass(frozen=True)
 class CvReport:
     """Per-fold accuracies of one method on one dataset."""
 
+    kind: ClassVar[str] = "cv_report"
     dataset: str
     method: str
     folds: int
     repeats: int
     seed: int
-    accuracies: tuple[float, ...]  # repeat-major, then fold order
-    fold_seconds: tuple[float, ...]
     mean: float
     std: float
+    accuracies: tuple[float, ...]  # repeat-major, then fold order
+    fold_seconds: tuple[float, ...]
 
     @classmethod
     def build(
@@ -86,34 +88,6 @@ class CvReport:
             std=float(acc.std(ddof=1)) if acc.size > 1 else 0.0,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": "cv_report",
-            "dataset": self.dataset,
-            "method": self.method,
-            "folds": self.folds,
-            "repeats": self.repeats,
-            "seed": self.seed,
-            "mean": self.mean,
-            "std": self.std,
-            "accuracies": list(self.accuracies),
-            "fold_seconds": list(self.fold_seconds),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "CvReport":
-        return cls(
-            dataset=doc["dataset"],
-            method=doc["method"],
-            folds=doc["folds"],
-            repeats=doc["repeats"],
-            seed=doc["seed"],
-            accuracies=tuple(doc["accuracies"]),
-            fold_seconds=tuple(doc["fold_seconds"]),
-            mean=doc["mean"],
-            std=doc["std"],
-        )
-
     def csv_rows(self) -> tuple[list[str], list[list[Any]]]:
         header = ["repeat", "fold", "accuracy", "seconds"]
         rows = [
@@ -127,6 +101,7 @@ class CvReport:
 class SweepReport:
     """Mean accuracy per (b1, b2) grid cell, all cells on one fold plan."""
 
+    kind: ClassVar[str] = "sweep_report"
     dataset: str
     b1_grid: tuple[float, ...]
     b2_grid: tuple[float, ...]
@@ -134,24 +109,6 @@ class SweepReport:
     repeats: int
     seed: int
     cells: tuple[dict[str, float], ...]  # b1-major, then b2 order
-
-    def mean_at(self, b1: float, b2: float) -> float:
-        for cell in self.cells:
-            if cell["b1"] == b1 and cell["b2"] == b2:
-                return cell["mean_acc"]
-        raise KeyError((b1, b2))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": "sweep_report",
-            "dataset": self.dataset,
-            "b1_grid": list(self.b1_grid),
-            "b2_grid": list(self.b2_grid),
-            "folds": self.folds,
-            "repeats": self.repeats,
-            "seed": self.seed,
-            "cells": [dict(c) for c in self.cells],
-        }
 
     def csv_rows(self) -> tuple[list[str], list[list[Any]]]:
         header = ["B1", "B2", "mean_acc", "std"]
@@ -163,19 +120,11 @@ class SweepReport:
 class TreeDistReport:
     """Per-tree accuracies of one forest on a held-out row set."""
 
+    kind: ClassVar[str] = "tree_dist_report"
     dataset: str
     method: str
-    accuracies: tuple[float, ...]
     forest_accuracy: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": "tree_dist_report",
-            "dataset": self.dataset,
-            "method": self.method,
-            "forest_accuracy": self.forest_accuracy,
-            "accuracies": list(self.accuracies),
-        }
+    accuracies: tuple[float, ...]
 
     def csv_rows(self) -> tuple[list[str], list[list[Any]]]:
         return ["tree", "accuracy"], [[i, a] for i, a in enumerate(self.accuracies)]
@@ -393,29 +342,16 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
-def emit_report(
-    report: CvReport | SweepReport | TreeDistReport,
-    format: str = "json",
-    path: str | Path | None = None,
-) -> str:
-    """Serialize a report; JSON keeps full float precision for exact re-parsing,
-    CSV prints floats with 6 significant digits for plotting.
-
-    Returns the rendered text; ``path`` additionally writes it (IoError on
-    failure).
+def emit_report(report: CvReport | SweepReport | TreeDistReport, format: str = "json") -> str:
+    """Render a report as text: JSON holds its kind and then its fields in order, at
+    full float precision for exact re-parsing; CSV holds its table, floats printed
+    with 6 significant digits for plotting.
     """
     if format == "json":
-        text = json.dumps(report.to_dict(), indent=2) + "\n"
-    elif format == "csv":
+        return json.dumps({"kind": report.kind, **asdict(report)}, indent=2) + "\n"
+    if format == "csv":
         header, rows = report.csv_rows()
         lines = [",".join(header)]
         lines += [",".join(_format_cell(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        raise ConfigError(f"unknown report format {format!r}")
-    if path is not None:
-        try:
-            Path(path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise IoError(f"cannot write report to {path}: {exc}") from exc
-    return text
+        return "\n".join(lines) + "\n"
+    raise ConfigError(f"unknown report format {format!r}")

@@ -26,7 +26,7 @@ order that reaches it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Any, Callable, Sequence
 
@@ -79,16 +79,7 @@ class AuditReport:
     candidate_mismatches: int = 0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "mechanism": self.mechanism,
-            "budget": self.budget,
-            "worst_ratio": self.worst_ratio,
-            "bound": self.bound,
-            "passed": self.passed,
-            "witness": self.witness,
-            "neighbor_count": self.neighbor_count,
-            "candidate_mismatches": self.candidate_mismatches,
-        }
+        return asdict(self)
 
 
 def allocate_budget(

@@ -1,20 +1,17 @@
 """Impurity-weighted multinomial selection of split features and values.
 
-Each mechanism is split into its law and its draw. The law,
-:func:`selection_cdf`, is ``cumsum(softmax_scaled(normalize(scores), B))``:
-min-max normalize the raw impurity decreases to [0, 1], scale by half the
-budget B, softmax, and accumulate. The draw, :func:`sample_index`, takes one
-uniform and returns the first index whose cumulative probability exceeds it.
-A law depends only on its scores and budget, so a caller that draws again
-from the same scores builds the law once; each draw from it equals a draw
-from a freshly built law. :func:`select_feature` and :func:`select_value`
-are that draw under each mechanism's name.
-
-:func:`selection_cdfs` builds many laws at once, each over its own run of
-scores, into :class:`Laws`; each equals :func:`selection_cdf` of its run up to
-rounding (sums of eight or more terms, and the running sum across runs, add
-in another order). :func:`sample_indices` makes one draw per given uniform,
-each from the law it names, and the mechanisms' draws take that form too.
+Each mechanism is split into its laws and its draws. A law is
+``cumsum(softmax_scaled(normalize(scores), B))``: min-max normalize the raw
+impurity decreases to [0, 1], scale by half the budget B, softmax, and
+accumulate. :func:`selection_cdfs` builds many laws at once, each over its own
+run of scores, into :class:`Laws` (sums of eight or more terms, and the
+running sum across runs, add in another order than one ``cumsum`` per run,
+so each law equals its run's up to rounding). A law depends only on its
+scores and budget, so a caller that draws again from the same scores builds
+the law once. :func:`sample_indices` makes one draw per given uniform, each
+from the law it names: the first index whose cumulative probability exceeds
+the uniform. :func:`select_feature` and :func:`select_value` are that draw
+under each mechanism's name.
 
 B = 0 gives uniform selection, B = math.inf gives a uniform draw over the
 argmax set, and anything between interpolates; the normalized scores keep
@@ -35,10 +32,8 @@ from .errors import DomainError
 __all__ = [
     "normalize",
     "softmax_scaled",
-    "selection_cdf",
     "Laws",
     "selection_cdfs",
-    "sample_index",
     "sample_indices",
     "ragged_arange",
     "select_feature",
@@ -54,10 +49,8 @@ def normalize(values: np.ndarray | list[float]) -> np.ndarray:
     An all-equal vector maps to all zeros.
     """
     arr = np.asarray(values, dtype=np.float64)
-    # a 1-D call (every draw in training) reduces to scalars, which is faster
-    keep = arr.ndim > 1
-    lo = arr.min(axis=-1, keepdims=keep)
-    span = arr.max(axis=-1, keepdims=keep) - lo
+    lo = arr.min(axis=-1, keepdims=True)
+    span = arr.max(axis=-1, keepdims=True) - lo
     # an all-equal vector divides its zeros by 1
     return (arr - lo) / (span + (span == 0))
 
@@ -69,19 +62,13 @@ def softmax_scaled(normalized: np.ndarray | list[float], budget: float) -> np.nd
     argmax entries (the greedy limit).
     """
     arr = np.asarray(normalized, dtype=np.float64)
-    keep = arr.ndim > 1
     if math.isinf(budget):
-        mask = arr == arr.max(axis=-1, keepdims=keep)
-        return mask / mask.sum(axis=-1, keepdims=keep)
+        mask = arr == arr.max(axis=-1, keepdims=True)
+        return mask / mask.sum(axis=-1, keepdims=True)
     z = 0.5 * budget * arr
-    z -= z.max(axis=-1, keepdims=keep)
+    z -= z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=keep)
-
-
-def selection_cdf(scores: np.ndarray | list[float], budget: float) -> np.ndarray:
-    """The cumulative law of one mechanism over ``scores`` at ``budget``."""
-    return np.cumsum(softmax_scaled(normalize(scores), budget))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -120,7 +107,7 @@ def ragged_arange(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def selection_cdfs(scores: np.ndarray, sizes: np.ndarray, budget: float) -> Laws:
-    """:func:`selection_cdf` of each run of ``scores``, run i holding ``sizes[i]`` >= 1 scores."""
+    """The law of each run of ``scores`` at ``budget``, run i holding ``sizes[i]`` >= 1 scores."""
     start = sizes.cumsum() - sizes
     lo = np.minimum.reduceat(scores, start)
     span = np.maximum.reduceat(scores, start) - lo
@@ -142,50 +129,24 @@ def selection_cdfs(scores: np.ndarray, sizes: np.ndarray, budget: float) -> Laws
     return Laws(cdf, start, sizes)
 
 
-def sample_index(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one index from a cumulative law; consumes exactly one uniform from ``rng``.
-
-    The draw is the first index whose cumulative probability exceeds the
-    uniform, clipped to the last index against rounding in the cumulative sum.
-    """
-    return min(int(cdf.searchsorted(rng.random(), side="right")), cdf.size - 1)
-
-
 def sample_indices(laws: Laws, which: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """:func:`sample_index` of law ``which[i]`` of ``laws`` at ``uniforms[i]``, for each i."""
+    """For each i, the first index of law ``which[i]`` whose cumulative probability
+    exceeds ``uniforms[i]``, clipped to the law's last index against rounding."""
     # the first entry above (which, uniform): in law ``which``, or the next law's first
     found = laws.key.searchsorted(which + 1j * uniforms, side="right") - laws.start[which]
     return np.minimum(found, laws.size[which] - 1)
 
 
-def _draw(
-    cdf: np.ndarray | Laws, rng: np.random.Generator | np.ndarray, which: np.ndarray | None
-) -> int | np.ndarray:
-    if isinstance(cdf, Laws):
-        return sample_indices(cdf, which, rng)
-    return sample_index(cdf, rng)
+def select_feature(laws: Laws, uniforms: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Draw split features: :func:`sample_indices` of feature laws, each over one node's
+    best decrease per feature at budget b1."""
+    return sample_indices(laws, which, uniforms)
 
 
-def select_feature(
-    cdf: np.ndarray | Laws, rng: np.random.Generator | np.ndarray, which: np.ndarray | None = None
-) -> int | np.ndarray:
-    """Draw a split feature from ``selection_cdf(best decrease per feature, b1)``.
-
-    Given :class:`Laws`, ``rng`` is an array of uniforms instead, and the
-    draws are :func:`sample_indices` of the laws ``which``.
-    """
-    return _draw(cdf, rng, which)
-
-
-def select_value(
-    cdf: np.ndarray | Laws, rng: np.random.Generator | np.ndarray, which: np.ndarray | None = None
-) -> int | np.ndarray:
-    """Draw a split value from ``selection_cdf(one feature's cut decreases, b2)``.
-
-    Given :class:`Laws`, ``rng`` is an array of uniforms instead, and the
-    draws are :func:`sample_indices` of the laws ``which``.
-    """
-    return _draw(cdf, rng, which)
+def select_value(laws: Laws, uniforms: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Draw split values: :func:`sample_indices` of value laws, each over one feature's
+    cut decreases at budget b2."""
+    return sample_indices(laws, which, uniforms)
 
 
 def feature_probability_bounds(feature_count: int, b1: float) -> tuple[float, float]:

@@ -49,7 +49,14 @@ import numpy as np
 
 from .errors import ParseError
 from .impurity import cut_points, scan_features
-from .splitsel import Laws, ragged_arange, select_feature, select_value, selection_cdfs
+from .splitsel import (
+    Laws,
+    ragged_arange,
+    select_feature,
+    select_value,
+    selection_cdfs,
+    softmax_scaled,
+)
 
 if TYPE_CHECKING:
     from .data import Dataset
@@ -620,16 +627,15 @@ def tree_votes(
 ) -> np.ndarray:
     """The (trees, rows) matrix of class votes.
 
-    Finite ``b3`` votes class c with probability proportional to
-    exp(b3 * eta_c / 2), drawing one uniform per vote, tree by tree in row
-    order; infinite ``b3`` votes the argmax class and draws nothing.
+    Finite ``b3`` votes class c with probability ``softmax_scaled(eta, b3)[c]``,
+    proportional to exp(b3 * eta_c / 2), the law :func:`audit_label_mechanism`
+    audits, drawing one uniform per vote, tree by tree in row order; infinite
+    ``b3`` votes the argmax class and draws nothing.
     """
     node = route_eta(trees, x)
     if math.isinf(b3):
         return trees.label[node]
-    z = 0.5 * b3 * trees.eta
-    probs = np.exp(z - z.max(axis=1, keepdims=True))
-    cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1).T
+    cdf = np.cumsum(softmax_scaled(trees.eta, b3), axis=1).T
     uniforms = rng.random(node.shape)
     # the vote counts the classes whose cdf is at or below the uniform, capped
     # at the last class: rounding can leave cdf[-1] below 1

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mrforest.data import Dataset
+from mrforest.data import Dataset, FoldPlan
+from mrforest.splitsel import Laws
 
 UCI_FILES = {
     "banknote": "banknote.csv",
@@ -58,6 +59,20 @@ def random_dataset(
         feature_names=tuple(f"f{i}" for i in range(n_features)),
         class_count=n_classes,
     )
+
+
+def same_plan(a: FoldPlan, b: FoldPlan) -> bool:
+    """Whether two fold plans hold the same test folds, in the same order."""
+    return (a.n, a.repeats, a.folds) == (b.n, b.repeats, b.folds) and all(
+        np.array_equal(fold_a, fold_b)
+        for repeat_a, repeat_b in zip(a.test_folds, b.test_folds)
+        for fold_a, fold_b in zip(repeat_a, repeat_b)
+    )
+
+
+def one_law(cdf: np.ndarray) -> Laws:
+    """The cumulative law ``cdf`` as the only law of a :class:`Laws`."""
+    return Laws(np.asarray(cdf, dtype=np.float64), np.array([0]), np.array([len(cdf)]))
 
 
 @pytest.fixture

@@ -23,8 +23,8 @@ model document the library wrote before it stored trees as columns.
 before the library checked feasibility with one mask per node: every
 attempt rebuilds both mechanisms' laws, draws from them, and counts the
 estimation rows its cut sends left; ``reference_build_tree`` searches with
-it. :func:`inverse_cdf_draws` repeats ``sample_index``'s one inverse-CDF draw
-over many uniforms at once.
+it. :func:`inverse_cdf_draws` makes ``sample_indices``' inverse-CDF draw from
+one law over many uniforms at once.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def reference_scan_features(values, labels, class_count, criterion="gini"):
 
 
 def inverse_cdf_draws(probabilities: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Indices ``sample_index`` draws from ``cumsum(probabilities)`` for each
+    """Indices ``sample_indices`` draws from ``cumsum(probabilities)`` for each
     uniform: the first cumulative probability above it, clipped to the last index."""
     cum = np.cumsum(probabilities)
     return np.minimum(np.searchsorted(cum, uniforms, side="right"), cum.size - 1)

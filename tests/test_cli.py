@@ -87,6 +87,17 @@ class TestTrainPredict:
         assert doc["config"]["b3"] == pytest.approx(2.0)
         assert doc["config"]["b1"] == pytest.approx(4.0 / (8 * 2) / 2)
 
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_epsilon_with_breiman_exits_2(self, data_csv, tmp_path, capsys, command):
+        out = tmp_path / "out.json"
+        code = cli.main(
+            [command, "--data", str(data_csv), "--method", "breiman", "--trees", "2",
+             "--epsilon", "0.5", "--out", str(out)]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "--epsilon does not apply to --method breiman" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_breiman_variant(self, data_csv, tmp_path):
         model = tmp_path / "model.json"
         code = cli.main(
@@ -325,6 +336,12 @@ class TestAuditAndBudget:
         assert code == cli.EXIT_CONFIG
         assert "not one of the 2 columns" in capsys.readouterr().err
 
+    def test_audit_takes_no_format_flag(self, micro_csv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["audit", "--data", str(micro_csv), "--format", "csv"])
+        assert exit_info.value.code == cli.EXIT_CONFIG
+        assert "--format" in capsys.readouterr().err
+
     def test_audit_violation_exit_code(self, micro_csv, monkeypatch, capsys):
         failing = AuditReport(
             mechanism="feature", budget=1.0, worst_ratio=99.0, bound=math.e,
@@ -457,6 +474,16 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "--eval-seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_out_exits_3(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        code = cli.main(
+            ["cv", "--data", str(data_csv), "--trees", "2", "--folds", "2", "--repeats", "1",
+             "--out", str(out)]
+        )
+        assert code == cli.EXIT_DATA
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_bad_cell_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

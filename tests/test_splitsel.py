@@ -9,17 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_law
 from mrforest.errors import DomainError
 from mrforest.splitsel import (
     Laws,
     feature_probability_bounds,
     normalize,
     ragged_arange,
-    sample_index,
     sample_indices,
     select_feature,
     select_value,
-    selection_cdf,
     selection_cdfs,
     softmax_scaled,
     value_region_bound,
@@ -91,49 +90,60 @@ class TestSoftmaxScaled:
         assert (np.diff(sorted_probs) >= -1e-12).all()
 
 
+def _draws(probabilities, uniforms: np.ndarray) -> np.ndarray:
+    """Draws from ``cumsum(probabilities)``, one per uniform."""
+    first = np.zeros(uniforms.size, dtype=int)
+    return sample_indices(one_law(np.cumsum(probabilities)), first, uniforms)
+
+
+def _selections(mechanism, scores, budget: float, rng, count: int) -> np.ndarray:
+    """``count`` draws of ``mechanism`` from the one law of ``scores`` at ``budget``."""
+    laws = selection_cdfs(np.asarray(scores), np.array([len(scores)]), budget)
+    return mechanism(laws, rng.random(count), np.zeros(count, dtype=int))
+
+
 class TestSampleIndex:
     def test_singleton(self, rng):
-        assert sample_index(np.cumsum([1.0]), rng) == 0
+        assert _draws([1.0], rng.random(1)).tolist() == [0]
 
     def test_zero_mass_never_drawn(self, rng):
-        assert all(sample_index(np.cumsum([0.0, 1.0]), rng) == 1 for _ in range(1000))
+        assert (_draws([0.0, 1.0], rng.random(1000)) == 1).all()
 
     def test_fair_coin_frequency(self):
-        rng = np.random.default_rng(99)
-        draws = np.array([sample_index(np.cumsum([0.5, 0.5]), rng) for _ in range(100_000)])
+        draws = _draws([0.5, 0.5], np.random.default_rng(99).random(100_000))
         # binomial 99.99% bound: 0.5 +- ~0.0062; spec tolerance 0.01
         assert abs((draws == 0).mean() - 0.5) < 0.01
 
     def test_deterministic_given_state(self):
-        p = np.cumsum([0.25, 0.25, 0.5])
-        a = [sample_index(p, np.random.default_rng(3)) for _ in range(5)]
-        b = [sample_index(p, np.random.default_rng(3)) for _ in range(5)]
-        assert a == b
+        p = [0.25, 0.25, 0.5]
+        a = _draws(p, np.random.default_rng(3).random(5))
+        b = _draws(p, np.random.default_rng(3).random(5))
+        assert a.tolist() == b.tolist()
 
 
 class TestSelection:
     def test_zero_budget_uniform_over_features(self):
         rng = np.random.default_rng(1)
-        draws = np.array([select_feature(selection_cdf([0.7, 0.1, 0.4], 0.0), rng) for _ in range(9000)])
+        draws = _selections(select_feature, [0.7, 0.1, 0.4], 0.0, rng, 9000)
         freqs = np.bincount(draws, minlength=3) / draws.size
         assert np.allclose(freqs, 1 / 3, atol=0.02)
 
     def test_two_feature_probability(self):
         rng = np.random.default_rng(2)
-        draws = np.array([select_feature(selection_cdf([0.4, 0.1], 2.0), rng) for _ in range(40_000)])
+        draws = _selections(select_feature, [0.4, 0.1], 2.0, rng, 40_000)
         expected = math.e / (math.e + 1)
         assert (draws == 0).mean() == pytest.approx(expected, abs=0.01)
 
     def test_infinite_budget_greedy(self):
         rng = np.random.default_rng(3)
-        assert all(select_feature(selection_cdf([0.2, 0.9, 0.1], math.inf), rng) == 1 for _ in range(50))
+        assert (_selections(select_feature, [0.2, 0.9, 0.1], math.inf, rng, 50) == 1).all()
 
     def test_value_selection_singleton(self, rng):
-        assert select_value(selection_cdf([0.3], 5.0), rng) == 0
+        assert _selections(select_value, [0.3], 5.0, rng, 1).tolist() == [0]
 
     def test_value_selection_uniform_when_degenerate(self):
         rng = np.random.default_rng(4)
-        draws = np.array([select_value(selection_cdf([0.2, 0.2, 0.2], 50.0), rng) for _ in range(9000)])
+        draws = _selections(select_value, [0.2, 0.2, 0.2], 50.0, rng, 9000)
         freqs = np.bincount(draws, minlength=3) / draws.size
         assert np.allclose(freqs, 1 / 3, atol=0.02)
 
@@ -161,7 +171,8 @@ class TestBatchedLaws:
             laws = selection_cdfs(scores, sizes, budget)
             assert laws.size.tolist() == sizes.tolist()
             for i, start in enumerate(np.cumsum(sizes) - sizes):
-                own = selection_cdf(scores[start : start + sizes[i]], budget)
+                run = scores[start : start + sizes[i]]
+                own = np.cumsum(softmax_scaled(normalize(run), budget))
                 np.testing.assert_allclose(laws.law(i), own, rtol=1e-9)
 
     @pytest.mark.parametrize("budget", [0.0, 1.0, math.inf])
@@ -187,7 +198,7 @@ class TestBatchedLaws:
         which, uniforms = np.array([0, 1, 0]), np.array([0.1, 0.5, 0.99])
         assert select_feature(laws, uniforms, which).tolist() == [1, 0, 1]
         assert select_value(laws, uniforms, which).tolist() == [1, 0, 1]
-        assert select_feature(laws.law(0), np.random.default_rng(0)) == 1
+        assert select_feature(one_law(laws.law(0)), np.array([0.5]), np.array([0])).tolist() == [1]
 
     def test_extended_laws_are_numbered_after_the_first(self):
         first = selection_cdfs(np.array([0.1, 0.2]), np.array([2]), 1.0)
@@ -257,7 +268,7 @@ def test_scored_choices_probability_contract(values, budget):
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
     assert (probs > 0).all()
     expected = inverse_cdf_draws(probs, np.random.default_rng(7).random(2))
-    rng = np.random.default_rng(7)
-    cdf = selection_cdf(values, budget)
-    drawn = [select_feature(cdf, rng), select_value(cdf, rng)]
-    assert drawn == list(expected)
+    uniforms = np.random.default_rng(7).random(2)
+    law, first = one_law(np.cumsum(probs)), np.zeros(1, dtype=int)
+    drawn = [select_feature(law, uniforms[:1], first), select_value(law, uniforms[1:], first)]
+    assert np.concatenate(drawn).tolist() == expected.tolist()

@@ -16,7 +16,7 @@ from mrforest.errors import ConfigError
 from mrforest.forest import Forest, predict_batch
 import mrforest.tree
 from mrforest.impurity import cut_points, scan_features
-from mrforest.splitsel import selection_cdf
+from mrforest.splitsel import normalize, softmax_scaled
 from mrforest.tree import (
     Tree,
     TreeNode,
@@ -343,8 +343,8 @@ class TestSplitSearch:
 
     def test_each_law_is_built_at_most_once(self, monkeypatch):
         # per level: one batch of feature laws, equal to each searched node's
-        # own selection_cdf; value laws only for the (node, feature) pairs the
-        # attempts draw whose feature has a feasible cut, once each
+        # own law over its best decreases; value laws only for the (node, feature)
+        # pairs the attempts draw whose feature has a feasible cut, once each
         built = []
         real_laws = mrforest.tree.selection_cdfs
 
@@ -371,7 +371,8 @@ class TestSplitSearch:
                 valid, _ = cut_points(gather_sorted(xs, sorted_pos))
                 decreases = scan_features(ys[sorted_pos], classes, config.criterion)
                 best = np.where(valid, decreases, -np.inf).max(axis=1)
-                own_laws.append(selection_cdf(best[np.array(has_cut)], config.b1))
+                own = softmax_scaled(normalize(best[np.array(has_cut)]), config.b1)
+                own_laws.append(np.cumsum(own))
                 reached = [f for f in trace if has_feasible[f]]
                 value_law_sizes += [int(valid[f].sum()) for f in set(reached)]
                 seen.add("reused" if len(set(reached)) < len(reached) else "one")
@@ -387,9 +388,13 @@ class TestSplitSearch:
         assert seen == {"reused", "one"}
 
 
-# a micro-dataset: n=8, D=2, K=2, whose k=1 trees at b1 = b2 = 1 take many shapes
-WITNESS_X = np.array([[0.0, 3.0], [1, 1], [2, 4], [3, 0], [4, 2], [5, 5], [6, 7], [7, 6]])
-WITNESS_Y = np.array([0, 0, 1, 0, 1, 1, 0, 1])
+# a micro-dataset: n=8, D=2, K=2, whose k=1 trees at b1 = b2 = 1 take many shapes.
+# Feature a separates every 4-row structure half that holds both labels; in
+# feature b's order the labels alternate, so b ties a on only 18 of those 68
+# halves. The feature law's budget thus moves the roots: a witness run at
+# b1 = 2 on one side reads root p 8e-5.
+WITNESS_X = np.array([[0.0, 1.0], [1, 3], [2, 5], [3, 7], [4, 0], [5, 2], [6, 4], [7, 6]])
+WITNESS_Y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
 WITNESS_SEEDS = 3000
 
 

@@ -2,9 +2,15 @@
 
 Three variants share one prediction path: the multinomial forest, its
 B1 = B2 = 0 completely-random limit, and a greedy bootstrap baseline whose
-trees vote their majority class. Per-tree randomness comes from counter
--derived substreams of the master seed, so training is reproducible no
-matter how trees are scheduled.
+trees vote their majority class. Each tree draws its partition or bootstrap
+rows, and then its splits' uniforms, from its own counter-derived substream
+of the master seed. Trees grow in groups, a level at a time (see
+:mod:`mrforest.tree`): consecutive trees whose rows together fit
+``_GROUP_ROWS`` grow together, and a tree with more rows grows alone. A tree
+reads the same uniforms whatever trees it grows with, and its mechanism
+laws, built in one batch with theirs, agree with its own up to rounding, so
+a draw could differ only where a uniform falls within that rounding of a
+law's step: training is reproducible however trees are grouped.
 
 :func:`predict_batch` rejects rows of the wrong width or with NaN or inf, then
 runs all trees at once on the forest's compiled trees (see
@@ -34,7 +40,9 @@ from .tree import (
     Tree,
     _leaf_eta,
     build_baseline_tree,
+    build_baseline_trees,
     build_tree,
+    build_trees,
     compile_trees,
     read_trees,
     tree_votes,
@@ -58,11 +66,25 @@ FOREST_VERSION = 2
 # Spawn-key domain for per-tree rng substreams of the master seed.
 _TREE_STREAM = 0
 
+# Rows, counted once per tree that holds them, that one group of trees grown
+# together may hold; a tree with more grows alone. A whole forest at once
+# would hold every tree's rows and level arrays together (a t=30 forest on
+# 14000 x 10 rows peaks at 200 MB, against 50 MB one tree at a time and 56 MB
+# in this budget's groups of two), and large groups run slower: t=100 on 1031
+# x 9 rows took 0.72-0.76 s at 2^15 rows against 0.84-0.90 s at 2^16.
+_GROUP_ROWS = 1 << 15
+
 
 def _tree_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(_TREE_STREAM, index))
     )
+
+
+def _groups(t: int, rows: int) -> list[range]:
+    """Consecutive tree indices of ``t`` trees of ``rows`` rows each, grown together."""
+    size = max(1, _GROUP_ROWS // rows)
+    return [range(first, min(first + size, t)) for first in range(0, t, size)]
 
 
 @dataclass(frozen=True)
@@ -256,10 +278,15 @@ def train_mrf(dataset: Dataset, config: MrfConfig) -> Forest:
             f"need n >= 2k for a leaf-capable partition, got n={dataset.n} k={config.k}"
         )
     trees = []
-    for index in range(config.t):
-        rng = _tree_rng(config.seed, index)
-        part = partition(dataset, config.partition_rate, rng)
-        trees.append(build_tree(dataset, part.structure_idx, part.estimation_idx, config, rng))
+    for group in _groups(config.t, dataset.n):
+        rngs = [_tree_rng(config.seed, index) for index in group]
+        parts = [partition(dataset, config.partition_rate, rng) for rng in rngs]
+        splits = [(part.structure_idx, part.estimation_idx) for part in parts]
+        if len(group) == 1:
+            # the one-tree call, which perfbench's tracer times tree by tree
+            trees.append(build_tree(dataset, *splits[0], config, rngs[0]))
+        else:
+            trees += build_trees(dataset, splits, config, rngs)
     variant = "completely_random" if config.b1 == 0 and config.b2 == 0 else "mrf"
     return Forest(
         trees=trees,
@@ -278,22 +305,19 @@ def train_baseline_rf(dataset: Dataset, config: BaselineConfig) -> Forest:
     if mtry > feature_count:
         raise ConfigError(f"mtry={mtry} exceeds feature count {feature_count}")
     trees = []
-    for index in range(config.t):
-        rng = _tree_rng(config.seed, index)
-        if config.bootstrap:
-            rows = rng.integers(0, dataset.n, size=dataset.n)
+    for group in _groups(config.t, dataset.n):
+        rngs = [_tree_rng(config.seed, index) for index in group]
+        rows = np.concatenate([
+            rng.integers(0, dataset.n, size=dataset.n) if config.bootstrap else np.arange(dataset.n)
+            for rng in rngs
+        ])
+        x, y = dataset.features[rows], dataset.labels[rows]
+        args = (dataset.class_count, config.k, mtry, config.criterion)
+        if len(group) == 1:
+            # the one-tree call, which perfbench's tracer times tree by tree
+            trees.append(build_baseline_tree(x, y, *args, rngs[0]))
         else:
-            rows = np.arange(dataset.n)
-        tree = build_baseline_tree(
-            dataset.features[rows],
-            dataset.labels[rows],
-            dataset.class_count,
-            config.k,
-            mtry,
-            config.criterion,
-            rng,
-        )
-        trees.append(tree)
+            trees += build_baseline_trees(x, y, [dataset.n] * len(group), *args, rngs)
     return Forest(
         trees=trees,
         variant="breiman",

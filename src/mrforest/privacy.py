@@ -35,7 +35,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DomainError, SizeError
 from .impurity import ClassCounts, _impurity, cut_points, scan_features
-from .splitsel import normalize, softmax_scaled
+from .splitsel import selection_cdfs, softmax_scaled
 
 __all__ = [
     "PrivacyBudget",
@@ -133,8 +133,9 @@ class Neighborhood:
     each block in one pass and put the scores in neighbor order with
     ``order``.
 
-    ``score_cache`` memoizes the budget-independent quality scores so auditing
-    the same neighborhood at several budgets enumerates only once.
+    ``score_cache`` memoizes the budget-independent quality scores, the base
+    dataset's row first and then one row per neighbor, so auditing the same
+    neighborhood at several budgets enumerates only once.
     """
 
     features: np.ndarray
@@ -320,7 +321,19 @@ def _ratio_report(
 
 
 def _selection_probs(scores: np.ndarray, budget: float) -> np.ndarray:
-    return softmax_scaled(normalize(scores), budget)
+    """Per row of ``scores`` (rows, outputs), the probability of each output of
+    the law training draws from.
+
+    The law is :func:`selection_cdfs` of the row; a draw takes the first index
+    whose cumulative probability exceeds its uniform, and the last index when
+    none does, so the last output's probability runs up to 1.
+    """
+    rows, outputs = scores.shape
+    cdf = selection_cdfs(scores.ravel(), outputs, budget).cdf.reshape(rows, outputs)
+    cdf[:, -1] = 1.0
+    probs = cdf.copy()
+    probs[:, 1:] -= cdf[:, :-1]
+    return probs
 
 
 def audit_feature_mechanism(
@@ -340,15 +353,12 @@ def audit_feature_mechanism(
     key = ("feature", criterion)
     if key not in neigh.score_cache:
         score = partial(_root_feature_scores, class_count=class_count, criterion=criterion)
-        neigh.score_cache[key] = (score(neigh.features, neigh.labels), neigh.per_neighbor(score))
-    base_scores, neighbor_scores = neigh.score_cache[key]
+        neigh.score_cache[key] = np.vstack(
+            (score(neigh.features, neigh.labels), neigh.per_neighbor(score))
+        )
+    probs = _selection_probs(neigh.score_cache[key], b1)
     return _ratio_report(
-        "feature",
-        b1,
-        bound,
-        _selection_probs(base_scores, b1),
-        _selection_probs(neighbor_scores, b1),
-        lambda i: neigh.neighbors[i][0],
+        "feature", b1, bound, probs[0], probs[1:], lambda i: neigh.neighbors[i][0]
     )
 
 
@@ -387,17 +397,17 @@ def audit_value_mechanism(
             _grid_value_scores, feature=feature, grid=grid, class_count=class_count, criterion=criterion
         )
         neigh.score_cache[key] = (
-            score(neigh.features, neigh.labels),
-            neigh.per_neighbor(score),
+            np.vstack((score(neigh.features, neigh.labels), neigh.per_neighbor(score))),
             sum(_candidate_mismatches(x, feature, grid) for x, _ in neigh.blocks),
         )
-    base_scores, neighbor_scores, mismatches = neigh.score_cache[key]
+    scores, mismatches = neigh.score_cache[key]
+    probs = _selection_probs(scores, b2)
     return _ratio_report(
         "value",
         b2,
         bound,
-        _selection_probs(base_scores, b2),
-        _selection_probs(neighbor_scores, b2),
+        probs[0],
+        probs[1:],
         lambda i: neigh.neighbors[i][0],
         candidate_mismatches=mismatches,
     )

@@ -4,14 +4,16 @@ Each mechanism is split into its laws and its draws. A law is
 ``cumsum(softmax_scaled(normalize(scores), B))``: min-max normalize the raw
 impurity decreases to [0, 1], scale by half the budget B, softmax, and
 accumulate. :func:`selection_cdfs` builds many laws at once, each over its own
-run of scores, into :class:`Laws` (sums of eight or more terms, and the
-running sum across runs, add in another order than one ``cumsum`` per run,
-so each law equals its run's up to rounding). A law depends only on its
-scores and budget, so a caller that draws again from the same scores builds
-the law once. :func:`sample_indices` makes one draw per given uniform, each
-from the law it names: the first index whose cumulative probability exceeds
-the uniform. :func:`select_feature` and :func:`select_value` are that draw
-under each mechanism's name.
+run of scores, into :class:`Laws`. A law built alone is its run's law (its
+sums of eight or more terms add in another order than ``softmax_scaled``'s,
+so the two agree up to rounding). Laws built with one length given for all
+runs, as the privacy audits build theirs, are bit-equal to the laws built
+alone; laws built from a list of run lengths, as a tree level's are, take
+the running sum across runs and equal them up to rounding. A caller that
+draws again from the same scores builds the law once. :func:`sample_indices`
+makes one draw per given uniform, each from the law it names: the first index
+whose cumulative probability exceeds the uniform. :func:`select_feature` and
+:func:`select_value` are that draw under each mechanism's name.
 
 B = 0 gives uniform selection, B = math.inf gives a uniform draw over the
 argmax set, and anything between interpolates; the normalized scores keep
@@ -106,8 +108,15 @@ def ragged_arange(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + (starts - ends + sizes).repeat(sizes)
 
 
-def selection_cdfs(scores: np.ndarray, sizes: np.ndarray, budget: float) -> Laws:
-    """The law of each run of ``scores`` at ``budget``, run i holding ``sizes[i]`` >= 1 scores."""
+def selection_cdfs(scores: np.ndarray, sizes: np.ndarray | int, budget: float) -> Laws:
+    """The law of each run of ``scores`` at ``budget``, run i holding ``sizes[i]`` >= 1 scores.
+
+    An int ``sizes`` is the length of every run; each law is then exactly the
+    law it has alone (see the module docstring).
+    """
+    width = sizes if isinstance(sizes, (int, np.integer)) else None
+    if width is not None:
+        sizes = np.full(scores.size // width, width)
     start = sizes.cumsum() - sizes
     lo = np.minimum.reduceat(scores, start)
     span = np.maximum.reduceat(scores, start) - lo
@@ -121,6 +130,9 @@ def selection_cdfs(scores: np.ndarray, sizes: np.ndarray, budget: float) -> Laws
         z -= 0.5 * budget * top
         mass = np.exp(z)
     mass /= np.add.reduceat(mass, start).repeat(sizes)
+    if width is not None:
+        # one run per row: each law is its run's own cumsum
+        return Laws(mass.reshape(-1, width).cumsum(axis=1).ravel(), start, sizes)
     cdf = mass.cumsum()
     # each run's law starts from zero: take off the running sum before it
     before = np.zeros(sizes.size)

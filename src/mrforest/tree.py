@@ -1,22 +1,34 @@
 """Decision tree construction and prediction for multinomial random forests.
 
-Both kinds of tree grow through one grower, :func:`_grow`, a level at a time.
-A level's nodes share two matrices of row positions, one for the structure
-rows and one for the estimation rows: row j lists every node's positions
-sorted by feature j, each node owning one column segment in every row
-(:class:`_Segments`). A split rule decides all nodes of a level in one
-batched pass, and one stable partition per matrix moves the split nodes'
-positions into their children's segments. Leaves keep their estimation rows'
-class counts. Node ids follow level order: the root is 0, and a split's two
-children are adjacent and numbered after every node of its own level.
+Both kinds of tree grow through one grower, :func:`_grow`, a level at a time,
+and a group of trees grows together: :func:`build_trees` and
+:func:`build_baseline_trees` take the trees' rows stacked, tree after tree,
+so that level 0 holds one root per tree, and :func:`build_tree` and
+:func:`build_baseline_tree` are their one-tree calls. A level's nodes, of
+every tree in the group, share two matrices of row positions, one for the
+structure rows and one for the estimation rows: row j lists every node's
+positions sorted by feature j, each node owning one column segment in every
+row (:class:`_Segments`), and the nodes are ordered by tree. A split rule
+decides all nodes of a level in one batched pass, and one stable partition
+per matrix moves the split nodes' positions into their children's segments.
+Leaves keep their estimation rows' class counts. Each tree numbers its own nodes in level order: the root is 0,
+and a split's two children are adjacent and numbered after every node of its
+own level in that tree.
+
+Each tree draws its uniforms from its own rng, one ``random`` call per level
+for all of its nodes, in node order, so a tree and its rng's state after it do
+not depend on which trees grow with it. Its mechanism laws are built in one
+batch with the other trees' (see :mod:`mrforest.splitsel` for how a batch
+rounds). All of a group's rows are held at once, so the caller bounds the
+group; :mod:`mrforest.forest` groups a forest's trees under a row budget.
 
 - The multinomial rule of :func:`build_tree` reads structure rows only;
   estimation rows set the leaf distributions and gate the splits. It
   composes the two multinomial mechanisms; a sampled split is accepted only
   if both children keep at least ``k`` estimation rows and one structure
   row. Each node with a valid cut takes a block of 15 uniforms, one block
-  per such node in id order and one ``rng.random`` call per level, and makes
-  ten attempts before giving up and emitting a leaf: even attempts draw a
+  per such node in id order and one ``rng.random`` call per tree and level,
+  and makes ten attempts before giving up and emitting a leaf: even attempts draw a
   feature and a value, odd attempts a value only, and attempt a reads the
   block's uniforms 3(a // 2) (feature) and 3(a // 2) + 1 + a % 2 (value).
   Impurity is scanned only at nodes where some cut can be accepted. Each
@@ -25,8 +37,8 @@ children are adjacent and numbered after every node of its own level.
   no acceptable cut builds no law, and its value uniform goes unread.
 - The greedy rule of :func:`build_baseline_tree` takes Breiman's best split
   over a random feature subset, and its rows are their own estimation rows.
-  Each node it searches takes D uniforms, one ``rng.random`` call per level,
-  and its subset is the first ``mtry`` features of their order.
+  Each node it searches takes D uniforms, one ``rng.random`` call per tree
+  and level, and its subset is the first ``mtry`` features of their order.
 
 A :class:`Tree` is flat per-node arrays, which the grower writes, the model
 file stores, and prediction reads; ``Tree.root`` is a ``TreeNode`` graph view
@@ -67,7 +79,9 @@ __all__ = [
     "Tree",
     "read_trees",
     "build_tree",
+    "build_trees",
     "build_baseline_tree",
+    "build_baseline_trees",
     "CompiledTrees",
     "compile_trees",
     "route_eta",
@@ -253,8 +267,12 @@ class _Segments:
     bounds: np.ndarray  # (nodes + 1,) ascending from 0
 
     @classmethod
-    def root(cls, x: np.ndarray) -> "_Segments":
-        return cls(_sorted_index_matrix(x), np.array([0, x.shape[0]]))
+    def roots(cls, x: np.ndarray, sizes: Sequence[int]) -> "_Segments":
+        """One segment per tree, tree i owning the next ``sizes[i]`` rows of ``x``."""
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        spans = zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        pos = [_sorted_index_matrix(x[a:b]) + np.int32(a) for a, b in spans]
+        return cls(np.concatenate(pos, axis=1), bounds)
 
     @cached_property
     def sizes(self) -> np.ndarray:
@@ -297,9 +315,10 @@ class _Segments:
 
 @dataclass(frozen=True)
 class _Level:
-    """The nodes of one depth, in id order."""
+    """The nodes of one depth of a group of trees, in id order within each tree."""
 
     depth: int
+    tree: np.ndarray  # (nodes,) the tree of each node, ascending
     structure: _Segments
     estimation: _Segments
     counts: np.ndarray  # (nodes, K) estimation class counts
@@ -310,38 +329,101 @@ _Rule = Callable[[_Level], tuple[np.ndarray, np.ndarray]]
 
 
 def _grow(
-    xs: np.ndarray, xe: np.ndarray | None, ye: np.ndarray, class_count: int, rule: _Rule
-) -> Tree:
-    """Grow a tree a level at a time from structure rows ``xs``.
+    xs: np.ndarray,
+    structure_sizes: Sequence[int],
+    xe: np.ndarray | None,
+    estimation_sizes: Sequence[int],
+    ye: np.ndarray,
+    class_count: int,
+    rule: _Rule,
+) -> list[Tree]:
+    """Grow a group of trees together, a level at a time, from structure rows ``xs``.
 
-    ``xe`` and ``ye`` are the estimation rows and labels; with ``xe`` None
-    the structure rows are their own estimation rows, labelled ``ye``. Each
-    level asks ``rule`` for all its nodes' splits at once, and the split
-    nodes' children, left then right in node order, make the next level.
+    Tree i owns the next ``structure_sizes[i]`` rows of ``xs`` and the next
+    ``estimation_sizes[i]`` rows of the estimation rows ``xe``, labelled
+    ``ye``; with ``xe`` None the structure rows are their own estimation
+    rows. Level 0 holds each tree's root. Each level asks ``rule`` for all its
+    nodes' splits at once, and the split nodes' children, left then right in
+    node order, make the next level, so each level's nodes stay ordered by
+    tree and each tree's nodes in the order it would give them alone.
     """
-    structure = _Segments.root(xs)
-    estimation = structure if xe is None else _Segments.root(xe)
+    trees = len(structure_sizes)
+    structure = _Segments.roots(xs, structure_sizes)
+    estimation = structure if xe is None else _Segments.roots(xe, estimation_sizes)
+    tree = np.arange(trees)
     columns, leaf_counts = [], []
-    depth, next_id = 0, 1
+    # ids number all of the group's nodes in level order; _per_tree renumbers them per tree
+    depth, next_id = 0, trees
     while True:
-        nodes = structure.sizes.size
+        nodes = tree.size
         labels = estimation.node * class_count + ye[estimation.pos[0]]
         counts = np.bincount(labels, minlength=nodes * class_count).reshape(nodes, class_count)
-        feature, threshold = rule(_Level(depth, structure, estimation, counts))
+        feature, threshold = rule(_Level(depth, tree, structure, estimation, counts))
         split = feature >= 0
         splits = np.count_nonzero(split)
         left = np.full(nodes, -1)
         left[split] = next_id + 2 * np.arange(splits)
         next_id += 2 * splits
-        columns.append((feature, threshold, left))
+        columns.append((feature, threshold, left, tree))
         leaf_counts.append(counts[~split])
         if not splits:
             break
         structure = structure.children(xs, feature, threshold)
         estimation = structure if xe is None else estimation.children(xe, feature, threshold)
+        tree = tree[split].repeat(2)
         depth += 1
-    feature, threshold, left = (np.concatenate(column) for column in zip(*columns))
-    return Tree(feature, threshold, left, np.concatenate(leaf_counts))
+    feature, threshold, left, tree = (np.concatenate(column) for column in zip(*columns))
+    return _per_tree(feature, threshold, left, np.concatenate(leaf_counts), tree, trees)
+
+
+def _per_tree(
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    left: np.ndarray,
+    counts: np.ndarray,
+    tree: np.ndarray,
+    trees: int,
+) -> list[Tree]:
+    """One :class:`Tree` per tree of a group's nodes, listed and numbered in level order.
+
+    A tree's nodes keep their order, so its root is its node 0 and it numbers
+    its nodes in its own level order; ``counts`` holds the leaves' rows in
+    the nodes' order.
+    """
+    if trees == 1:  # a lone tree's ids are already its own
+        return [Tree(feature, threshold, left, counts)]
+    order = np.argsort(tree, kind="stable")
+    sizes = np.bincount(tree, minlength=trees)
+    ends = np.cumsum(sizes)
+    local = np.empty_like(order)  # each node's id in its own tree
+    local[order] = np.arange(order.size) - np.repeat(ends - sizes, sizes)
+    split = feature >= 0
+    left = np.where(split, local[left], -1)
+    leaf_tree = tree[~split]
+    leaf_order = np.argsort(leaf_tree, kind="stable")
+    leaf_ends = np.cumsum(np.bincount(leaf_tree, minlength=trees))
+    feature, threshold, left = feature[order], threshold[order], left[order]
+    counts = counts[leaf_order]
+    starts, leaf_starts = (ends - sizes).tolist(), [0, *leaf_ends[:-1].tolist()]
+    spans = zip(starts, ends.tolist(), leaf_starts, leaf_ends.tolist())
+    return [Tree(feature[a:b], threshold[a:b], left[a:b], counts[c:d]) for a, b, c, d in spans]
+
+
+def _uniforms(
+    rngs: Sequence[np.random.Generator], drawing: np.ndarray, node_tree: np.ndarray, width: int
+) -> np.ndarray:
+    """A row of ``width`` uniforms for each node, drawn from its tree's rng in node order.
+
+    ``node_tree`` is the tree of each node, ascending. Each tree in
+    ``drawing`` makes one ``random`` call for all of its nodes, a call for
+    no rows if it has none.
+    """
+    if len(rngs) == 1:  # a lone tree, which callers only ask when it draws
+        return rngs[0].random((node_tree.size, width))
+    counts = np.bincount(node_tree, minlength=len(rngs)).tolist()
+    draws = np.bincount(drawing, minlength=len(rngs)).tolist()
+    blocks = (rng.random((n, width)) for rng, n, draw in zip(rngs, counts, draws) if draw)
+    return np.concatenate(list(blocks))
 
 
 def _nodes_with(mask: np.ndarray, node: np.ndarray, nodes: int) -> np.ndarray:
@@ -349,6 +431,37 @@ def _nodes_with(mask: np.ndarray, node: np.ndarray, nodes: int) -> np.ndarray:
     found = np.zeros(nodes, dtype=bool)
     found[node[mask.any(axis=0)]] = True
     return found
+
+
+def build_trees(
+    dataset: "Dataset",
+    partitions: Sequence[tuple[np.ndarray, np.ndarray]],
+    config: "MrfConfig",
+    rngs: Sequence[np.random.Generator],
+) -> list[Tree]:
+    """Grow multinomial trees together, tree i from the ``(structure_idx,
+    estimation_idx)`` row split ``partitions[i]`` with ``rngs[i]``.
+
+    Each tree is the tree :func:`build_tree` grows from its split and rng, and
+    leaves its rng as that call would. All of the trees' rows are held at
+    once, so the caller bounds the group.
+    """
+    structure = np.concatenate([s for s, _ in partitions])
+    estimation = np.concatenate([e for _, e in partitions])
+    xs = np.ascontiguousarray(dataset.features[structure])
+    xe = np.ascontiguousarray(dataset.features[estimation])
+    rule = functools.partial(
+        _sample_splits, xs, dataset.labels[structure], xe, dataset.class_count, config, rngs
+    )
+    return _grow(
+        xs,
+        [s.size for s, _ in partitions],
+        xe,
+        [e.size for _, e in partitions],
+        dataset.labels[estimation],
+        dataset.class_count,
+        rule,
+    )
 
 
 def build_tree(
@@ -365,12 +478,7 @@ def build_tree(
     and (in privacy mode) depth below the configured cap. All degenerate
     paths resolve to leaves.
     """
-    xs = np.ascontiguousarray(dataset.features[structure_idx])
-    xe = np.ascontiguousarray(dataset.features[estimation_idx])
-    rule = functools.partial(
-        _sample_splits, xs, dataset.labels[structure_idx], xe, dataset.class_count, config, rng
-    )
-    return _grow(xs, xe, dataset.labels[estimation_idx], dataset.class_count, rule)
+    return build_trees(dataset, [(structure_idx, estimation_idx)], config, [rng])[0]
 
 
 def _sample_splits(
@@ -379,7 +487,7 @@ def _sample_splits(
     xe: np.ndarray,
     class_count: int,
     config: "MrfConfig",
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     level: _Level,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw each node's (feature, threshold) via the two mechanisms, enforcing split validity.
@@ -390,7 +498,7 @@ def _sample_splits(
     1. Cut points: the :func:`cut_points` of every node's sorted structure
        values, less the cuts between two nodes' segments and those of nodes
        the gate stops. A node without a valid cut is a leaf and draws no
-       uniforms; every other node takes its block of 15.
+       uniforms; every other node takes its block of 15 from its tree's rng.
     2. Feasibility: a cut keeps at least ``k`` of the node's n estimation
        rows on each side exactly when ``threshold`` lies in ``[lo, hi)``,
        where lo and hi are the feature's k-th smallest and k-th largest
@@ -425,7 +533,7 @@ def _sample_splits(
     node = structure.node[:-1]  # the node of each cut
     valid &= gated[node] & (node == structure.node[1:])
     has_cut = _nodes_with(valid, node, nodes)
-    uniforms = rng.random((np.count_nonzero(has_cut), _BLOCK))
+    uniforms = _uniforms(rngs, level.tree[gated], level.tree[has_cut], _BLOCK)
 
     # a gated node's k-th smallest and k-th largest estimation values; the
     # lookups of the other nodes, whose cuts are all invalid, are only kept in range
@@ -496,6 +604,29 @@ def _sample_splits(
     return feature, threshold
 
 
+def build_baseline_trees(
+    x: np.ndarray,
+    y: np.ndarray,
+    sizes: Sequence[int],
+    class_count: int,
+    k: int,
+    mtry: int,
+    criterion: str,
+    rngs: Sequence[np.random.Generator],
+) -> list[Tree]:
+    """Grow greedy trees together, tree i from the next ``sizes[i]`` rows of
+    ``x`` and labels of ``y`` with ``rngs[i]``.
+
+    Each tree is the tree :func:`build_baseline_tree` grows from its rows and
+    rng, and leaves its rng as that call would. All of the trees' rows are
+    held at once, so the caller bounds the group.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    rule = functools.partial(_greedy_splits, x, y, class_count, k, mtry, criterion, rngs)
+    return _grow(x, sizes, None, sizes, y, class_count, rule)
+
+
 def build_baseline_tree(
     x: np.ndarray,
     y: np.ndarray,
@@ -513,10 +644,7 @@ def build_baseline_tree(
     or at most ``k`` rows remain; leaves predict their majority class. The
     rows are their own estimation rows.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    rule = functools.partial(_greedy_splits, x, y, class_count, k, mtry, criterion, rng)
-    return _grow(x, None, y, class_count, rule)
+    return build_baseline_trees(x, y, [len(y)], class_count, k, mtry, criterion, [rng])[0]
 
 
 def _greedy_splits(
@@ -526,14 +654,15 @@ def _greedy_splits(
     k: int,
     mtry: int,
     criterion: str,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     level: _Level,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each node's best split over its feature subset, by one scan of the level.
 
-    A node that is not pure and holds more than ``k`` rows draws D uniforms;
-    its subset is the first ``mtry`` features in their order, ascending.
-    Row i of the scanned matrix holds each node's i-th subset feature.
+    A node that is not pure and holds more than ``k`` rows draws D uniforms
+    from its tree's rng; its subset is the first ``mtry`` features in their
+    order, ascending. Row i of the scanned matrix holds each node's i-th
+    subset feature.
     """
     structure = level.structure
     nodes = structure.sizes.size
@@ -542,7 +671,9 @@ def _greedy_splits(
     searched = np.flatnonzero(is_searched)
     if not searched.size:
         return feature, threshold
-    order = np.argsort(rng.random((searched.size, x.shape[1])), axis=1, kind="stable")
+    searched_tree = level.tree[searched]
+    uniforms = _uniforms(rngs, searched_tree, searched_tree, x.shape[1])
+    order = np.argsort(uniforms, axis=1, kind="stable")
     subset = np.sort(order[:, :mtry], axis=1)
     sizes = structure.sizes[searched]
     starts = np.cumsum(sizes) - sizes

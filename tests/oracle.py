@@ -38,7 +38,7 @@ import numpy as np
 
 from mrforest.forest import _tree_from_v1
 from mrforest.impurity import cut_points, scan_features
-from mrforest.splitsel import normalize, softmax_scaled
+from mrforest.splitsel import normalize, selection_cdfs, softmax_scaled
 from mrforest.tree import Tree, TreeNode
 
 # (feature, value) samples of one split search, and the uniforms they can read
@@ -391,12 +391,14 @@ def reference_neighbors(x: np.ndarray, y: np.ndarray, records=None) -> list:
 
 
 def _selection(scores: np.ndarray, budget: float) -> np.ndarray:
-    lo, hi = scores.min(), scores.max()
-    normalized = np.zeros_like(scores) if hi == lo else (scores - lo) / (hi - lo)
-    z = 0.5 * budget * normalized
-    z -= z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    """Probabilities of the law a tree draws from at a node with these scores alone.
+
+    A draw takes the first index whose cumulative probability exceeds its
+    uniform, clipped to the last index, so the last output takes what the
+    others leave of 1.
+    """
+    cdf = selection_cdfs(scores, np.array([scores.size]), budget).cdf
+    return np.diff(np.append(cdf[:-1], 1.0), prepend=0.0)
 
 
 def _report(mechanism, budget, base, neighbor_probs, descriptions, mismatches=0) -> dict[str, Any]:

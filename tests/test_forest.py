@@ -21,8 +21,72 @@ from mrforest.forest import (
     train_baseline_rf,
     train_mrf,
 )
-from mrforest.tree import build_baseline_tree
+from mrforest.tree import build_baseline_tree, build_baseline_trees, build_tree
 from oracle import flat_tree, naive_decrease
+
+
+def _one_at_a_time(dataset: Dataset, config: MrfConfig | BaselineConfig) -> list:
+    """Each tree of the forest, grown alone by the one-tree builder from its own substream."""
+    trees = []
+    for index in range(config.t):
+        rng = mrforest.forest._tree_rng(config.seed, index)
+        if isinstance(config, MrfConfig):
+            part = partition(dataset, config.partition_rate, rng)
+            trees.append(build_tree(dataset, part.structure_idx, part.estimation_idx, config, rng))
+            continue
+        n = dataset.n
+        rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        mtry = config.mtry or max(1, math.isqrt(dataset.feature_count))
+        trees.append(
+            build_baseline_tree(
+                dataset.features[rows], dataset.labels[rows], dataset.class_count, config.k,
+                mtry, config.criterion, rng,
+            )
+        )
+    return trees
+
+
+SCHEDULED = [
+    MrfConfig(t=1, k=2, seed=3),
+    MrfConfig(t=7, k=2, seed=4),
+    MrfConfig(t=40, k=2, seed=5),
+    MrfConfig(t=7, k=80, seed=6),  # 80 estimation rows of 160, no more than k: bare roots
+    MrfConfig(t=7, k=1, max_depth=2, b1=0.5, b2=0.5, seed=7),
+    MrfConfig(t=7, k=1, b1=0.0, b2=0.0, seed=8),
+    MrfConfig(t=7, k=1, b1=math.inf, b2=math.inf, criterion="entropy", seed=9),
+    BaselineConfig(t=1, k=1, seed=10),
+    BaselineConfig(t=40, k=1, seed=11),
+    BaselineConfig(t=7, k=3, bootstrap=False, mtry=2, seed=12),
+]
+
+
+class TestScheduling:
+    """Training is reproducible no matter how trees are scheduled: whether each
+    tree grows alone, in groups of three or all together, the forest's bytes
+    are those of its trees grown one at a time from their substreams."""
+
+    @pytest.mark.parametrize("config", SCHEDULED, ids=lambda c: f"{type(c).__name__}-{c.seed}")
+    def test_group_sizes_do_not_change_the_model(self, config, monkeypatch):
+        ds = random_dataset(np.random.default_rng(config.seed), 160, 3, n_classes=3)
+        train = train_mrf if isinstance(config, MrfConfig) else train_baseline_rf
+        expected = None
+        for group_rows in (1, 3 * ds.n, config.t * ds.n):
+            monkeypatch.setattr(mrforest.forest, "_GROUP_ROWS", group_rows)
+            forest = train(ds, config)
+            if expected is None:
+                alone = _one_at_a_time(ds, config)
+                expected = Forest(
+                    alone, forest.variant, config, ds.class_count, ds.label_values,
+                    ds.feature_names,
+                ).to_json()
+            assert forest.to_json() == expected
+        depths = {tree.depth for tree in forest.trees}
+        if config.k == 80:
+            assert depths == {0}
+        elif isinstance(config, MrfConfig) and config.max_depth is not None:
+            assert max(depths) == config.max_depth
+        else:
+            assert max(depths) >= 3
 
 
 class TestConfigs:
@@ -147,11 +211,11 @@ class TestBaseline:
         ds = random_dataset(rng, 60, 5)
         mtrys = []
 
-        def build(x, y, class_count, k, mtry, criterion, tree_rng):
-            mtrys.append(mtry)
-            return build_baseline_tree(x, y, class_count, k, mtry, criterion, tree_rng)
+        def build(x, y, sizes, class_count, k, mtry, criterion, rngs):
+            mtrys.extend([mtry] * len(rngs))
+            return build_baseline_trees(x, y, sizes, class_count, k, mtry, criterion, rngs)
 
-        monkeypatch.setattr(mrforest.forest, "build_baseline_tree", build)
+        monkeypatch.setattr(mrforest.forest, "build_baseline_trees", build)
         train_baseline_rf(ds, BaselineConfig(t=2, k=5, seed=1))
         assert mtrys == [2, 2]
 

@@ -14,9 +14,13 @@ from oracle import (
     reference_neighbors,
     reference_value_audit,
 )
+import mrforest.privacy
+import mrforest.tree
 from mrforest.data import Dataset
 from mrforest.errors import DomainError, SizeError
+from mrforest.forest import MrfConfig
 from mrforest.impurity import ClassCounts
+from mrforest.tree import build_tree
 from mrforest.privacy import (
     allocate_budget,
     audit_feature_mechanism,
@@ -363,3 +367,53 @@ class TestAuditBudgetOverflow:
         micro = _micro(rng, n=5, d=2)
         report = audit_feature_mechanism(micro, 709.0)
         assert report.bound == math.exp(709.0)
+
+
+def _captured(monkeypatch, module, name) -> list:
+    """Each result of ``module.name`` from now on, in call order."""
+    results = []
+    real = getattr(module, name)
+
+    def capture(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, capture)
+    return results
+
+
+class TestAuditedLawIsTheDrawnLaw:
+    """The feature audit scores each dataset with the law that training draws a
+    tree's root feature from, bit for bit: the probability of each output is
+    the step of that law's cumulative probabilities, the last step taking
+    what the others leave of 1."""
+
+    @pytest.mark.parametrize("budget", [0.0, 1.0, 700.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_root_feature_law(self, seed, budget, monkeypatch):
+        rng = np.random.default_rng(900 + seed)
+        n, d = int(rng.integers(4, 11)), int(rng.integers(1, 4))
+        micro = _micro(rng, n=n, d=d, k_classes=int(rng.integers(2, 4)))
+        neighborhood = enumerate_neighbors(micro)
+        audited = _captured(monkeypatch, mrforest.privacy, "_selection_probs")
+        audit_feature_mechanism(micro, budget, "gini", neighborhood)
+        (probs,) = audited  # the base dataset's row, then one row per neighbor
+        # the datasets whose every feature has a cut, where training's root law
+        # ranges over every feature, as the audit's does
+        datasets = [(micro.features, micro.labels, probs[0])] + [
+            (x, y, row)
+            for (_, x, y), row in zip(neighborhood.neighbors, probs[1:])
+            if all(np.unique(column).size > 1 for column in x.T)
+        ]
+        assert len(datasets) > n
+        laws = _captured(monkeypatch, mrforest.tree, "selection_cdfs")
+        config = MrfConfig(t=1, k=1, b1=budget, b2=budget, max_depth=1)
+        for x, y, row in datasets:
+            laws.clear()
+            # a root with all of the rows on both sides, the way the audit scores it
+            dataset = Dataset(x, y, micro.feature_names, micro.class_count)
+            rows = np.arange(y.size)
+            build_tree(dataset, rows, rows, config, np.random.default_rng(seed))
+            cdf = laws[0].law(0)  # the root's feature law
+            assert cdf.size == d
+            assert np.array_equal(row, np.diff(np.append(cdf[:-1], 1.0), prepend=0.0))

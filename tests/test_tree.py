@@ -25,6 +25,7 @@ from mrforest.tree import (
     _Segments,
     build_baseline_tree,
     build_tree,
+    build_trees,
     compile_trees,
     route_eta,
     tree_votes,
@@ -218,7 +219,8 @@ def _search_level(seed: int):
         return _Segments(np.concatenate(sorted_pos, axis=1).astype(np.int32), bounds)
 
     counts = np.zeros((count, classes), dtype=np.int64)  # the multinomial rule reads none
-    level = _Level(seed % 4, segments(xs, s_rows), segments(xe, e_rows), counts)
+    tree = np.zeros(count, dtype=np.intp)  # one tree
+    level = _Level(seed % 4, tree, segments(xs, s_rows), segments(xe, e_rows), counts)
     config = MrfConfig(t=1, k=k, **SEARCH_RULES[seed % len(SEARCH_RULES)])
     return level, nodes, config
 
@@ -227,7 +229,7 @@ def _decide_level(seed, rng=None):
     level, nodes, config = _search_level(seed)
     xs, ys, xe, _, _, classes = nodes[0]
     rng = np.random.default_rng(seed) if rng is None else rng
-    return _sample_splits(xs, ys, xe, classes, config, rng, level)
+    return _sample_splits(xs, ys, xe, classes, config, [rng], level)
 
 
 class _CountingRng:
@@ -297,10 +299,15 @@ class TestSplitSearch:
         monkeypatch.setattr(mrforest.tree, "selection_cdfs", no_draw)
         xs = np.arange(8.0)[:, None]
         level = _Level(
-            0, _Segments.root(xs), _Segments.root(xe), np.zeros((1, 2), dtype=np.int64)
+            0,
+            np.zeros(1, dtype=np.intp),
+            _Segments.roots(xs, [8]),
+            _Segments.roots(xe, [xe.shape[0]]),
+            np.zeros((1, 2), dtype=np.int64),
         )
         rng, expected = np.random.default_rng(5), np.random.default_rng(5)
-        feature, _ = _sample_splits(xs, np.arange(8) % 2, xe, 2, MrfConfig(t=1, k=k), rng, level)
+        config = MrfConfig(t=1, k=k)
+        feature, _ = _sample_splits(xs, np.arange(8) % 2, xe, 2, config, [rng], level)
         assert feature.tolist() == [-1]
         expected.random(BLOCK)  # the ten value and five feature draws of the attempts
         assert rng.bit_generator.state == expected.bit_generator.state
@@ -434,9 +441,15 @@ class TestDistributionWitness:
         ds = Dataset(WITNESS_X, WITNESS_Y, ("a", "b"), 2)
         config = MrfConfig(t=1, k=1, b1=1.0, b2=1.0)
         roots, shapes = (Counter(), Counter()), (Counter(), Counter())
-        for side, build in enumerate((build_tree, depth_first_build_tree)):
-            for seed in range(side * WITNESS_SEEDS, (side + 1) * WITNESS_SEEDS):
-                tree, _ = _grow_mrf(build, ds, config, seed)
+        # the library's trees grow together, each from its own seed's partition and rng
+        rngs = [np.random.default_rng(seed) for seed in range(WITNESS_SEEDS)]
+        parts = [partition(ds, config.partition_rate, rng) for rng in rngs]
+        splits = [(part.structure_idx, part.estimation_idx) for part in parts]
+        library = build_trees(ds, splits, config, rngs)
+        seeds = range(WITNESS_SEEDS, 2 * WITNESS_SEEDS)
+        reference = [_grow_mrf(depth_first_build_tree, ds, config, seed)[0] for seed in seeds]
+        for side, trees in enumerate((library, reference)):
+            for tree in trees:
                 shape = _split_key(tree)
                 roots[side][shape[:2]] += 1
                 shapes[side][shape] += 1

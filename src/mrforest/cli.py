@@ -101,7 +101,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "--epsilon",
         type=float,
         default=None,
-        help="total privacy budget; overrides b1/b2/b3 and caps depth (not for breiman)",
+        help=(
+            "total privacy budget; overrides b1/b2/b3 and caps depth (not for breiman). "
+            "The differential-privacy guarantee does not hold for the pipeline as "
+            "implemented: (a) estimation rows gate splits; (b) a search's up to 15 draws "
+            "are charged as two; (c) thresholds are data midpoints; (d) finite-b3 "
+            "prediction spends b3 on every query; (e) models store exact leaf counts; "
+            "(f) the feature audit scores a law that training does not draw"
+        ),
     )
     parser.add_argument(
         "--budget-split",

@@ -17,9 +17,8 @@ runs all trees at once on the forest's compiled trees (see
 :mod:`mrforest.tree`), built on its first prediction and kept: its trees must
 not be mutated after that. A model document (version 2) stores each tree's
 columns and nothing they determine; it is checked as it loads, as whole
-arrays, all trees' columns at once. Version 1 documents, which list each
-tree's nodes, still load; their nodes are renumbered in level order, so a
-version 1 document of a tree re-saves as that tree's version 2 document.
+arrays, all trees' columns at once. Documents of other versions, such as
+the version 1 node lists of earlier releases, are refused.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .errors import ConfigError, ParseError, SchemaError
 from .tree import (
     CompiledTrees,
     Tree,
-    _leaf_eta,
     build_baseline_tree,
     build_baseline_trees,
     build_tree,
@@ -189,10 +187,10 @@ class Forest:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "Forest":
-        """Forest of a :meth:`to_dict` or version 1 document; :class:`ParseError` if malformed."""
+        """Forest of a :meth:`to_dict` document; :class:`ParseError` if malformed."""
         if not isinstance(doc, dict) or doc.get("format") != FOREST_FORMAT:
             raise ConfigError("not a mrforest model document")
-        if doc.get("version") not in (1, FOREST_VERSION):
+        if doc.get("version") != FOREST_VERSION:
             raise ConfigError(f"unsupported model version {doc.get('version')!r}")
         try:
             raw = {
@@ -201,12 +199,8 @@ class Forest:
             }
             config_cls = BaselineConfig if doc["variant"] == "breiman" else MrfConfig
             class_count, width = int(doc["class_count"]), len(doc["feature_names"])
-            if doc["version"] == FOREST_VERSION:
-                trees = read_trees(doc["trees"], class_count, width)
-            else:
-                trees = [_tree_from_v1(tree, class_count, width) for tree in doc["trees"]]
             forest = cls(
-                trees=trees,
+                trees=read_trees(doc["trees"], class_count, width),
                 variant=doc["variant"],
                 config=config_cls(**raw),
                 class_count=class_count,
@@ -226,49 +220,6 @@ class Forest:
         except ValueError as exc:  # truncated, not JSON, or not UTF-8
             raise ParseError(f"model is not a JSON document: {exc}") from exc
         return cls.from_dict(doc)
-
-
-def _tree_from_v1(doc: dict[str, Any], class_count: int, feature_count: int) -> Tree:
-    """Tree of a version 1 node list, whose nodes follow their parent in any order.
-
-    A first-in first-out walk renumbers the nodes in level order, the order
-    the grower numbers them in, and the columns then pass
-    :func:`read_trees`' checks. A leaf ``eta`` that is not exactly its counts
-    over their sum raises :class:`ParseError`.
-    """
-    entries = doc["nodes"]
-    size = len(entries)
-    order = [0]  # node list index of each node in level order; the walk's queue
-    feature, threshold, left = [-1] * size, [0.0] * size, [-1] * size
-    node = 0
-    # children point forward, so the walk ends; it reaches each node once, and
-    # no more than ``size`` nodes, exactly when the nodes form a tree
-    while node < len(order) <= size:
-        index = order[node]
-        entry = entries[index]
-        if entry["kind"] == "split":
-            if not (index < entry["left"] < size and index < entry["right"] < size):
-                raise ParseError(f"node {index}: child index out of order or range")
-            if not 0 <= entry["feature"] < feature_count:
-                raise ParseError(f"node {index}: feature {entry['feature']} out of range")
-            feature[node], threshold[node] = entry["feature"], entry["threshold"]
-            left[node] = len(order)
-            order += (entry["left"], entry["right"])
-        node += 1
-    if len(order) != size or len(set(order)) != size:
-        raise ParseError("nodes do not form a tree: a node is shared by two splits or orphaned")
-    leaves = [entries[i] for i in order if entries[i]["kind"] != "split"]
-    counts = [leaf["counts"] for leaf in leaves]
-    columns = {"feature": feature, "threshold": threshold, "left": left, "counts": counts}
-    tree = Tree.from_dict(columns, class_count, feature_count)
-    etas = np.array([leaf["eta"] for leaf in leaves], dtype=np.float64)
-    if etas.shape != tree.counts.shape:
-        raise ParseError(f"leaf eta does not have {class_count} classes")
-    if not np.isfinite(etas).all():
-        raise ParseError("leaf eta holds NaN or infinite values")
-    if not np.array_equal(etas, _leaf_eta(tree.counts)):
-        raise ParseError("leaf eta is not its counts over their sum")
-    return tree
 
 
 def train_mrf(dataset: Dataset, config: MrfConfig) -> Forest:

@@ -8,12 +8,13 @@ run of scores, into :class:`Laws`. A law built alone is its run's law (its
 sums of eight or more terms add in another order than ``softmax_scaled``'s,
 so the two agree up to rounding). Laws built with one length given for all
 runs, as the privacy audits build theirs, are bit-equal to the laws built
-alone; laws built from a list of run lengths, as a tree level's are, take
-the running sum across runs and equal them up to rounding. A caller that
-draws again from the same scores builds the law once. :func:`sample_indices`
-makes one draw per given uniform, each from the law it names: the first index
-whose cumulative probability exceeds the uniform. :func:`select_feature` and
-:func:`select_value` are that draw under each mechanism's name.
+alone; laws built from a list of run lengths, as a tree level's feature laws
+and value laws are, take the running sum across runs and equal them up to
+rounding, so a law's low bits depend on the runs batched before it.
+:func:`sample_indices` makes one draw per given uniform, each from the law it
+names: the first index whose cumulative probability exceeds the uniform.
+:func:`select_feature` and :func:`select_value` are that draw under each
+mechanism's name.
 
 B = 0 gives uniform selection, B = math.inf gives a uniform draw over the
 argmax set, and anything between interpolates; the normalized scores keep
@@ -37,7 +38,6 @@ __all__ = [
     "Laws",
     "selection_cdfs",
     "sample_indices",
-    "ragged_arange",
     "select_feature",
     "select_value",
     "feature_probability_bounds",
@@ -89,23 +89,6 @@ class Laws:
     @cached_property
     def key(self) -> np.ndarray:
         return np.repeat(np.arange(self.size.size), self.size) + 1j * self.cdf
-
-    def law(self, index: int) -> np.ndarray:
-        return self.cdf[self.start[index] : self.start[index] + self.size[index]]
-
-    def extend(self, other: "Laws") -> "Laws":
-        """These laws followed by ``other``'s, which are numbered after them."""
-        return Laws(
-            np.concatenate((self.cdf, other.cdf)),
-            np.concatenate((self.start, other.start + self.cdf.size)),
-            np.concatenate((self.size, other.size)),
-        )
-
-
-def ragged_arange(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``starts[i], ..., starts[i] + sizes[i] - 1`` for each i, concatenated."""
-    ends = sizes.cumsum()
-    return np.arange(ends[-1] if ends.size else 0) + (starts - ends + sizes).repeat(sizes)
 
 
 def selection_cdfs(scores: np.ndarray, sizes: np.ndarray | int, budget: float) -> Laws:

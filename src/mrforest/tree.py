@@ -28,13 +28,16 @@ group; :mod:`mrforest.forest` groups a forest's trees under a row budget.
   if both children keep at least ``k`` estimation rows and one structure
   row. Each node with a valid cut takes a block of 15 uniforms, one block
   per such node in id order and one ``rng.random`` call per tree and level,
-  and makes ten attempts before giving up and emitting a leaf: even attempts draw a
-  feature and a value, odd attempts a value only, and attempt a reads the
-  block's uniforms 3(a // 2) (feature) and 3(a // 2) + 1 + a % 2 (value).
-  Impurity is scanned only at nodes where some cut can be accepted. Each
-  mechanism's law is built once per node (a value law the first time its
-  feature is drawn), as one batch per level and per attempt; a feature with
-  no acceptable cut builds no law, and its value uniform goes unread.
+  and makes ten attempts, of which the first that hits an acceptable cut
+  wins; a node that no attempt hits is a leaf. Attempt a uses the feature
+  drawn with the block's uniform 3(a // 2) and the value drawn with
+  uniform 3(a // 2) + 1 + a % 2, so each pair of attempts shares a feature.
+  No draw depends on another's outcome, so a level draws all of its
+  attempts at once. Impurity is scanned only at nodes where some cut can be
+  accepted. A level builds one batch of feature laws and one batch of value
+  laws, one for each drawn (feature, node) whose feature has an acceptable
+  cut; a drawn feature with none builds no law, and its value uniforms go
+  unread.
 - The greedy rule of :func:`build_baseline_tree` takes Breiman's best split
   over a random feature subset, and its rows are their own estimation rows.
   Each node it searches takes D uniforms, one ``rng.random`` call per tree
@@ -61,14 +64,7 @@ import numpy as np
 
 from .errors import ParseError
 from .impurity import cut_points, scan_features
-from .splitsel import (
-    Laws,
-    ragged_arange,
-    select_feature,
-    select_value,
-    selection_cdfs,
-    softmax_scaled,
-)
+from .splitsel import select_feature, select_value, selection_cdfs, softmax_scaled
 
 if TYPE_CHECKING:
     from .data import Dataset
@@ -154,18 +150,13 @@ class Tree:
         return nodes[0]
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready columns; :meth:`from_dict` reads them back."""
+        """JSON-ready columns; :func:`read_trees` reads them back."""
         return {
             "feature": self.feature.tolist(),
             "threshold": self.threshold.tolist(),
             "left": self.left.tolist(),
             "counts": self.counts.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any], class_count: int, feature_count: int) -> "Tree":
-        """Tree of a :meth:`to_dict` document, checked as :func:`read_trees` checks."""
-        return read_trees([doc], class_count, feature_count)[0]
 
 
 def read_trees(docs: Sequence[dict[str, Any]], class_count: int, feature_count: int) -> list[Tree]:
@@ -390,8 +381,6 @@ def _per_tree(
     its nodes in its own level order; ``counts`` holds the leaves' rows in
     the nodes' order.
     """
-    if trees == 1:  # a lone tree's ids are already its own
-        return [Tree(feature, threshold, left, counts)]
     order = np.argsort(tree, kind="stable")
     sizes = np.bincount(tree, minlength=trees)
     ends = np.cumsum(sizes)
@@ -418,8 +407,6 @@ def _uniforms(
     ``drawing`` makes one ``random`` call for all of its nodes, a call for
     no rows if it has none.
     """
-    if len(rngs) == 1:  # a lone tree, which callers only ask when it draws
-        return rngs[0].random((node_tree.size, width))
     counts = np.bincount(node_tree, minlength=len(rngs)).tolist()
     draws = np.bincount(drawing, minlength=len(rngs)).tolist()
     blocks = (rng.random((n, width)) for rng, n, draw in zip(rngs, counts, draws) if draw)
@@ -508,18 +495,17 @@ def _sample_splits(
        mechanism runs.
     3. Scan and draw: one :func:`scan_features` call scores the remaining
        nodes' cuts, and one batch of feature laws is built from each node's
-       best decreases per feature. The five feature draws of every node
-       depend on no outcome and are made at once. Then each attempt pair
-       draws both values for the nodes still searching and checks them
-       against the feasibility mask; the odd attempt's draw counts only if
-       the even one missed. A node's value law for a feature is built the
-       first time that feature is drawn there, in one batch per pair. A
-       drawn feature with no feasible cut gets no value law: its value draws
-       could only fail, so their uniforms go unread.
+       best decreases per feature. No draw reads an outcome, so each node's
+       five feature draws, and then both value draws of each of its pairs,
+       are made at once for the whole level: one batch of value laws covers
+       every drawn (feature, node) whose feature has a feasible cut, over
+       that feature's valid cuts at the node. A drawn feature with no
+       feasible cut gets no value law: its value draws could only fail, so
+       their uniforms go unread and its attempts miss.
 
-    Each node thus picks the cut of a search that rebuilds both laws at
-    every attempt and reads its block's uniforms in order, and is a leaf
-    when no attempt hits a feasible cut.
+    Each node takes the cut of its first attempt that hits a feasible cut,
+    the cut a search that rebuilds both laws at every attempt and reads its
+    block's uniforms in order would pick, and is a leaf when no attempt hits.
     """
     structure, estimation = level.structure, level.estimation
     nodes = structure.sizes.size
@@ -563,44 +549,35 @@ def _sample_splits(
     eligible_feature = np.nonzero(eligible)[1]
 
     # attempt pair p draws its feature with uniform 3p and its two values with
-    # 3p + 1 and 3p + 2; the five feature draws read no outcome, so all run at once
+    # 3p + 1 and 3p + 2; no draw reads an outcome, so all run at once
     block = uniforms[is_searched[has_cut]].reshape(searched.size, _PAIRS, 3)
     laws = np.repeat(np.arange(searched.size), _PAIRS)
     picks = select_feature(feature_laws, block[:, :, 0].ravel(), laws)
     drawn = eligible_feature[feature_laws.start[laws] + picks].reshape(searched.size, _PAIRS)
-    valid_cuts, width = np.flatnonzero(valid), valid.shape[1]
-    law_of = np.full(eligible.shape, -1)  # value law of each (node, feature), -1 until built
-    value_laws = Laws(np.zeros(0), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
-    law_cuts = np.zeros(0, dtype=np.intp)  # each value law's first entry in valid_cuts
-    searching = np.arange(searched.size)
-    for pair in range(_PAIRS):
-        # a drawn feature without a feasible cut can only fail: its value uniforms go unread
-        live = searching[reachable[searching, drawn[searching, pair]]]
-        if not live.size:
-            continue
-        f = drawn[live, pair]
-        new = live[law_of[live, f] < 0]
-        if new.size:
-            # the valid cuts of a (node, feature) are one run of valid_cuts
-            origin = drawn[new, pair] * width + starts[new]
-            run = np.searchsorted(valid_cuts, origin)
-            run_sizes = np.searchsorted(valid_cuts, origin + sizes[new] - 1) - run
-            scores = decreases.ravel()[valid_cuts[ragged_arange(run, run_sizes)]]
-            law_of[new, drawn[new, pair]] = law_cuts.size + np.arange(new.size)
-            value_laws = value_laws.extend(selection_cdfs(scores, run_sizes, config.b2))
-            law_cuts = np.concatenate((law_cuts, run))
-        laws = law_of[live, f]
-        # both attempts of the pair draw; the odd one counts only if the even one missed
-        picks = select_value(value_laws, block[live, pair, 1:].ravel(), np.repeat(laws, 2))
-        # structure children are nonempty by construction: valid thresholds
-        # lie strictly between two observed structure values
-        cut = valid_cuts[np.repeat(law_cuts[laws], 2) + picks].reshape(live.size, 2)
-        hit = feasible.ravel()[cut]
-        won = hit.any(axis=1)
-        cut = cut[won, np.argmax(hit[won], axis=1)]
-        feature[searched[live[won]]] = f[won]
-        threshold[searched[live[won]]] = thresholds.ravel()[cut]
-        searching = searching[feature[searched[searching]] < 0]
+    # one value law per drawn (feature, node) whose feature has a feasible cut,
+    # over its valid cuts there: one run per pair, in feature-major order
+    rows = np.arange(searched.size)[:, None]
+    live = reachable[rows, drawn]
+    needed = np.zeros((xs.shape[1], searched.size), dtype=bool)
+    needed[drawn, rows] = live
+    runs = valid & needed[:, np.repeat(rows[:, 0], sizes)[:-1]]
+    cuts = np.flatnonzero(runs)
+    run_sizes = np.add.reduceat(runs, starts, axis=1)[needed]
+    value_laws = selection_cdfs(decreases.ravel()[cuts], run_sizes, config.b2)
+    law_of = np.cumsum(needed).reshape(needed.shape) - 1
+    law = law_of[drawn, rows][live]
+    picks = select_value(value_laws, block[:, :, 1:][live].ravel(), np.repeat(law, 2))
+    # each attempt's cut, -1 where its feature has no feasible cut; structure
+    # children are nonempty by construction: valid thresholds lie strictly
+    # between two observed structure values
+    attempts = np.full((searched.size, _PAIRS, 2), -1)
+    attempts[live] = cuts[np.repeat(value_laws.start[law], 2) + picks].reshape(-1, 2)
+    attempts = attempts.reshape(searched.size, 2 * _PAIRS)
+    hit = (attempts >= 0) & feasible.ravel()[attempts]
+    won = hit.any(axis=1)
+    cut = attempts[won, np.argmax(hit[won], axis=1)]
+    feature[searched[won]] = cut // valid.shape[1]
+    threshold[searched[won]] = thresholds.ravel()[cut]
     return feature, threshold
 
 

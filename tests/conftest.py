@@ -75,6 +75,11 @@ def one_law(cdf: np.ndarray) -> Laws:
     return Laws(np.asarray(cdf, dtype=np.float64), np.array([0]), np.array([len(cdf)]))
 
 
+def law_at(laws: Laws, index: int) -> np.ndarray:
+    """The cumulative probabilities of law ``index`` of ``laws``."""
+    return laws.cdf[laws.start[index] : laws.start[index] + laws.size[index]]
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

@@ -18,7 +18,9 @@ D uniforms and splits on the first ``mtry`` features of their order.
 :func:`depth_first_build_tree` is the library's multinomial grower as it was
 before: depth first, each search drawing from the rng only the uniforms it
 reads. :func:`v1_tree_doc` and :func:`v1_forest_doc` write the version 1
-model document the library wrote before it stored trees as columns.
+model document the library wrote before it stored trees as columns; the
+library no longer reads it. :func:`flat_tree` numbers a ``TreeNode`` graph's
+nodes in level order and reads its columns as a model's.
 :func:`reference_sample_split` is the multinomial split search as it was
 before the library checked feasibility with one mask per node: every
 attempt rebuilds both mechanisms' laws, draws from them, and counts the
@@ -36,10 +38,9 @@ from typing import Any
 
 import numpy as np
 
-from mrforest.forest import _tree_from_v1
 from mrforest.impurity import cut_points, scan_features
 from mrforest.splitsel import normalize, selection_cdfs, softmax_scaled
-from mrforest.tree import Tree, TreeNode
+from mrforest.tree import Tree, TreeNode, read_trees
 
 # (feature, value) samples of one split search, and the uniforms they can read
 SPLIT_ATTEMPTS = 10
@@ -324,8 +325,24 @@ def v1_forest_doc(forest) -> dict:
 
 
 def flat_tree(root: TreeNode, class_count: int, feature_count: int) -> Tree:
-    """The library's tree of a ``TreeNode`` graph, read through its version 1 reader."""
-    return _tree_from_v1(v1_tree_doc(GraphTree(root, 0)), class_count, feature_count)
+    """The library's tree of a ``TreeNode`` graph, its nodes numbered in level order
+    as the grower numbers them, and its columns checked by the model reader."""
+    feature, threshold, left, counts = [], [], [], []
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
+        if node.is_leaf:
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            counts.append([int(c) for c in node.counts])
+            continue
+        feature.append(int(node.feature))
+        threshold.append(float(node.threshold))
+        left.append(len(feature) + len(queue))  # the ids after every node seen or queued
+        queue += (node.left, node.right)
+    columns = {"feature": feature, "threshold": threshold, "left": left, "counts": counts}
+    return read_trees([columns], class_count, feature_count)[0]
 
 
 def walk_eta(tree, x: np.ndarray, class_count: int) -> np.ndarray:

@@ -30,7 +30,6 @@ from mrforest.forest import (
     train_baseline_rf,
     train_mrf,
 )
-from mrforest.tree import Tree
 from oracle import v1_forest_doc, walk_votes
 
 VARIANTS = ("mrf", "completely_random", "breiman")
@@ -176,135 +175,6 @@ class TestBadRows:
         assert classes.shape == (0,) and votes.shape == (3, 0)
 
 
-def _model_doc() -> dict:
-    """A version 1 model document, as the library wrote it before columns."""
-    ds = random_dataset(np.random.default_rng(1), 80, 2, n_classes=3)
-    doc = json.loads(json.dumps(v1_forest_doc(train_mrf(ds, MrfConfig(t=2, k=3, seed=1)))))
-    assert doc["trees"][0]["nodes"][0]["kind"] == "split"
-    return doc
-
-
-def _self_loop(doc):
-    doc["trees"][0]["nodes"][0]["left"] = 0
-
-
-def _backward_child(doc):
-    index, node = next(
-        (i, n) for i, n in enumerate(doc["trees"][0]["nodes"]) if i > 0 and n["kind"] == "split"
-    )
-    node["right"] = index - 1
-
-
-def _child_out_of_range(doc):
-    doc["trees"][0]["nodes"][0]["right"] = len(doc["trees"][0]["nodes"])
-
-
-def _eta_too_short(doc):
-    next(node for node in doc["trees"][0]["nodes"] if node["kind"] == "leaf")["eta"] = [1.0, 0.0]
-
-
-def _feature_out_of_range(doc):
-    doc["trees"][0]["nodes"][0]["feature"] = len(doc["feature_names"])
-
-
-def _negative_feature(doc):
-    doc["trees"][0]["nodes"][0]["feature"] = -1
-
-
-def _child_not_a_number(doc):
-    doc["trees"][0]["nodes"][0]["left"] = "1"
-
-
-def _missing_nodes(doc):
-    del doc["trees"][1]["nodes"]
-
-
-def _no_trees(doc):
-    doc["trees"] = []
-
-
-def _labels_short(doc):
-    doc["label_values"] = doc["label_values"][:2]
-
-
-def _nan_threshold(doc):
-    doc["trees"][0]["nodes"][0]["threshold"] = math.nan
-
-
-def _inf_eta(doc):
-    next(node for node in doc["trees"][1]["nodes"] if node["kind"] == "leaf")["eta"][0] = math.inf
-
-
-def _first_leaf(doc):
-    return next(node for node in doc["trees"][0]["nodes"] if node["kind"] == "leaf")
-
-
-def _negative_eta(doc):
-    _first_leaf(doc)["eta"] = [-5.0, 7.0, -1.0]
-
-
-def _eta_sum_not_one(doc):
-    _first_leaf(doc)["eta"] = [0.5, 0.5, 1e-8]
-
-
-def _negative_counts(doc):
-    _first_leaf(doc)["counts"][0] = -1
-
-
-def _shared_child(doc):
-    # both of the root's children are its left subtree; the right one is orphaned
-    nodes = doc["trees"][0]["nodes"]
-    nodes[0]["right"] = nodes[0]["left"]
-
-
-def _every_split_shares_its_children(doc):
-    # each split's right child is its left one: without a bound on the walk,
-    # a chain of such splits is visited 2^depth times
-    for node in doc["trees"][0]["nodes"]:
-        if node["kind"] == "split":
-            node["right"] = node["left"]
-
-
-def _orphan_node(doc):
-    # a leaf that no split points to
-    doc["trees"][0]["nodes"].append(dict(_first_leaf(doc)))
-
-
-CORRUPTIONS = (
-    _self_loop,
-    _backward_child,
-    _child_out_of_range,
-    _eta_too_short,
-    _feature_out_of_range,
-    _negative_feature,
-    _child_not_a_number,
-    _missing_nodes,
-    _no_trees,
-    _labels_short,
-    _nan_threshold,
-    _inf_eta,
-    _negative_eta,
-    _eta_sum_not_one,
-    _negative_counts,
-    _shared_child,
-    _orphan_node,
-    _every_split_shares_its_children,
-)
-
-
-@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__.strip("_"))
-def test_bad_model_document_raises_parse_error(corrupt):
-    doc = _model_doc()
-    corrupt(doc)
-    with pytest.raises(ParseError):
-        Forest.from_json(json.dumps(doc))
-
-
-def test_intact_model_document_loads():
-    forest = Forest.from_json(json.dumps(_model_doc()))
-    assert predict_batch(forest, np.zeros((1, 2)))[1].shape == (2, 1)
-
-
 def _model_doc_v2() -> dict:
     ds = random_dataset(np.random.default_rng(1), 80, 2, n_classes=3)
     doc = json.loads(train_mrf(ds, MrfConfig(t=2, k=3, seed=1)).to_json())
@@ -371,6 +241,93 @@ def _column_lengths_differ_v2(doc):
     doc["trees"][1]["threshold"].pop()
 
 
+def _leaves(doc, tree=0):
+    return [i for i, f in enumerate(doc["trees"][tree]["feature"]) if f == -1]
+
+
+def _self_loop(doc):
+    # a split below the root is its own left child
+    index = _splits(doc)[1]
+    doc["trees"][0]["left"][index] = index
+
+
+def _backward_child(doc):
+    # a split below the root takes the root as its left child
+    doc["trees"][0]["left"][_splits(doc)[1]] = 0
+
+
+def _child_out_of_range(doc):
+    # the left child itself is past the end
+    doc["trees"][0]["left"][0] = len(doc["trees"][0]["feature"])
+
+
+def _negative_feature(doc):
+    doc["trees"][0]["feature"][0] = -2
+
+
+def _child_not_a_number(doc):
+    doc["trees"][0]["left"][0] = "1"
+
+
+def _missing_nodes(doc):
+    for column in ("feature", "threshold", "left", "counts"):
+        del doc["trees"][1][column]
+
+
+def _no_trees(doc):
+    doc["trees"] = []
+
+
+def _labels_short(doc):
+    doc["label_values"] = doc["label_values"][:2]
+
+
+def _nan_threshold(doc):
+    # leaves' thresholds are checked too
+    doc["trees"][0]["threshold"][_leaves(doc)[0]] = math.nan
+
+
+def _orphan_node(doc):
+    # a split made a leaf orphans its children
+    tree, index = doc["trees"][0], _splits(doc)[1]
+    tree["feature"][index], tree["threshold"][index], tree["left"][index] = -1, 0.0, -1
+
+
+def _every_split_shares_its_children(doc):
+    # every split takes the last split's children, which then have many parents
+    tree = doc["trees"][0]
+    for index in _splits(doc):
+        tree["left"][index] = tree["left"][_splits(doc)[-1]]
+
+
+CORRUPTIONS = (
+    _self_loop,
+    _backward_child,
+    _child_out_of_range,
+    _negative_feature,
+    _child_not_a_number,
+    _missing_nodes,
+    _no_trees,
+    _labels_short,
+    _nan_threshold,
+    _orphan_node,
+    _every_split_shares_its_children,
+)
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__.strip("_"))
+def test_bad_model_document_raises_parse_error(corrupt):
+    doc = _model_doc_v2()
+    corrupt(doc)
+    with pytest.raises(ParseError):
+        Forest.from_json(json.dumps(doc))
+
+
+def test_intact_model_document_loads():
+    forest = Forest.from_json(json.dumps(_model_doc_v2()))
+    assert predict_batch(forest, np.zeros((1, 2)))[1].shape == (2, 1)
+
+
 CORRUPTIONS_V2 = (
     _self_loop_v2,
     _backward_child_v2,
@@ -395,8 +352,8 @@ def test_bad_v2_model_document_raises_parse_error(corrupt):
 
 
 def test_v2_trees_are_read_and_checked_once_per_forest(monkeypatch):
-    # all trees' columns go through one read_trees call, never through the
-    # one-tree reader, and a fault is reported with its tree and node
+    # all trees' columns go through one read_trees call, and a fault is
+    # reported with its tree and node
     calls = []
     real_read_trees = mrforest.forest.read_trees
 
@@ -404,11 +361,7 @@ def test_v2_trees_are_read_and_checked_once_per_forest(monkeypatch):
         calls.append(len(docs))
         return real_read_trees(docs, *args)
 
-    def one_tree(*args):
-        raise AssertionError("a version 2 tree was read on its own")
-
     monkeypatch.setattr(mrforest.forest, "read_trees", counted)
-    monkeypatch.setattr(Tree, "from_dict", one_tree)
     doc = _model_doc_v2()
     forest = Forest.from_json(json.dumps(doc))
     assert calls == [2]
@@ -420,30 +373,16 @@ def test_v2_trees_are_read_and_checked_once_per_forest(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_v1_document_loads_to_the_same_votes_and_resaves_as_v2(variant):
-    ds, forest = _forest(variant, 5, 3, seed=12)
-    loaded = Forest.from_json(json.dumps(v1_forest_doc(forest)))
-    # the version 1 reader renumbers nodes in the grower's order
-    assert loaded.to_json() == forest.to_json()
-    assert json.loads(loaded.to_json())["version"] == 2
-    x = np.vstack([ds.features, _on_thresholds(forest, ds)])
-    budgets = (math.inf,) if variant == "breiman" else (math.inf, 1.5)
-    for b3 in budgets:
-        a, b = (f if math.isinf(b3) else _with_b3(f, b3) for f in (forest, loaded))
-        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
-        got, again = predict_batch(a, x, rng_a), predict_batch(b, x, rng_b)
-        assert np.array_equal(got[0], again[0]) and np.array_equal(got[1], again[1])
-        assert rng_a.random() == rng_b.random()
-
-
-def test_v1_eta_that_is_not_counts_over_their_sum_raises_parse_error():
-    doc = _model_doc()
-    leaf = _first_leaf(doc)
-    leaf["eta"] = [c / sum(leaf["counts"]) for c in leaf["counts"]]
-    Forest.from_json(json.dumps(doc))  # the same division loads
-    leaf["eta"][0] = math.nextafter(leaf["eta"][0], 2.0)
-    with pytest.raises(ParseError, match="counts over their sum"):
-        Forest.from_json(json.dumps(doc))
+def test_v1_model_file_exits_2_on_the_cli(tmp_path, capsys, variant):
+    # version 1 files, which list each tree's nodes, are refused: such models are re-trained
+    _, forest = _forest(variant, 5, 3, seed=12)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(v1_forest_doc(forest)), encoding="utf-8")
+    rows = tmp_path / "rows.csv"
+    rows.write_text("f0,f1,f2\n0.1,0.2,0.3\n", encoding="utf-8")
+    code = cli.main(["predict", "--model", str(model), "--data", str(rows)])
+    assert code == cli.EXIT_CONFIG
+    assert "unsupported model version 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -471,16 +410,10 @@ def test_truncated_model_file_exits_3_on_the_cli(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "make_doc, corrupt",
-    (
-        (_model_doc, _nan_threshold),
-        (_model_doc, _inf_eta),
-        (_model_doc_v2, _nan_threshold_v2),
-    ),
-    ids=("nan-threshold", "inf-eta", "nan-threshold-v2"),
+    "corrupt", (_nan_threshold, _nan_threshold_v2), ids=("nan-threshold", "nan-threshold-v2")
 )
-def test_non_finite_model_value_exits_3_on_the_cli(tmp_path, capsys, make_doc, corrupt):
-    doc = make_doc()
+def test_non_finite_model_value_exits_3_on_the_cli(tmp_path, capsys, corrupt):
+    doc = _model_doc_v2()
     corrupt(doc)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc), encoding="utf-8")
@@ -493,17 +426,12 @@ def test_non_finite_model_value_exits_3_on_the_cli(tmp_path, capsys, make_doc, c
 
 
 @pytest.mark.parametrize(
-    "make_doc, corrupt",
-    (
-        (_model_doc, _shared_child),
-        (_model_doc, _orphan_node),
-        (_model_doc_v2, _shared_child_v2),
-        (_model_doc_v2, _orphan_node_v2),
-    ),
+    "corrupt",
+    (_every_split_shares_its_children, _orphan_node, _shared_child_v2, _orphan_node_v2),
     ids=("shared", "orphan", "shared-v2", "orphan-v2"),
 )
-def test_model_that_is_not_a_tree_exits_3_on_the_cli(tmp_path, capsys, make_doc, corrupt):
-    doc = make_doc()
+def test_model_that_is_not_a_tree_exits_3_on_the_cli(tmp_path, capsys, corrupt):
+    doc = _model_doc_v2()
     corrupt(doc)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc), encoding="utf-8")

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_dataset
+from conftest import law_at, random_dataset
 from oracle import (
     reference_feature_audit,
     reference_label_audit,
@@ -18,7 +18,7 @@ import mrforest.privacy
 import mrforest.tree
 from mrforest.data import Dataset
 from mrforest.errors import DomainError, SizeError
-from mrforest.forest import MrfConfig
+from mrforest.forest import MrfConfig, train_mrf
 from mrforest.impurity import ClassCounts
 from mrforest.tree import build_tree
 from mrforest.privacy import (
@@ -69,6 +69,44 @@ class TestAllocateBudget:
     def test_domain_errors(self, kwargs):
         with pytest.raises(DomainError):
             allocate_budget(**kwargs)
+
+
+# seeds per dataset of the end-to-end check below; the base root splits about
+# half the time, so a few hundred seeds leave no doubt that it can split
+PIPELINE_SEEDS = 300
+
+
+class TestPipelineGuarantee:
+    """Whether ``--epsilon``'s budgets make the whole training pipeline private."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "the guarantee does not hold for the pipeline as implemented: estimation rows "
+            "gate structure decisions, so removing one row of four leaves an estimation half "
+            "of at most k rows, whose root never splits, and no finite epsilon bounds the ratio"
+        ),
+    )
+    @pytest.mark.parametrize("epsilon", [0.1, 1.0])
+    def test_root_split_is_epsilon_close_on_the_remove_one_neighbour(self, epsilon):
+        budget = allocate_budget(epsilon, 1, 2, 1)
+        x, y = np.arange(4.0)[:, None], np.array([0, 1, 0, 1])
+
+        def split_rate(x, y):
+            dataset = Dataset(x, y, ("x",), 2)
+            splits = 0
+            for seed in range(PIPELINE_SEEDS):
+                config = MrfConfig(
+                    t=1, k=1, b1=budget.b1, b2=budget.b2, b3=budget.b3,
+                    max_depth=budget.d, seed=seed,
+                )
+                splits += int(train_mrf(dataset, config).trees[0].feature[0] >= 0)
+            return splits / PIPELINE_SEEDS
+
+        base, removed = split_rate(x, y), split_rate(x[:3], y[:3])
+        # epsilon-DP bounds the probability of every output, here "the root
+        # splits", by e^epsilon times its probability on any neighbour
+        assert base <= math.exp(epsilon) * removed
 
 
 class TestComposeBudget:
@@ -414,6 +452,6 @@ class TestAuditedLawIsTheDrawnLaw:
             dataset = Dataset(x, y, micro.feature_names, micro.class_count)
             rows = np.arange(y.size)
             build_tree(dataset, rows, rows, config, np.random.default_rng(seed))
-            cdf = laws[0].law(0)  # the root's feature law
+            cdf = law_at(laws[0], 0)  # the root's feature law
             assert cdf.size == d
             assert np.array_equal(row, np.diff(np.append(cdf[:-1], 1.0), prepend=0.0))

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import one_law
+from conftest import law_at, one_law
 from mrforest.errors import DomainError
 from mrforest.splitsel import (
     Laws,
     feature_probability_bounds,
     normalize,
-    ragged_arange,
     sample_indices,
     select_feature,
     select_value,
@@ -173,7 +172,7 @@ class TestBatchedLaws:
             for i, start in enumerate(np.cumsum(sizes) - sizes):
                 run = scores[start : start + sizes[i]]
                 own = np.cumsum(softmax_scaled(normalize(run), budget))
-                np.testing.assert_allclose(laws.law(i), own, rtol=1e-9)
+                np.testing.assert_allclose(law_at(laws, i), own, rtol=1e-9)
 
     @pytest.mark.parametrize("budget", [0.0, 1.0, math.inf])
     def test_batched_draws_are_each_laws_own_draws(self, budget):
@@ -185,7 +184,7 @@ class TestBatchedLaws:
             uniforms = rng.random(50)
             drawn = sample_indices(laws, which, uniforms)
             for law, u, index in zip(which, uniforms, drawn):
-                own = int(laws.law(law).searchsorted(u, side="right"))
+                own = int(law_at(laws, law).searchsorted(u, side="right"))
                 assert index == min(own, sizes[law] - 1)
 
     def test_uniform_past_a_laws_end_draws_its_last_index(self):
@@ -198,21 +197,8 @@ class TestBatchedLaws:
         which, uniforms = np.array([0, 1, 0]), np.array([0.1, 0.5, 0.99])
         assert select_feature(laws, uniforms, which).tolist() == [1, 0, 1]
         assert select_value(laws, uniforms, which).tolist() == [1, 0, 1]
-        assert select_feature(one_law(laws.law(0)), np.array([0.5]), np.array([0])).tolist() == [1]
-
-    def test_extended_laws_are_numbered_after_the_first(self):
-        first = selection_cdfs(np.array([0.1, 0.2]), np.array([2]), 1.0)
-        second = selection_cdfs(np.array([0.3, 0.3, 0.9]), np.array([1, 2]), 1.0)
-        both = first.extend(second)
-        assert both.size.tolist() == [2, 1, 2]
-        for index, law in enumerate((first.law(0), second.law(0), second.law(1))):
-            assert np.array_equal(both.law(index), law)
-        drawn = sample_indices(both, np.array([2, 2, 1]), np.array([0.0, 0.999, 0.5]))
-        assert drawn.tolist() == [0, 1, 0]
-
-    def test_ragged_arange(self):
-        assert ragged_arange(np.array([5, 0, 9]), np.array([2, 0, 3])).tolist() == [5, 6, 9, 10, 11]
-        assert ragged_arange(np.zeros(0, dtype=int), np.zeros(0, dtype=int)).tolist() == []
+        single = one_law(law_at(laws, 0))
+        assert select_feature(single, np.array([0.5]), np.array([0])).tolist() == [1]
 
 
 class TestBounds:

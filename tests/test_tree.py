@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import random_dataset
+from conftest import law_at, random_dataset
 from mrforest.data import Dataset, partition
 from mrforest.forest import MrfConfig
 from mrforest.errors import ConfigError
@@ -27,6 +27,7 @@ from mrforest.tree import (
     build_tree,
     build_trees,
     compile_trees,
+    read_trees,
     route_eta,
     tree_votes,
 )
@@ -37,6 +38,7 @@ from oracle import (
     exhaustive_cart,
     flat_tree,
     gather_sorted,
+    inverse_cdf_draws,
     reference_build_baseline_tree,
     reference_build_tree,
     reference_node_split,
@@ -150,7 +152,7 @@ class TestOneGrower:
         reference, reference_draw = _grow_mrf(reference_build_tree, ds, config, seed)
         assert v1_tree_doc(tree) == v1_tree_doc(reference)
         assert draw == reference_draw
-        Tree.from_dict(tree.to_dict(), ds.class_count, ds.feature_count)
+        read_trees([tree.to_dict()], ds.class_count, ds.feature_count)
 
     @pytest.mark.parametrize("seed", range(32))
     def test_baseline_matches_reference(self, seed):
@@ -159,7 +161,7 @@ class TestOneGrower:
         reference, reference_draw = _grow_baseline(reference_build_baseline_tree, *case, seed)
         assert v1_tree_doc(tree) == v1_tree_doc(reference)
         assert draw == reference_draw
-        Tree.from_dict(tree.to_dict(), case[0].class_count, case[0].feature_count)
+        read_trees([tree.to_dict()], case[0].class_count, case[0].feature_count)
 
     def test_fuzzed_cases_reach_root_only_and_deep_trees(self):
         mrf = [_grow_mrf(build_tree, *_mrf_case(seed), seed)[0].depth for seed in range(48)]
@@ -263,24 +265,44 @@ class TestSplitSearch:
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_fuzzed_nodes_reach_every_outcome(self):
-        # outcomes: a split, feasible cuts that the attempts all missed, a cut
-        # but none feasible (no mechanism runs), no cut, and a gated node
+        # outcomes: a split won by the first attempt, by an odd attempt (a
+        # pair's second value) and by an attempt of a later pair, so the first
+        # hit must win over later ones; feasible cuts that the attempts all
+        # missed, a cut but none feasible (no mechanism runs), no cut, and a
+        # gated node
         outcomes = set()
         for seed in range(160):
             level, nodes, config = _search_level(seed)
             feature, _ = _decide_level(seed)
+            reference_rng = np.random.default_rng(seed)
             for i, node in enumerate(nodes):
+                trace = []  # the reference search's attempts, up to its first hit
+                reference_node_split(*node, config, level.depth, reference_rng, trace)
                 has_cut, has_feasible = _brute_force_cuts(node, config.k)
                 capped = config.max_depth is not None and level.depth >= config.max_depth
                 if capped or node[4].size <= config.k or node[3].shape[1] < 2:
                     outcomes.add("gated")
                 elif feature[i] >= 0:
                     assert has_feasible
-                    outcomes.add("split")
+                    won = len(trace) - 1
+                    if won == 0:
+                        outcomes.add("won by attempt 0")
+                    if won % 2:
+                        outcomes.add("won by an odd attempt")
+                    if won >= 2:
+                        outcomes.add("won in a later pair")
                 else:
                     missed = "missed" if has_feasible else "infeasible"
                     outcomes.add(missed if has_cut else "no cut")
-        assert outcomes == {"split", "missed", "infeasible", "no cut", "gated"}
+        assert outcomes == {
+            "won by attempt 0",
+            "won by an odd attempt",
+            "won in a later pair",
+            "missed",
+            "infeasible",
+            "no cut",
+            "gated",
+        }
 
     @pytest.mark.parametrize(
         "xe, k",
@@ -350,8 +372,9 @@ class TestSplitSearch:
 
     def test_each_law_is_built_at_most_once(self, monkeypatch):
         # per level: one batch of feature laws, equal to each searched node's
-        # own law over its best decreases; value laws only for the (node, feature)
-        # pairs the attempts draw whose feature has a feasible cut, once each
+        # own law over its best decreases, and one batch of value laws, once
+        # each for the distinct features its five pairs draw that have a
+        # feasible cut, and for no other
         built = []
         real_laws = mrforest.tree.selection_cdfs
 
@@ -367,12 +390,16 @@ class TestSplitSearch:
             built.clear()
             _decide_level(seed)
             reference_rng = np.random.default_rng(seed)
+            capped = config.max_depth is not None and level.depth >= config.max_depth
             own_laws, value_law_sizes = [], []
             for node in nodes:
-                trace = []
-                reference_node_split(*node, config, level.depth, reference_rng, trace)
+                if capped or node[4].size <= config.k or node[3].shape[1] < 2:
+                    continue
                 has_cut, has_feasible = _brute_force_feature_cuts(node, config.k)
-                if not any(has_feasible) or not trace:
+                if not any(has_cut):
+                    continue
+                block = reference_rng.random(BLOCK)
+                if not any(has_feasible):
                     continue
                 xs, ys, _, sorted_pos, _, classes = node
                 valid, _ = cut_points(gather_sorted(xs, sorted_pos))
@@ -380,19 +407,23 @@ class TestSplitSearch:
                 best = np.where(valid, decreases, -np.inf).max(axis=1)
                 own = softmax_scaled(normalize(best[np.array(has_cut)]), config.b1)
                 own_laws.append(np.cumsum(own))
-                reached = [f for f in trace if has_feasible[f]]
-                value_law_sizes += [int(valid[f].sum()) for f in set(reached)]
-                seen.add("reused" if len(set(reached)) < len(reached) else "one")
+                # the feature draws replay uniforms 0, 3, 6, 9 and 12 of the block
+                drawn = np.flatnonzero(has_cut)[inverse_cdf_draws(own, block[::3])]
+                reached = {int(f) for f in drawn if has_feasible[f]}
+                value_law_sizes += [int(valid[f].sum()) for f in reached]
+                if reached:
+                    seen.add("one law" if len(reached) == 1 else "several laws")
+                if len(reached) < len(set(drawn.tolist())):
+                    seen.add("no feasible cut")
             if not own_laws:
                 assert built == []
                 continue
-            feature_laws = built[0][2]
+            (_, _, feature_laws), (_, _, value_laws) = built
             assert len(own_laws) == feature_laws.size.size
             for i, law in enumerate(own_laws):
-                np.testing.assert_allclose(feature_laws.law(i), law, rtol=1e-9)
-            sizes = sorted(int(size) for _, run_sizes, _ in built[1:] for size in run_sizes)
-            assert sizes == sorted(value_law_sizes)
-        assert seen == {"reused", "one"}
+                np.testing.assert_allclose(law_at(feature_laws, i), law, rtol=1e-9)
+            assert sorted(value_laws.size.tolist()) == sorted(value_law_sizes)
+        assert seen == {"one law", "several laws", "no feasible cut"}
 
 
 # a micro-dataset: n=8, D=2, K=2, whose k=1 trees at b1 = b2 = 1 take many shapes.
@@ -671,7 +702,7 @@ class TestDepthAndSerialization:
     def test_dict_round_trip_preserves_structure_and_predictions(self, rng):
         ds = random_dataset(rng, 150, 3)
         tree, _ = _build(ds, MrfConfig(t=1, k=4, seed=5))
-        clone = Tree.from_dict(tree.to_dict(), ds.class_count, ds.feature_count)
+        (clone,) = read_trees([tree.to_dict()], ds.class_count, ds.feature_count)
         assert clone.to_dict() == tree.to_dict()
         k = ds.class_count
         assert np.array_equal(leaf_eta(clone, ds.features, k), leaf_eta(tree, ds.features, k))

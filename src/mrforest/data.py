@@ -104,7 +104,6 @@ class Partition:
 
     structure_idx: np.ndarray
     estimation_idx: np.ndarray
-    rate: float
 
     def __post_init__(self) -> None:
         s = np.asarray(self.structure_idx, dtype=np.int64)
@@ -283,7 +282,6 @@ def partition(dataset: Dataset, rate: float, rng: np.random.Generator) -> Partit
     return Partition(
         structure_idx=np.sort(perm[:n_struct]),
         estimation_idx=np.sort(perm[n_struct:]),
-        rate=float(rate),
     )
 
 

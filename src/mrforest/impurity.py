@@ -12,11 +12,11 @@ caller computes both and keeps the decreases of the valid cuts.
 The prefix counts are kept class first, one (rows, m) plane per class: one
 ``cumsum`` per class but the last, whose counts are what the others leave of
 each prefix (integer counts are exact in float64). :func:`_impurity` holds
-the gini and entropy formulas for the scan and for the privacy audit's grid
-scorer. It adds the per-class terms plane by plane in class order, which is
-the order in which numpy's ``sum`` adds a last axis of fewer than eight
-entries; from eight classes on numpy adds pairwise, and the planes are handed
-to that ``sum``. So the decreases are bit-equal to a sum over a class-last
+the gini and entropy formulas; the scan is its one caller, and training and
+the privacy audits both score cuts through the scan. It adds the per-class
+terms plane by plane in class order, which is the order in which numpy's
+``sum`` adds a last axis of fewer than eight entries; from eight classes on
+numpy adds pairwise, and the planes are handed to that ``sum``. So the decreases are bit-equal to a sum over a class-last
 axis, while no pass runs along the short class axis.
 """
 
@@ -107,17 +107,17 @@ def _impurity(counts: np.ndarray, sizes: np.ndarray | int, criterion: str) -> np
 
 
 def cut_points(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(valid, thresholds)`` of the cuts in each row of sorted ``values`` (D, m).
+    """``(valid, thresholds)`` of the cuts in each row of sorted ``values`` (..., m).
 
-    Both are (D, m-1): position i is the cut between sorted positions i and
+    Both are (..., m-1): position i is the cut between sorted positions i and
     i+1 at their midpoint. ``valid`` is False where the two values are equal,
     or where the midpoint of adjacent doubles rounds up onto the upper value,
     which would route every row left.
     """
-    valid = values[:, 1:] > values[:, :-1]
-    thresholds = values[:, :-1] + values[:, 1:]
+    valid = values[..., 1:] > values[..., :-1]
+    thresholds = values[..., :-1] + values[..., 1:]
     thresholds *= 0.5
-    valid &= thresholds < values[:, 1:]
+    valid &= thresholds < values[..., 1:]
     return valid, thresholds
 
 

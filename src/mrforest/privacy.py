@@ -15,26 +15,28 @@ Neighbors are stored batched: one stacked (N, m, D) feature block and (N, m)
 label block per row count, replace-one neighbors keeping all n rows and
 remove-one neighbors n - 1. Each neighbor's arrays in
 ``Neighborhood.neighbors`` are views into those blocks, listed in
-enumeration order. An audit scores a whole block in one pass (one
-:func:`scan_features` call over every neighbor's sorted feature rows, or one
-batched matrix product over the threshold grid), turns the (N, outputs)
-score matrix into selection probabilities row by row, and takes the worst
-ratio over the matrix; the witness is the first neighbor in enumeration
-order that reaches it.
+enumeration order. Each block, and the base dataset, is sorted once per
+feature and scored by one :func:`scan_features` call, the scan training
+runs, and the result is cached per criterion. The feature audit takes each
+feature's best decrease over its valid cuts; the value audit takes, for each
+grid threshold, the decrease of the cut after the last sorted value at most
+it, and compares each neighbor's own candidate thresholds with the grid
+exactly. An audit turns the (N, outputs) score matrix into selection
+probabilities row by row and takes the worst ratio over the matrix; the
+witness is the first neighbor in enumeration order that reaches it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DomainError, SizeError
-from .impurity import ClassCounts, _impurity, cut_points, scan_features
+from .impurity import ClassCounts, cut_points, scan_features
 from .splitsel import selection_cdfs, softmax_scaled
 
 __all__ = [
@@ -133,9 +135,11 @@ class Neighborhood:
     each block in one pass and put the scores in neighbor order with
     ``order``.
 
-    ``score_cache`` memoizes the budget-independent quality scores, the base
-    dataset's row first and then one row per neighbor, so auditing the same
-    neighborhood at several budgets enumerates only once.
+    ``score_cache`` memoizes, per criterion, each dataset stack's sorted
+    scan (:meth:`scans`), and per audit the budget-independent quality
+    scores, the base dataset's row first and then one row per neighbor, so
+    auditing the same neighborhood at several budgets or on several features
+    enumerates, sorts and scans only once.
     """
 
     features: np.ndarray
@@ -145,9 +149,19 @@ class Neighborhood:
     order: np.ndarray
     score_cache: dict[Any, Any] = field(default_factory=dict, repr=False)
 
-    def per_neighbor(self, score: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-        """``score`` of every block, stacked, as one row per neighbor in order."""
-        return np.concatenate([score(x, y) for x, y in self.blocks])[self.order]
+    def scans(self, class_count: int, criterion: str) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The sorted values and scanned decreases of the base dataset, then of
+        each block in turn (see :func:`_sorted_scan`)."""
+        key = ("scan", criterion)
+        if key not in self.score_cache:
+            stacks = [(self.features, self.labels), *self.blocks]
+            self.score_cache[key] = [_sorted_scan(x, y, class_count, criterion) for x, y in stacks]
+        return self.score_cache[key]
+
+    def per_dataset(self, scores: list[np.ndarray]) -> np.ndarray:
+        """The base dataset's ``scores[0]``, then the blocks' rows put in neighbor order."""
+        base, *blocks = scores
+        return np.vstack((base, np.concatenate(blocks)[self.order]))
 
 
 def enumerate_neighbors(
@@ -209,67 +223,55 @@ def enumerate_neighbors(
     )
 
 
-def _root_feature_scores(
+def _sorted_scan(
     x: np.ndarray, y: np.ndarray, class_count: int, criterion: str
-) -> np.ndarray:
-    """Per-feature best impurity decrease at the root; 0 for constant features.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, decreases)`` of a dataset (m, D) or a stack of them (N, m, D).
 
-    ``x`` is one dataset (m, D) or a stack of them (N, m, D) with labels
-    (m,) or (N, m); every feature of every dataset goes to one
-    :func:`scan_features` call, one sorted row each.
+    ``values`` (..., D, m) holds each feature's values in stable ascending
+    order, and ``decreases`` (..., D, m-1) the impurity decrease of every cut
+    of them, from one :func:`scan_features` call over every sorted row.
     """
-    *stack, m, d = x.shape
-    if m < 2:
-        return np.zeros((*stack, d))
-    sorted_pos = np.argsort(x, axis=-2, kind="stable")
-    values = np.take_along_axis(x, sorted_pos, axis=-2)
-    labels = np.take_along_axis(np.broadcast_to(y[..., None], x.shape), sorted_pos, axis=-2)
-    valid, _ = cut_points(np.swapaxes(values, -1, -2).reshape(-1, m))
-    decreases = scan_features(np.swapaxes(labels, -1, -2).reshape(-1, m), class_count, criterion)
-    best = np.where(valid, decreases, -np.inf).max(axis=1).reshape(*stack, d)
+    sorted_pos = np.argsort(np.swapaxes(x, -1, -2), axis=-1, kind="stable")
+    values = np.take_along_axis(np.swapaxes(x, -1, -2), sorted_pos, axis=-1)
+    *stack, m = values.shape
+    if m < 2:  # no cut to scan
+        return values, np.empty((*stack, 0))
+    labels = np.take_along_axis(y[..., None, :], sorted_pos, axis=-1)
+    decreases = scan_features(labels.reshape(-1, m), class_count, criterion)
+    return values, decreases.reshape(*stack, m - 1)
+
+
+def _feature_scores(values: np.ndarray, decreases: np.ndarray) -> np.ndarray:
+    """Each feature's best decrease over its valid cuts; 0 for one with none."""
+    valid, _ = cut_points(values)
+    best = np.where(valid, decreases, -np.inf).max(axis=-1, initial=-np.inf)
     return np.where(np.isfinite(best), best, 0.0)
 
 
-def _grid_value_scores(
-    x: np.ndarray,
-    y: np.ndarray,
-    feature: int,
-    grid: np.ndarray,
-    class_count: int,
-    criterion: str,
+def _grid_scores(
+    values: np.ndarray, decreases: np.ndarray, feature: int, grid: np.ndarray
 ) -> np.ndarray:
-    """Impurity decrease of each grid threshold; 0 where a side is empty.
+    """The decrease of each threshold of ``grid`` on ``feature``; 0 where a side is empty.
 
-    ``x`` is one dataset (m, D) or a stack of them (N, m, D); the result is
-    (G,) or (N, G).
+    A threshold's cut follows the last sorted value at most it, so its
+    position is the count of those values less 1, and a count of 0 or of
+    every row leaves a side empty.
     """
-    n = x.shape[-2]
-    if n == 0:
-        return np.zeros((*x.shape[:-2], grid.size))
-    left_mask = x[..., None, :, feature] <= grid[:, None]
-    onehot = (y[..., :, None] == np.arange(class_count)).astype(np.float64)
-    # class first: (K, ..., G) counts left of each threshold, (K, ...) in all
-    left_counts = np.moveaxis(left_mask @ onehot, -1, 0)
-    total = np.moveaxis(onehot.sum(axis=-2), -1, 0)
-    right_counts = total[..., None] - left_counts
-    left_n = left_mask.sum(axis=-1)
-    right_n = n - left_n
-    parent_imp = _impurity(total, n, criterion)
-    child = left_n / n * _impurity(left_counts, left_n, criterion) + (
-        right_n / n
-    ) * _impurity(right_counts, right_n, criterion)
-    decreases = np.where(
-        (left_n > 0) & (right_n > 0), parent_imp[..., None] - child, 0.0
-    )
-    return np.maximum(decreases, 0.0)
+    column = values[..., feature, :]
+    left_n = (column[..., None, :] <= grid[:, None]).sum(axis=-1)
+    padded = np.zeros((*column.shape[:-1], column.shape[-1] + 1))
+    padded[..., 1:-1] = decreases[..., feature, :]
+    return np.maximum(np.take_along_axis(padded, left_n, axis=-1), 0.0)
 
 
-def _candidate_mismatches(x: np.ndarray, feature: int, grid: np.ndarray) -> int:
-    """How many of the stacked datasets (N, m, D) have candidates other than ``grid``."""
-    valid, thresholds = cut_points(np.sort(x[..., feature], axis=-1))
+def _candidate_mismatches(values: np.ndarray, feature: int, grid: np.ndarray) -> int:
+    """How many of the stacked datasets' sorted ``values`` (N, D, m) have
+    candidate thresholds other than exactly ``grid``."""
+    valid, thresholds = cut_points(values[:, feature])
     same_size = valid.sum(axis=1) == grid.size
     own = thresholds[same_size][valid[same_size]].reshape(-1, grid.size)
-    return x.shape[0] - int(np.isclose(own, grid).all(axis=1).sum())
+    return values.shape[0] - int((own == grid).all(axis=1).sum())
 
 
 def _audit_bound(name: str, budget: float) -> float:
@@ -349,13 +351,10 @@ def audit_feature_mechanism(
     """
     bound = _audit_bound("b1", b1)
     neigh = neighborhood or enumerate_neighbors(micro)
-    class_count = micro.class_count
     key = ("feature", criterion)
     if key not in neigh.score_cache:
-        score = partial(_root_feature_scores, class_count=class_count, criterion=criterion)
-        neigh.score_cache[key] = np.vstack(
-            (score(neigh.features, neigh.labels), neigh.per_neighbor(score))
-        )
+        scans = neigh.scans(micro.class_count, criterion)
+        neigh.score_cache[key] = neigh.per_dataset([_feature_scores(*scan) for scan in scans])
     probs = _selection_probs(neigh.score_cache[key], b1)
     return _ratio_report(
         "feature", b1, bound, probs[0], probs[1:], lambda i: neigh.neighbors[i][0]
@@ -384,21 +383,18 @@ def audit_value_mechanism(
     if not 0 <= feature < micro.feature_count:
         raise DomainError(f"feature {feature} is not one of the {micro.feature_count} columns")
     neigh = neighborhood or enumerate_neighbors(micro)
+    (base_values, _), *blocks = scans = neigh.scans(micro.class_count, criterion)
     if grid is None:
-        valid, thresholds = cut_points(np.sort(neigh.features[:, feature])[None])
+        valid, thresholds = cut_points(base_values[feature])
         grid = thresholds[valid]
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise DomainError("feature has no candidate thresholds to audit")
-    class_count = micro.class_count
     key = ("value", feature, criterion, grid.tobytes())
     if key not in neigh.score_cache:
-        score = partial(
-            _grid_value_scores, feature=feature, grid=grid, class_count=class_count, criterion=criterion
-        )
         neigh.score_cache[key] = (
-            np.vstack((score(neigh.features, neigh.labels), neigh.per_neighbor(score))),
-            sum(_candidate_mismatches(x, feature, grid) for x, _ in neigh.blocks),
+            neigh.per_dataset([_grid_scores(*scan, feature, grid) for scan in scans]),
+            sum(_candidate_mismatches(values, feature, grid) for values, _ in blocks),
         )
     scores, mismatches = neigh.score_cache[key]
     probs = _selection_probs(scores, b2)

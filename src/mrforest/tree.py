@@ -398,19 +398,14 @@ def _per_tree(
     return [Tree(feature[a:b], threshold[a:b], left[a:b], counts[c:d]) for a, b, c, d in spans]
 
 
-def _uniforms(
-    rngs: Sequence[np.random.Generator], drawing: np.ndarray, node_tree: np.ndarray, width: int
-) -> np.ndarray:
+def _uniforms(rngs: Sequence[np.random.Generator], node_tree: np.ndarray, width: int) -> np.ndarray:
     """A row of ``width`` uniforms for each node, drawn from its tree's rng in node order.
 
-    ``node_tree`` is the tree of each node, ascending. Each tree in
-    ``drawing`` makes one ``random`` call for all of its nodes, a call for
-    no rows if it has none.
+    ``node_tree`` is the tree of each node, ascending. Each tree makes one
+    ``random`` call for all of its nodes; a call for no rows draws nothing.
     """
     counts = np.bincount(node_tree, minlength=len(rngs)).tolist()
-    draws = np.bincount(drawing, minlength=len(rngs)).tolist()
-    blocks = (rng.random((n, width)) for rng, n, draw in zip(rngs, counts, draws) if draw)
-    return np.concatenate(list(blocks))
+    return np.concatenate([rng.random((n, width)) for rng, n in zip(rngs, counts)])
 
 
 def _nodes_with(mask: np.ndarray, node: np.ndarray, nodes: int) -> np.ndarray:
@@ -519,7 +514,7 @@ def _sample_splits(
     node = structure.node[:-1]  # the node of each cut
     valid &= gated[node] & (node == structure.node[1:])
     has_cut = _nodes_with(valid, node, nodes)
-    uniforms = _uniforms(rngs, level.tree[gated], level.tree[has_cut], _BLOCK)
+    uniforms = _uniforms(rngs, level.tree[has_cut], _BLOCK)
 
     # a gated node's k-th smallest and k-th largest estimation values; the
     # lookups of the other nodes, whose cuts are all invalid, are only kept in range
@@ -648,8 +643,7 @@ def _greedy_splits(
     searched = np.flatnonzero(is_searched)
     if not searched.size:
         return feature, threshold
-    searched_tree = level.tree[searched]
-    uniforms = _uniforms(rngs, searched_tree, searched_tree, x.shape[1])
+    uniforms = _uniforms(rngs, level.tree[searched], x.shape[1])
     order = np.argsort(uniforms, axis=1, kind="stable")
     subset = np.sort(order[:, :mtry], axis=1)
     sizes = structure.sizes[searched]

@@ -494,7 +494,7 @@ def reference_value_audit(micro, feature, b2, criterion="gini", grid=None, recor
     for _, x2, y2 in neighbors:
         probs.append(_selection(_grid_scores(x2, y2, feature, grid, k, criterion), b2))
         own = _midpoints(x2, feature)
-        if own.size != grid.size or not np.allclose(own, grid):
+        if not np.array_equal(own, grid):
             mismatches += 1
     descs = [desc for desc, _, _ in neighbors]
     return _report("value", b2, base, probs, descs, mismatches)

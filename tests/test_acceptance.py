@@ -125,9 +125,9 @@ def test_criterion_3_completely_random_uniform_selection():
     rng = np.random.default_rng(33)
     dataset = random_dataset(rng, 200, 5)
     # root candidate scores from a real dataset; mechanism sampled 10^4 times
-    from mrforest.privacy import _root_feature_scores
+    from mrforest.privacy import _feature_scores, _sorted_scan
 
-    scores = _root_feature_scores(dataset.features, dataset.labels, 2, "gini")
+    scores = _feature_scores(*_sorted_scan(dataset.features, dataset.labels, 2, "gini"))
     law = one_law(np.cumsum(softmax_scaled(normalize(scores), 0.0)))
     draws = select_feature(law, rng.random(10_000), np.zeros(10_000, dtype=int))
     counts = np.bincount(draws, minlength=5)

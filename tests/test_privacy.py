@@ -19,7 +19,7 @@ import mrforest.tree
 from mrforest.data import Dataset
 from mrforest.errors import DomainError, SizeError
 from mrforest.forest import MrfConfig, train_mrf
-from mrforest.impurity import ClassCounts
+from mrforest.impurity import ClassCounts, cut_points
 from mrforest.tree import build_tree
 from mrforest.privacy import (
     allocate_budget,
@@ -190,6 +190,15 @@ class TestValueAudit:
         # continuous features: replacing a row almost always moves midpoints
         report = audit_value_mechanism(_micro(rng), 0, 1.0)
         assert report.candidate_mismatches > 0
+
+    def test_near_miss_thresholds_are_mismatches(self):
+        # replacing row 2 moves the upper threshold to 1500.002: within
+        # np.isclose's tolerance of the grid's 1500, but not a threshold of it
+        ds = Dataset(np.array([[0.0], [1000.0], [2000.0]]), np.array([0, 1, 0]), ("x",), 2)
+        neighborhood = enumerate_neighbors(ds, [(np.array([2000.004]), 0)])
+        report = audit_value_mechanism(ds, 0, 1.0, neighborhood=neighborhood)
+        assert report.neighbor_count == 6
+        assert report.candidate_mismatches == 6
 
     def test_constant_feature_rejected(self):
         ds = Dataset(np.ones((4, 1)), np.array([0, 1, 0, 1]), ("x",), 2)
@@ -421,10 +430,10 @@ def _captured(monkeypatch, module, name) -> list:
 
 
 class TestAuditedLawIsTheDrawnLaw:
-    """The feature audit scores each dataset with the law that training draws a
-    tree's root feature from, bit for bit: the probability of each output is
-    the step of that law's cumulative probabilities, the last step taking
-    what the others leave of 1."""
+    """The feature and value audits score each dataset with the laws that
+    training draws a tree's root feature and value from, bit for bit: the
+    probability of each output is the step of that law's cumulative
+    probabilities, the last step taking what the others leave of 1."""
 
     @pytest.mark.parametrize("budget", [0.0, 1.0, 700.0])
     @pytest.mark.parametrize("seed", range(4))
@@ -454,4 +463,40 @@ class TestAuditedLawIsTheDrawnLaw:
             build_tree(dataset, rows, rows, config, np.random.default_rng(seed))
             cdf = law_at(laws[0], 0)  # the root's feature law
             assert cdf.size == d
+            assert np.array_equal(row, np.diff(np.append(cdf[:-1], 1.0), prepend=0.0))
+
+    @pytest.mark.parametrize("budget", [0.0, 1.0, 700.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_root_value_law(self, seed, budget, monkeypatch):
+        rng = np.random.default_rng(950 + seed)
+        n = int(rng.integers(4, 11))
+        micro = _micro(rng, n=n, d=1, k_classes=int(rng.integers(2, 4)))
+        neighborhood = enumerate_neighbors(micro)
+        audited = _captured(monkeypatch, mrforest.privacy, "_selection_probs")
+        audit_value_mechanism(micro, 0, budget, "gini", neighborhood)
+        (probs,) = audited  # the base dataset's row, then one row per neighbor
+
+        def candidates(x):
+            valid, thresholds = cut_points(np.sort(x[:, 0]))
+            return thresholds[valid]
+
+        # the datasets whose candidate thresholds are the grid, where
+        # training's root value law ranges over the audit's outputs
+        grid = candidates(micro.features)
+        datasets = [(micro.features, micro.labels, probs[0])] + [
+            (x, y, row)
+            for (_, x, y), row in zip(neighborhood.neighbors, probs[1:])
+            if np.array_equal(candidates(x), grid)
+        ]
+        assert len(datasets) > n
+        laws = _captured(monkeypatch, mrforest.tree, "selection_cdfs")
+        config = MrfConfig(t=1, k=1, b1=budget, b2=budget, max_depth=1)
+        for x, y, row in datasets:
+            laws.clear()
+            # a root with all of the rows on both sides, the way the audit scores it
+            dataset = Dataset(x, y, micro.feature_names, micro.class_count)
+            rows = np.arange(y.size)
+            build_tree(dataset, rows, rows, config, np.random.default_rng(seed))
+            cdf = law_at(laws[1], 0)  # the root's value law; laws[0] is its feature law
+            assert cdf.size == grid.size
             assert np.array_equal(row, np.diff(np.append(cdf[:-1], 1.0), prepend=0.0))

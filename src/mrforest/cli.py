@@ -166,14 +166,21 @@ def _load(args: argparse.Namespace) -> Dataset:
     )
 
 
-def _check_epsilon(args: argparse.Namespace) -> None:
-    """Reject a privacy budget for the greedy baseline, which no budget makes private."""
-    if args.method == "breiman" and args.epsilon is not None:
-        raise errors.ConfigError("--epsilon does not apply to --method breiman")
+def _check_method_flags(args: argparse.Namespace) -> None:
+    """Reject, before any data is read, a flag that the chosen method never reads."""
+    breiman = args.method == "breiman"
+    for flag, given in (
+        ("--epsilon", breiman and args.epsilon is not None),
+        ("--max-depth", breiman and args.max_depth is not None),
+        ("--mtry", not breiman and getattr(args, "mtry", None) is not None),
+        ("--no-bootstrap", not breiman and getattr(args, "no_bootstrap", False)),
+    ):
+        if given:
+            raise errors.ConfigError(f"{flag} does not apply to --method {args.method}")
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    _check_epsilon(args)
+    _check_method_flags(args)
     dataset = _load(args)
     if args.method == "breiman":
         config = BaselineConfig(
@@ -229,7 +236,7 @@ def _check_cv_flags(args: argparse.Namespace) -> None:
 
 def _cmd_cv(args: argparse.Namespace) -> int:
     _check_cv_flags(args)
-    _check_epsilon(args)
+    _check_method_flags(args)
     dataset = _load(args)
     config = _config_from_args(args, dataset.n)
     report = run_cv(

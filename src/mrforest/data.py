@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,24 +98,11 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint structure/estimation row index sets over one dataset."""
+class Partition(NamedTuple):
+    """Disjoint, nonempty structure/estimation row index sets, as :func:`partition` draws them."""
 
     structure_idx: np.ndarray
     estimation_idx: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.structure_idx, dtype=np.int64)
-        e = np.asarray(self.estimation_idx, dtype=np.int64)
-        if s.size == 0 or e.size == 0:
-            raise SizeError("both partition sides must be nonempty")
-        if np.intersect1d(s, e).size != 0:
-            raise SizeError("structure and estimation sets must be disjoint")
-        s.flags.writeable = False
-        e.flags.writeable = False
-        object.__setattr__(self, "structure_idx", s)
-        object.__setattr__(self, "estimation_idx", e)
 
 
 class FoldPlan:
@@ -265,10 +252,11 @@ def structure_size(n: int, rate: float) -> int:
 
 
 def partition(dataset: Dataset, rate: float, rng: np.random.Generator) -> Partition:
-    """Uniformly random disjoint structure/estimation split of all rows.
+    """Uniformly random disjoint structure/estimation split of all rows, both sides nonempty.
 
     ``rate`` is |structure| / |estimation|; the structure side receives
     round-half-up of n*rate/(1+rate) rows and the remainder estimates leaves.
+    Both sides are sorted slices of one permutation, so they cannot overlap.
     """
     if not 0 < rate < math.inf:
         raise SizeError(f"partition rate must be positive and finite, got {rate}")

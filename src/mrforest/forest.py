@@ -15,10 +15,11 @@ law's step: training is reproducible however trees are grouped.
 :func:`predict_batch` rejects rows of the wrong width or with NaN or inf, then
 runs all trees at once on the forest's compiled trees (see
 :mod:`mrforest.tree`), built on its first prediction and kept: its trees must
-not be mutated after that. A model document (version 2) stores each tree's
-columns and nothing they determine; it is checked as it loads, as whole
-arrays, all trees' columns at once. Documents of other versions, such as
-the version 1 node lists of earlier releases, are refused.
+not be mutated after that. A model document (version 3) stores each tree's
+columns, in level order, and nothing they determine; it is checked as it
+loads, as whole arrays, all trees' columns at once. Documents of other
+versions, such as the version 1 node lists and version 2 child columns of
+earlier releases, are refused.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ __all__ = [
 ]
 
 FOREST_FORMAT = "mrforest"
-FOREST_VERSION = 2
+FOREST_VERSION = 3
 
 # Spawn-key domain for per-tree rng substreams of the master seed.
 _TREE_STREAM = 0
@@ -232,12 +233,11 @@ def train_mrf(dataset: Dataset, config: MrfConfig) -> Forest:
     for group in _groups(config.t, dataset.n):
         rngs = [_tree_rng(config.seed, index) for index in group]
         parts = [partition(dataset, config.partition_rate, rng) for rng in rngs]
-        splits = [(part.structure_idx, part.estimation_idx) for part in parts]
         if len(group) == 1:
             # the one-tree call, which perfbench's tracer times tree by tree
-            trees.append(build_tree(dataset, *splits[0], config, rngs[0]))
+            trees.append(build_tree(dataset, *parts[0], config, rngs[0]))
         else:
-            trees += build_trees(dataset, splits, config, rngs)
+            trees += build_trees(dataset, parts, config, rngs)
     variant = "completely_random" if config.b1 == 0 and config.b2 == 0 else "mrf"
     return Forest(
         trees=trees,

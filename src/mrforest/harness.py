@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -196,8 +197,10 @@ def run_cv(
         for r in range(repeats)
         for f in range(folds)
     ]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    # a forked pool starts all its workers at once: no more than can be used
+    workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, jobs, chunksize=1))
     else:
         results = [_run_cell(job) for job in jobs]

@@ -11,9 +11,10 @@ positions sorted by feature j, each node owning one column segment in every
 row (:class:`_Segments`), and the nodes are ordered by tree. A split rule
 decides all nodes of a level in one batched pass, and one stable partition
 per matrix moves the split nodes' positions into their children's segments.
-Leaves keep their estimation rows' class counts. Each tree numbers its own nodes in level order: the root is 0,
-and a split's two children are adjacent and numbered after every node of its
-own level in that tree.
+Leaves keep their estimation rows' class counts. Each level's columns are
+concatenated and then ordered by tree, which lists each tree's nodes in its
+own level order: the root is node 0, and the children of its r-th split are
+nodes 2r - 1 and 2r.
 
 Each tree draws its uniforms from its own rng, one ``random`` call per level
 for all of its nodes, in node order, so a tree and its rng's state after it do
@@ -43,13 +44,16 @@ group; :mod:`mrforest.forest` groups a forest's trees under a row budget.
   Each node it searches takes D uniforms, one ``rng.random`` call per tree
   and level, and its subset is the first ``mtry`` features of their order.
 
-A :class:`Tree` is flat per-node arrays, which the grower writes, the model
-file stores, and prediction reads; ``Tree.root`` is a ``TreeNode`` graph view
-built on demand, which no library code reads. :func:`compile_trees`
-concatenates all trees of a forest, on the forest's first prediction, and the
-result is kept, so its trees must not be mutated after that.
-:func:`route_eta` moves all rows down all trees a level per round;
-:func:`tree_votes` votes.
+A :class:`Tree` is flat per-node arrays in level order, which the grower
+writes, the model file stores, and prediction reads. Level order implies the
+children, so a tree stores none: ``Tree.left`` is derived from which nodes
+split, and :func:`read_trees` checks that the nodes form a tree by counting
+them and checking that every split comes before its implied children.
+``Tree.root`` is a ``TreeNode`` graph view built on demand, which no library
+code reads. :func:`compile_trees` concatenates all trees of a forest, on the
+forest's first prediction, and the result is kept, so its trees must not be
+mutated after that. :func:`route_eta` moves all rows down all trees a level
+per round; :func:`tree_votes` votes.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
+from .data import Partition
 from .errors import ParseError
 from .impurity import cut_points, scan_features
 from .splitsel import select_feature, select_value, selection_cdfs, softmax_scaled
@@ -91,7 +96,7 @@ _PAIRS = 5
 # Uniforms of a searched node: per pair, one for the feature and one per value.
 _BLOCK = 3 * _PAIRS
 
-_COLUMNS = ("feature", "threshold", "left", "counts")
+_COLUMNS = ("feature", "threshold", "counts")
 
 
 @dataclass(eq=False)
@@ -113,19 +118,24 @@ class TreeNode:
 
 @dataclass(eq=False)
 class Tree:
-    """One tree in flat per-node arrays, the layout of scikit-learn's ``Tree``.
+    """One tree in flat per-node arrays, its nodes listed in level order.
 
-    The root is node 0 and children always follow their parent. A split's
-    children are adjacent: the right child of node i is ``left[i] + 1``.
-    Leaves hold feature and left -1 and threshold 0; ``counts`` holds one row
-    of estimation class counts per leaf, in node order, and a leaf's
-    distribution is its row over the row's sum.
+    The root is node 0, and the children of the r-th split in node order
+    (r = 1, 2, ...) are nodes 2r - 1 and 2r, as in Jacobson's level-order
+    encoding of binary trees, so ``feature`` alone fixes the tree's shape and
+    ``left`` is derived from it. Leaves hold feature -1 and threshold 0;
+    ``counts`` holds one row of estimation class counts per leaf, in node
+    order, and a leaf's distribution is its row over the row's sum.
     """
 
     feature: np.ndarray  # (nodes,) split feature, -1 at leaves
     threshold: np.ndarray  # (nodes,) rows with value <= threshold go left
-    left: np.ndarray  # (nodes,) left child, -1 at leaves
     counts: np.ndarray  # (leaves, K) estimation class counts
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        """Each node's left child, -1 at leaves; a split's right child is ``left + 1``."""
+        return _left_children(self.feature, np.array([self.feature.size]))
 
     @cached_property
     def depth(self) -> int:
@@ -150,11 +160,10 @@ class Tree:
         return nodes[0]
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready columns; :func:`read_trees` reads them back."""
+        """JSON-ready columns, thresholds of splits only; :func:`read_trees` reads them back."""
         return {
             "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
+            "threshold": self.threshold[self.feature != -1].tolist(),
             "counts": self.counts.tolist(),
         }
 
@@ -163,59 +172,77 @@ def read_trees(docs: Sequence[dict[str, Any]], class_count: int, feature_count: 
     """Trees of :meth:`Tree.to_dict` documents, checked once as whole arrays for all of them.
 
     Each column of all trees is converted once and checked with per-tree
-    offsets. A corrupt document raises :class:`ParseError`: columns that are
-    not integers (thresholds: numbers), empty or of different lengths; a
-    split whose left child is not after it or whose right child is out of
-    its tree, or a leaf with a child; nodes that are not a tree (a node other
-    than a root with no parent or with two); a split feature outside
-    ``[0, feature_count)``; a threshold that is NaN or infinite; or leaf
-    counts that are not ``class_count`` per leaf, are negative, or sum to
-    zero.
+    offsets. The nodes form a tree exactly when the tree has twice as many
+    nodes as splits, plus one, and every split comes before its implied
+    left child: then every node but the root has one parent, listed before
+    it. A corrupt document raises :class:`ParseError`: columns that are not
+    flat lists of integers (thresholds: numbers); nodes that do not form a
+    tree; a threshold count other than the split count; a split feature
+    outside ``[0, feature_count)``; a threshold that is NaN or infinite; or
+    leaf counts that are not ``class_count`` per leaf, are negative, or sum
+    to zero.
     """
     if not docs:
         return []
     lengths = np.array([[len(doc[name]) for name in _COLUMNS] for doc in docs])
-    size = lengths[:, 0]
-    if (size == 0).any() or (lengths[:, 1:3] != size[:, None]).any():
-        raise ParseError("tree columns are empty or of different lengths")
-    feature, left, counts = (_column(docs, name, "i") for name in ("feature", "left", "counts"))
+    feature, counts = (_column(docs, name, "i") for name in ("feature", "counts"))
     threshold = _column(docs, "threshold", "if").astype(np.float64)
-    total = int(size.sum())
-    if not feature.shape == threshold.shape == left.shape == (total,):
+    size = lengths[:, 0]
+    if feature.shape != (size.sum(),) or threshold.ndim != 1:
         raise ParseError("tree columns are not flat lists")
-    ends = np.cumsum(size)
-    roots = ends - size
-    offset = np.repeat(roots, size)
-    node = np.arange(total) - offset
+    tree = np.repeat(np.arange(len(docs)), size)
     split = feature != -1
+    splits = np.bincount(tree[split], minlength=len(docs))
+    if (size != 2 * splits + 1).any():
+        raise ParseError("nodes do not form a tree: a tree's nodes are not 2 * splits + 1")
 
     def where(i: int) -> str:
-        return f"tree {np.searchsorted(roots, i, side='right') - 1} node {node[i]}"
+        return f"tree {tree[i]} node {i - (np.cumsum(size) - size)[tree[i]]}"
 
-    bad = np.where(split, (left <= node) | (left >= np.repeat(size, size) - 1), left != -1)
-    if bad.any():
-        raise ParseError(f"{where(np.argmax(bad))}: child index out of order or range")
-    # a left child is after its parent, so a root is no node's child; every
-    # other node must be exactly one split's child
-    child = (left + offset)[split]
-    parents = np.bincount(np.concatenate((child, child + 1)), minlength=total)
-    parents[roots] += 1
-    if (parents != 1).any():
-        raise ParseError("nodes do not form a tree: a node is shared by two splits or orphaned")
+    behind = split & (_left_children(feature, size) <= np.arange(feature.size))
+    if behind.any():
+        fault = "nodes do not form a tree: a split is not before its children"
+        raise ParseError(f"{where(np.argmax(behind))}: {fault}")
     outside = split & ((feature < 0) | (feature >= feature_count))
     if outside.any():
         raise ParseError(f"{where(np.argmax(outside))}: feature out of range")
+    if (lengths[:, 1] != splits).any():
+        raise ParseError("tree thresholds are not one per split")
     if not np.isfinite(threshold).all():
         raise ParseError("a threshold is not finite")
-    leaves = size - np.add.reduceat(split, roots, dtype=np.intp)
-    if counts.shape != (leaves.sum(), class_count) or (lengths[:, 3] != leaves).any():
+    leaves = size - splits
+    if counts.shape != (leaves.sum(), class_count) or (lengths[:, 2] != leaves).any():
         raise ParseError(f"leaf counts are not {class_count} per leaf")
     if (counts < 0).any() or (counts.sum(axis=1) == 0).any():
         raise ParseError("leaf counts are negative or sum to zero")
-    feature, left = feature.astype(np.intp, copy=False), left.astype(np.intp, copy=False)
-    leaf_ends = np.cumsum(leaves)
-    spans = zip(roots.tolist(), ends.tolist(), (leaf_ends - leaves).tolist(), leaf_ends.tolist())
-    return [Tree(feature[a:b], threshold[a:b], left[a:b], counts[c:d]) for a, b, c, d in spans]
+    full = np.zeros(feature.size)
+    full[split] = threshold
+    return _split_trees(feature.astype(np.intp, copy=False), full, counts, size, leaves)
+
+
+def _left_children(feature: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each node's left child, -1 at leaves, in level-order trees of ``sizes``
+    nodes each, listed one after another.
+
+    A tree of s splits has 2s + 1 nodes, so tree k starts at node 2b + k, b
+    counting the splits of the trees before it, and the r-th split of all,
+    if it is in tree k, has its left child at 2r + k - 1.
+    """
+    split = feature != -1
+    return np.where(split, 2 * np.cumsum(split) + np.repeat(np.arange(len(sizes)) - 1, sizes), -1)
+
+
+def _split_trees(
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    counts: np.ndarray,
+    sizes: np.ndarray,
+    leaves: np.ndarray,
+) -> list[Tree]:
+    """One :class:`Tree` per tree, tree i taking the next ``sizes[i]`` nodes and leaves."""
+    cuts, leaf_cuts = np.cumsum(sizes)[:-1], np.cumsum(leaves)[:-1]
+    columns = zip(np.split(feature, cuts), np.split(threshold, cuts), np.split(counts, leaf_cuts))
+    return [Tree(*tree) for tree in columns]
 
 
 def _leaf_eta(counts: np.ndarray) -> np.ndarray:
@@ -343,59 +370,28 @@ def _grow(
     estimation = structure if xe is None else _Segments.roots(xe, estimation_sizes)
     tree = np.arange(trees)
     columns, leaf_counts = [], []
-    # ids number all of the group's nodes in level order; _per_tree renumbers them per tree
-    depth, next_id = 0, trees
+    depth = 0
     while True:
         nodes = tree.size
         labels = estimation.node * class_count + ye[estimation.pos[0]]
         counts = np.bincount(labels, minlength=nodes * class_count).reshape(nodes, class_count)
         feature, threshold = rule(_Level(depth, tree, structure, estimation, counts))
         split = feature >= 0
-        splits = np.count_nonzero(split)
-        left = np.full(nodes, -1)
-        left[split] = next_id + 2 * np.arange(splits)
-        next_id += 2 * splits
-        columns.append((feature, threshold, left, tree))
+        columns.append((feature, threshold, tree))
         leaf_counts.append(counts[~split])
-        if not splits:
+        if not split.any():
             break
         structure = structure.children(xs, feature, threshold)
         estimation = structure if xe is None else estimation.children(xe, feature, threshold)
         tree = tree[split].repeat(2)
         depth += 1
-    feature, threshold, left, tree = (np.concatenate(column) for column in zip(*columns))
-    return _per_tree(feature, threshold, left, np.concatenate(leaf_counts), tree, trees)
-
-
-def _per_tree(
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    left: np.ndarray,
-    counts: np.ndarray,
-    tree: np.ndarray,
-    trees: int,
-) -> list[Tree]:
-    """One :class:`Tree` per tree of a group's nodes, listed and numbered in level order.
-
-    A tree's nodes keep their order, so its root is its node 0 and it numbers
-    its nodes in its own level order; ``counts`` holds the leaves' rows in
-    the nodes' order.
-    """
+    feature, threshold, tree = (np.concatenate(column) for column in zip(*columns))
+    # a stable sort by tree keeps each tree's nodes in their order, its own level order
     order = np.argsort(tree, kind="stable")
-    sizes = np.bincount(tree, minlength=trees)
-    ends = np.cumsum(sizes)
-    local = np.empty_like(order)  # each node's id in its own tree
-    local[order] = np.arange(order.size) - np.repeat(ends - sizes, sizes)
-    split = feature >= 0
-    left = np.where(split, local[left], -1)
-    leaf_tree = tree[~split]
-    leaf_order = np.argsort(leaf_tree, kind="stable")
-    leaf_ends = np.cumsum(np.bincount(leaf_tree, minlength=trees))
-    feature, threshold, left = feature[order], threshold[order], left[order]
-    counts = counts[leaf_order]
-    starts, leaf_starts = (ends - sizes).tolist(), [0, *leaf_ends[:-1].tolist()]
-    spans = zip(starts, ends.tolist(), leaf_starts, leaf_ends.tolist())
-    return [Tree(feature[a:b], threshold[a:b], left[a:b], counts[c:d]) for a, b, c, d in spans]
+    leaf_tree = tree[feature < 0]
+    counts = np.concatenate(leaf_counts)[np.argsort(leaf_tree, kind="stable")]
+    sizes, leaves = (np.bincount(owner, minlength=trees) for owner in (tree, leaf_tree))
+    return _split_trees(feature[order], threshold[order], counts, sizes, leaves)
 
 
 def _uniforms(rngs: Sequence[np.random.Generator], node_tree: np.ndarray, width: int) -> np.ndarray:
@@ -417,12 +413,12 @@ def _nodes_with(mask: np.ndarray, node: np.ndarray, nodes: int) -> np.ndarray:
 
 def build_trees(
     dataset: "Dataset",
-    partitions: Sequence[tuple[np.ndarray, np.ndarray]],
+    partitions: Sequence[Partition],
     config: "MrfConfig",
     rngs: Sequence[np.random.Generator],
 ) -> list[Tree]:
-    """Grow multinomial trees together, tree i from the ``(structure_idx,
-    estimation_idx)`` row split ``partitions[i]`` with ``rngs[i]``.
+    """Grow multinomial trees together, tree i from the structure/estimation
+    row split ``partitions[i]`` with ``rngs[i]``.
 
     Each tree is the tree :func:`build_tree` grows from its split and rng, and
     leaves its rng as that call would. All of the trees' rows are held at
@@ -460,7 +456,7 @@ def build_tree(
     and (in privacy mode) depth below the configured cap. All degenerate
     paths resolve to leaves.
     """
-    return build_trees(dataset, [(structure_idx, estimation_idx)], config, [rng])[0]
+    return build_trees(dataset, [Partition(structure_idx, estimation_idx)], config, [rng])[0]
 
 
 def _sample_splits(
@@ -685,7 +681,7 @@ class CompiledTrees:
 
 
 def compile_trees(trees: Sequence[Tree], class_count: int) -> CompiledTrees:
-    """Concatenate the arrays of ``trees``, each tree's child indices shifted by its offset.
+    """Concatenate the arrays of ``trees`` and derive all their children at once.
 
     :func:`_leaf_eta` runs once, on all leaves. A level-by-level walk of all
     trees, not a stored depth, sets ``depth``.
@@ -694,7 +690,7 @@ def compile_trees(trees: Sequence[Tree], class_count: int) -> CompiledTrees:
     roots = np.concatenate(([0], np.cumsum(sizes[:-1])))
     feature = np.concatenate([tree.feature for tree in trees])
     leaf = feature == -1
-    left = np.concatenate([tree.left for tree in trees]) + np.repeat(roots, sizes)
+    left = _left_children(feature, sizes)
     left[leaf] = np.flatnonzero(leaf)
     eta = np.zeros((feature.size, class_count))
     eta[leaf] = _leaf_eta(np.concatenate([tree.counts for tree in trees]))

@@ -18,9 +18,11 @@ D uniforms and splits on the first ``mtry`` features of their order.
 :func:`depth_first_build_tree` is the library's multinomial grower as it was
 before: depth first, each search drawing from the rng only the uniforms it
 reads. :func:`v1_tree_doc` and :func:`v1_forest_doc` write the version 1
-model document the library wrote before it stored trees as columns; the
-library no longer reads it. :func:`flat_tree` numbers a ``TreeNode`` graph's
-nodes in level order and reads its columns as a model's.
+model document the library wrote before it stored trees as columns, and
+:func:`v2_forest_doc` the version 2 document it wrote before level order
+implied each split's children; the library reads neither. :func:`flat_tree`
+numbers a ``TreeNode`` graph's nodes in level order and reads its columns as
+a model's.
 :func:`reference_sample_split` is the multinomial split search as it was
 before the library checked feasibility with one mask per node: every
 attempt rebuilds both mechanisms' laws, draws from them, and counts the
@@ -327,22 +329,39 @@ def v1_forest_doc(forest) -> dict:
 def flat_tree(root: TreeNode, class_count: int, feature_count: int) -> Tree:
     """The library's tree of a ``TreeNode`` graph, its nodes numbered in level order
     as the grower numbers them, and its columns checked by the model reader."""
-    feature, threshold, left, counts = [], [], [], []
+    feature, threshold, counts = [], [], []
     queue = deque([root])
     while queue:
         node = queue.popleft()
         if node.is_leaf:
             feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
             counts.append([int(c) for c in node.counts])
             continue
         feature.append(int(node.feature))
         threshold.append(float(node.threshold))
-        left.append(len(feature) + len(queue))  # the ids after every node seen or queued
         queue += (node.left, node.right)
-    columns = {"feature": feature, "threshold": threshold, "left": left, "counts": counts}
+    columns = {"feature": feature, "threshold": threshold, "counts": counts}
     return read_trees([columns], class_count, feature_count)[0]
+
+
+def v2_forest_doc(forest) -> dict:
+    """The version 2 model document of ``forest``, as the library wrote it.
+
+    Each tree's columns list every node: its feature, its threshold (0 at
+    leaves) and its left child (-1 at leaves), and the leaves' counts.
+    """
+    doc = forest.to_dict()
+    doc["version"] = 2
+    doc["trees"] = [
+        {
+            "feature": tree.feature.tolist(),
+            "threshold": tree.threshold.tolist(),
+            "left": tree.left.tolist(),
+            "counts": tree.counts.tolist(),
+        }
+        for tree in forest.trees
+    ]
+    return doc
 
 
 def walk_eta(tree, x: np.ndarray, class_count: int) -> np.ndarray:
@@ -672,50 +691,39 @@ def reference_build_tree(dataset, structure_idx, estimation_idx, config, rng):
 def depth_first_build_tree(dataset, structure_idx, estimation_idx, config, rng) -> Tree:
     """``build_tree`` as the library grew trees before it grew a level at a time.
 
-    Depth first, right subtree first; each node's children are appended to
-    the arrays when it splits. Each search draws from ``rng`` only the
-    uniforms its attempts read: none without a valid cut, all 15 when no cut
-    is feasible, and otherwise until an attempt hits a feasible cut.
+    Depth first, right subtree first, into a ``TreeNode`` graph that
+    :func:`flat_tree` numbers in level order. Each search draws from ``rng``
+    only the uniforms its attempts read: none without a valid cut, all 15
+    when no cut is feasible, and otherwise until an attempt hits a feasible
+    cut.
     """
     xs, ys, xe, ye = _mrf_rows(dataset, structure_idx, estimation_idx)
     class_count = dataset.class_count
     member = np.zeros(xs.shape[0], dtype=bool)
-    feature, threshold, left = [-1], [0.0], [-1]
-    leaf_counts: list[np.ndarray | None] = [None]
-    stack = [(0, 0, sorted_positions(xs), np.arange(ye.size))]
+    root = TreeNode(depth=0)
+    stack = [(root, sorted_positions(xs), np.arange(ye.size))]
     while stack:
-        node, depth, sorted_pos, est_pos = stack.pop()
-        counts = np.bincount(ye[est_pos], minlength=class_count)
-        capped = config.max_depth is not None and depth >= config.max_depth
+        node, sorted_pos, est_pos = stack.pop()
+        capped = config.max_depth is not None and node.depth >= config.max_depth
         split = None
         if not (capped or est_pos.size <= config.k or sorted_pos.shape[1] < 2):
             split = _depth_first_search(xs, ys, xe, sorted_pos, est_pos, class_count, config, rng)
         if split is None:
-            leaf_counts[node] = counts
+            node.counts = np.bincount(ye[est_pos], minlength=class_count)
             continue
-        split_feature, split_threshold, est_left = split
-        child = len(feature)
-        feature[node], threshold[node], left[node] = split_feature, split_threshold, child
-        feature += (-1, -1)
-        threshold += (0.0, 0.0)
-        left += (-1, -1)
-        leaf_counts += (None, None)
+        node.feature, node.threshold, est_left = split
+        node.left, node.right = TreeNode(depth=node.depth + 1), TreeNode(depth=node.depth + 1)
         rows = sorted_pos[0]
-        left_rows = rows[xs[rows, split_feature] <= split_threshold]
+        left_rows = rows[xs[rows, node.feature] <= node.threshold]
         member[left_rows] = True
         keep = member[sorted_pos]
         member[left_rows] = False
         features, m = sorted_pos.shape
         left_sorted = sorted_pos[keep].reshape(features, left_rows.size)
         right_sorted = sorted_pos[~keep].reshape(features, m - left_rows.size)
-        stack.append((child, depth + 1, left_sorted, est_pos[est_left]))
-        stack.append((child + 1, depth + 1, right_sorted, est_pos[~est_left]))
-    return Tree(
-        np.array(feature, dtype=np.intp),
-        np.array(threshold),
-        np.array(left, dtype=np.intp),
-        np.array([counts for counts in leaf_counts if counts is not None]),
-    )
+        stack.append((node.left, left_sorted, est_pos[est_left]))
+        stack.append((node.right, right_sorted, est_pos[~est_left]))
+    return flat_tree(root, class_count, xs.shape[1])
 
 
 def _depth_first_search(xs, ys, xe, sorted_pos, est_pos, class_count, config, rng):

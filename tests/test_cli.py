@@ -87,15 +87,30 @@ class TestTrainPredict:
         assert doc["config"]["b3"] == pytest.approx(2.0)
         assert doc["config"]["b1"] == pytest.approx(4.0 / (8 * 2) / 2)
 
-    @pytest.mark.parametrize("command", ["train", "cv"])
-    def test_epsilon_with_breiman_exits_2(self, data_csv, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        ("command", "method", "flags"),
+        [
+            pytest.param("train", "breiman", ["--epsilon", "0.5"], id="train"),
+            pytest.param("cv", "breiman", ["--epsilon", "0.5"], id="cv"),
+            pytest.param("train", "breiman", ["--max-depth", "2"], id="train-breiman-max-depth"),
+            pytest.param("cv", "breiman", ["--max-depth", "2"], id="cv-breiman-max-depth"),
+            pytest.param("train", "mrf", ["--mtry", "3"], id="train-mrf-mtry"),
+            pytest.param("train", "mrf", ["--no-bootstrap"], id="train-mrf-no-bootstrap"),
+            pytest.param(
+                "train", "completely_random", ["--mtry", "1"], id="train-completely-random-mtry"
+            ),
+        ],
+    )
+    def test_epsilon_with_breiman_exits_2(self, tmp_path, capsys, command, method, flags):
+        # a flag the method never reads is refused before the data is read:
+        # the data file does not exist
         out = tmp_path / "out.json"
         code = cli.main(
-            [command, "--data", str(data_csv), "--method", "breiman", "--trees", "2",
-             "--epsilon", "0.5", "--out", str(out)]
+            [command, "--data", str(tmp_path / "absent.csv"), "--method", method,
+             "--trees", "2", *flags, "--out", str(out)]
         )
         assert code == cli.EXIT_CONFIG
-        assert "--epsilon does not apply to --method breiman" in capsys.readouterr().err
+        assert f"{flags[0]} does not apply to --method {method}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_breiman_variant(self, data_csv, tmp_path):

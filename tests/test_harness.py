@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import mrforest.harness
 from conftest import random_dataset, same_plan
 from mrforest.data import Dataset
 from mrforest.cli import _write
@@ -70,6 +71,35 @@ class TestRunCv:
         seq = run_cv(ds, "mrf", config, 4, 1, seed=3, n_jobs=1)
         par = run_cv(ds, "mrf", config, 4, 1, seed=3, n_jobs=2)
         assert seq.accuracies == par.accuracies
+
+    @pytest.mark.parametrize(
+        ("n_jobs", "cpus", "workers"),
+        [(5000, 64, 6), (5000, 4, 4), (3, 64, 3), (5000, None, None), (1, 64, None)],
+    )
+    def test_workers_capped_at_cells_and_cores(self, monkeypatch, n_jobs, cpus, workers):
+        # a pool that records its size and maps serially: no process starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(mrforest.harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(mrforest.harness.os, "cpu_count", lambda: cpus)
+        ds = _separable_dataset(60)
+        config = MrfConfig(t=2, k=3, seed=0)
+        report = run_cv(ds, "mrf", config, 3, 2, seed=3, n_jobs=n_jobs)
+        assert sizes == ([] if workers is None else [workers])
+        assert report.accuracies == run_cv(ds, "mrf", config, 3, 2, seed=3).accuracies
 
     def test_accuracies_bounded_and_counted(self, rng):
         ds = random_dataset(rng, 90, 3)

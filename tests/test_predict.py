@@ -30,7 +30,7 @@ from mrforest.forest import (
     train_baseline_rf,
     train_mrf,
 )
-from oracle import v1_forest_doc, walk_votes
+from oracle import v1_forest_doc, v2_forest_doc, walk_votes
 
 VARIANTS = ("mrf", "completely_random", "breiman")
 
@@ -175,10 +175,10 @@ class TestBadRows:
         assert classes.shape == (0,) and votes.shape == (3, 0)
 
 
-def _model_doc_v2() -> dict:
+def _model_doc() -> dict:
     ds = random_dataset(np.random.default_rng(1), 80, 2, n_classes=3)
     doc = json.loads(train_mrf(ds, MrfConfig(t=2, k=3, seed=1)).to_json())
-    assert doc["version"] == 2 and doc["trees"][0]["feature"][0] != -1
+    assert doc["version"] == 3 and doc["trees"][0]["feature"][0] != -1
     return doc
 
 
@@ -186,32 +186,38 @@ def _splits(doc, tree=0):
     return [i for i, f in enumerate(doc["trees"][tree]["feature"]) if f != -1]
 
 
-def _self_loop_v2(doc):
-    doc["trees"][0]["left"][0] = 0
+def _with_features(doc, feature):
+    """Tree 0 replaced by a tree of ``feature`` whose other columns have the lengths it needs."""
+    counts = doc["trees"][0]["counts"][0]
+    doc["trees"][0] = {
+        "feature": feature,
+        "threshold": [0.5] * sum(f != -1 for f in feature),
+        "counts": [counts] * feature.count(-1),
+    }
+
+
+# The ``_v2`` cases were first written for version 2's columns, which
+# version 3 keeps but for the child indices; they keep their names.
 
 
 def _backward_child_v2(doc):
-    index = _splits(doc)[1]
-    doc["trees"][0]["left"][index] = index - 1
+    # the last split moved to the last node, just after its implied left child
+    feature = doc["trees"][0]["feature"]
+    last = _splits(doc)[-1]
+    feature[last], feature[-1] = feature[-1], feature[last]
 
 
 def _child_out_of_range_v2(doc):
-    # the left child is the last node, so the right one is past the end
-    doc["trees"][0]["left"][0] = len(doc["trees"][0]["feature"]) - 1
-
-
-def _shared_child_v2(doc):
-    # the root takes the last split's children; its own are orphaned
+    # an appended split, whose implied children are past the end
     tree = doc["trees"][0]
-    tree["left"][0] = tree["left"][_splits(doc)[-1]]
+    tree["feature"].append(0)
+    tree["threshold"].append(0.5)
 
 
 def _orphan_node_v2(doc):
-    # a leaf that no split points to
+    # an appended leaf, which no split's implied children reach
     tree = doc["trees"][0]
     tree["feature"].append(-1)
-    tree["threshold"].append(0.0)
-    tree["left"].append(-1)
     tree["counts"].append(tree["counts"][0])
 
 
@@ -238,39 +244,34 @@ def _wrong_class_count_v2(doc):
 
 
 def _column_lengths_differ_v2(doc):
+    # one threshold fewer than the splits
     doc["trees"][1]["threshold"].pop()
 
 
-def _leaves(doc, tree=0):
-    return [i for i, f in enumerate(doc["trees"][tree]["feature"]) if f == -1]
-
-
 def _self_loop(doc):
-    # a split below the root is its own left child
-    index = _splits(doc)[1]
-    doc["trees"][0]["left"][index] = index
+    # the one split, node 1, is its own implied left child
+    _with_features(doc, [-1, 0, -1])
 
 
 def _backward_child(doc):
-    # a split below the root takes the root as its left child
-    doc["trees"][0]["left"][_splits(doc)[1]] = 0
+    # the one split, node 2, comes after its implied left child, node 1
+    _with_features(doc, [-1, -1, 0])
 
 
 def _child_out_of_range(doc):
-    # the left child itself is past the end
-    doc["trees"][0]["left"][0] = len(doc["trees"][0]["feature"])
+    # the last node, a leaf, made a split: its implied children are past the end
+    tree = doc["trees"][0]
+    tree["feature"][-1] = 0
+    tree["threshold"].append(0.5)
+    tree["counts"].pop()
 
 
 def _negative_feature(doc):
     doc["trees"][0]["feature"][0] = -2
 
 
-def _child_not_a_number(doc):
-    doc["trees"][0]["left"][0] = "1"
-
-
 def _missing_nodes(doc):
-    for column in ("feature", "threshold", "left", "counts"):
+    for column in ("feature", "threshold", "counts"):
         del doc["trees"][1][column]
 
 
@@ -283,21 +284,21 @@ def _labels_short(doc):
 
 
 def _nan_threshold(doc):
-    # leaves' thresholds are checked too
-    doc["trees"][0]["threshold"][_leaves(doc)[0]] = math.nan
+    # the last split's threshold, below the root
+    doc["trees"][0]["threshold"][-1] = math.nan
 
 
 def _orphan_node(doc):
-    # a split made a leaf orphans its children
+    # a split made a leaf orphans its implied children
     tree, index = doc["trees"][0], _splits(doc)[1]
-    tree["feature"][index], tree["threshold"][index], tree["left"][index] = -1, 0.0, -1
+    tree["feature"][index] = -1
+    del tree["threshold"][1]
+    leaves_before = tree["feature"][:index].count(-1)
+    tree["counts"].insert(leaves_before, tree["counts"][0])
 
 
-def _every_split_shares_its_children(doc):
-    # every split takes the last split's children, which then have many parents
-    tree = doc["trees"][0]
-    for index in _splits(doc):
-        tree["left"][index] = tree["left"][_splits(doc)[-1]]
+def _threshold_not_a_number(doc):
+    doc["trees"][0]["threshold"][0] = "0.5"
 
 
 CORRUPTIONS = (
@@ -305,34 +306,31 @@ CORRUPTIONS = (
     _backward_child,
     _child_out_of_range,
     _negative_feature,
-    _child_not_a_number,
     _missing_nodes,
     _no_trees,
     _labels_short,
     _nan_threshold,
     _orphan_node,
-    _every_split_shares_its_children,
+    _threshold_not_a_number,
 )
 
 
 @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__.strip("_"))
 def test_bad_model_document_raises_parse_error(corrupt):
-    doc = _model_doc_v2()
+    doc = _model_doc()
     corrupt(doc)
     with pytest.raises(ParseError):
         Forest.from_json(json.dumps(doc))
 
 
 def test_intact_model_document_loads():
-    forest = Forest.from_json(json.dumps(_model_doc_v2()))
+    forest = Forest.from_json(json.dumps(_model_doc()))
     assert predict_batch(forest, np.zeros((1, 2)))[1].shape == (2, 1)
 
 
 CORRUPTIONS_V2 = (
-    _self_loop_v2,
     _backward_child_v2,
     _child_out_of_range_v2,
-    _shared_child_v2,
     _orphan_node_v2,
     _feature_out_of_range_v2,
     _nan_threshold_v2,
@@ -345,7 +343,7 @@ CORRUPTIONS_V2 = (
 
 @pytest.mark.parametrize("corrupt", CORRUPTIONS_V2, ids=lambda f: f.__name__.strip("_"))
 def test_bad_v2_model_document_raises_parse_error(corrupt):
-    doc = _model_doc_v2()
+    doc = _model_doc()
     corrupt(doc)
     with pytest.raises(ParseError):
         Forest.from_json(json.dumps(doc))
@@ -362,7 +360,7 @@ def test_v2_trees_are_read_and_checked_once_per_forest(monkeypatch):
         return real_read_trees(docs, *args)
 
     monkeypatch.setattr(mrforest.forest, "read_trees", counted)
-    doc = _model_doc_v2()
+    doc = _model_doc()
     forest = Forest.from_json(json.dumps(doc))
     assert calls == [2]
     assert forest.to_dict() == doc
@@ -372,22 +370,33 @@ def test_v2_trees_are_read_and_checked_once_per_forest(monkeypatch):
         Forest.from_json(json.dumps(doc))
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_v1_model_file_exits_2_on_the_cli(tmp_path, capsys, variant):
-    # version 1 files, which list each tree's nodes, are refused: such models are re-trained
-    _, forest = _forest(variant, 5, 3, seed=12)
+def _refused_version_exits_2(tmp_path, capsys, doc, version):
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(v1_forest_doc(forest)), encoding="utf-8")
+    model.write_text(json.dumps(doc), encoding="utf-8")
     rows = tmp_path / "rows.csv"
     rows.write_text("f0,f1,f2\n0.1,0.2,0.3\n", encoding="utf-8")
     code = cli.main(["predict", "--model", str(model), "--data", str(rows)])
     assert code == cli.EXIT_CONFIG
-    assert "unsupported model version 1" in capsys.readouterr().err
+    assert f"unsupported model version {version}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_v1_model_file_exits_2_on_the_cli(tmp_path, capsys, variant):
+    # version 1 files, which list each tree's nodes, are refused: such models are re-trained
+    _, forest = _forest(variant, 5, 3, seed=12)
+    _refused_version_exits_2(tmp_path, capsys, v1_forest_doc(forest), 1)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_v2_model_file_exits_2_on_the_cli(tmp_path, capsys, variant):
+    # version 2 files, whose columns store each split's child, are refused too
+    _, forest = _forest(variant, 5, 3, seed=12)
+    _refused_version_exits_2(tmp_path, capsys, v2_forest_doc(forest), 2)
 
 
 @pytest.mark.parametrize(
     "content",
-    (b"", b'{"format": "mrforest", "version": 1, "trees": [', b"\xff\xfe\x00garbage", b"not json"),
+    (b"", b'{"format": "mrforest", "version": 3, "trees": [', b"\xff\xfe\x00garbage", b"not json"),
     ids=("empty", "truncated", "binary", "text"),
 )
 def test_unreadable_model_file_is_parse_error(tmp_path, content):
@@ -409,11 +418,9 @@ def test_truncated_model_file_exits_3_on_the_cli(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "corrupt", (_nan_threshold, _nan_threshold_v2), ids=("nan-threshold", "nan-threshold-v2")
-)
-def test_non_finite_model_value_exits_3_on_the_cli(tmp_path, capsys, corrupt):
-    doc = _model_doc_v2()
+def _corrupt_model_exits_3(tmp_path, capsys, corrupt) -> str:
+    """The CLI's error message on a corrupted :func:`_model_doc`, which must exit 3."""
+    doc = _model_doc()
     corrupt(doc)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc), encoding="utf-8")
@@ -422,24 +429,42 @@ def test_non_finite_model_value_exits_3_on_the_cli(tmp_path, capsys, corrupt):
     code = cli.main(["predict", "--model", str(model), "--data", str(rows)])
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert "error:" in err and ("not finite" in err or "infinite" in err)
+    assert "error:" in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "corrupt", (_nan_threshold, _nan_threshold_v2), ids=("nan-threshold", "nan-threshold-v2")
+)
+def test_non_finite_model_value_exits_3_on_the_cli(tmp_path, capsys, corrupt):
+    err = _corrupt_model_exits_3(tmp_path, capsys, corrupt)
+    assert "not finite" in err or "infinite" in err
 
 
 @pytest.mark.parametrize(
     "corrupt",
-    (_every_split_shares_its_children, _orphan_node, _shared_child_v2, _orphan_node_v2),
-    ids=("shared", "orphan", "shared-v2", "orphan-v2"),
+    (
+        _orphan_node,
+        _orphan_node_v2,
+        _self_loop,
+        _backward_child,
+        _backward_child_v2,
+        _child_out_of_range,
+        _child_out_of_range_v2,
+    ),
+    ids=("orphan", "orphan-v2", "self-loop", "backward", "backward-v2", "range", "range-v2"),
 )
 def test_model_that_is_not_a_tree_exits_3_on_the_cli(tmp_path, capsys, corrupt):
-    doc = _model_doc_v2()
-    corrupt(doc)
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps(doc), encoding="utf-8")
-    rows = tmp_path / "rows.csv"
-    rows.write_text("f0,f1\n0.1,0.2\n", encoding="utf-8")
-    code = cli.main(["predict", "--model", str(model), "--data", str(rows)])
-    assert code == cli.EXIT_DATA
-    assert "do not form a tree" in capsys.readouterr().err
+    assert "do not form a tree" in _corrupt_model_exits_3(tmp_path, capsys, corrupt)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    (_column_lengths_differ_v2, _threshold_not_a_number),
+    ids=("one-short", "not-a-number"),
+)
+def test_bad_threshold_column_exits_3_on_the_cli(tmp_path, capsys, corrupt):
+    assert "threshold" in _corrupt_model_exits_3(tmp_path, capsys, corrupt)
 
 
 @pytest.mark.parametrize(

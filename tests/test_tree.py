@@ -12,7 +12,7 @@ import scipy.stats
 from conftest import law_at, random_dataset
 from mrforest.data import Dataset, partition
 from mrforest.forest import MrfConfig
-from mrforest.errors import ConfigError
+from mrforest.errors import ConfigError, ParseError
 from mrforest.forest import Forest, predict_batch
 import mrforest.tree
 from mrforest.impurity import cut_points, scan_features
@@ -475,8 +475,7 @@ class TestDistributionWitness:
         # the library's trees grow together, each from its own seed's partition and rng
         rngs = [np.random.default_rng(seed) for seed in range(WITNESS_SEEDS)]
         parts = [partition(ds, config.partition_rate, rng) for rng in rngs]
-        splits = [(part.structure_idx, part.estimation_idx) for part in parts]
-        library = build_trees(ds, splits, config, rngs)
+        library = build_trees(ds, parts, config, rngs)
         seeds = range(WITNESS_SEEDS, 2 * WITNESS_SEEDS)
         reference = [_grow_mrf(depth_first_build_tree, ds, config, seed)[0] for seed in seeds]
         for side, trees in enumerate((library, reference)):
@@ -685,7 +684,41 @@ class TestPrediction:
         assert votes(tree, np.array([[0.5], [0.51]]), math.inf).tolist() == [0, 1]
 
 
+def _shapes(splits: int):
+    """Every full binary tree of ``splits`` splits, as a ``TreeNode`` graph."""
+    if splits == 0:
+        yield TreeNode(depth=0, counts=np.array([1, 1]))
+        return
+    for below_left in range(splits):
+        for left in _shapes(below_left):
+            for right in _shapes(splits - 1 - below_left):
+                yield TreeNode(depth=0, feature=0, threshold=0.5, left=left, right=right)
+
+
 class TestDepthAndSerialization:
+    def test_reader_accepts_exactly_the_level_order_trees(self):
+        # the split masks of every tree of up to four splits, numbered in
+        # level order by a queue, against every mask of up to nine nodes
+        # that has a leaf
+        trees = {
+            tuple(flat_tree(root, 2, 1).feature != -1) for splits in range(5) for root in _shapes(splits)
+        }
+        assert len(trees) == 1 + 1 + 2 + 5 + 14
+        for size in range(1, 10):
+            for code in range(2**size - 1):
+                mask = tuple(bool(code >> i & 1) for i in range(size))
+                doc = {
+                    "feature": [0 if split else -1 for split in mask],
+                    "threshold": [0.5] * sum(mask),
+                    "counts": [[1, 1]] * (size - sum(mask)),
+                }
+                if mask in trees:
+                    (tree,) = read_trees([doc], 2, 1)
+                    assert tree.to_dict() == doc
+                else:
+                    with pytest.raises(ParseError, match="do not form a tree"):
+                        read_trees([doc], 2, 1)
+
     def test_depth_examples(self, rng):
         leaf = TreeNode(depth=0, counts=np.array([1, 0]), eta=np.array([1.0, 0.0]))
         single = flat_tree(leaf, 2, 2)

@@ -34,7 +34,6 @@ from .privacy import (
 )
 from .splitsel import (
     feature_probability_bounds,
-    normalize,
     select_feature,
     select_value,
     softmax_scaled,
@@ -52,7 +51,6 @@ __all__ = [
     "partition",
     "make_folds",
     "ClassCounts",
-    "normalize",
     "softmax_scaled",
     "select_feature",
     "select_value",

@@ -2,16 +2,22 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error (bad rows or a
 corrupt model included), 4 a privacy audit bound was violated.
+
+The config flags have no parser defaults: a config is built from the given
+flags only, so each default lives once, in :class:`MrfConfig`,
+:class:`BaselineConfig` or :func:`allocate_budget`. ``_FLAGS`` says which runs
+read each flag, and a given flag that the run does not read exits 2 before
+any data is read.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -33,7 +39,7 @@ from .forest import (
     save_forest,
     train_mrf,
 )
-from .harness import _train_for_method, emit_report, run_cv, sweep, TreeDistReport
+from .harness import METHODS, _train_for_method, emit_report, run_cv, sweep, TreeDistReport
 from .impurity import ClassCounts
 from .privacy import (
     allocate_budget,
@@ -58,16 +64,98 @@ _DATA_ERRORS = (
     OSError,
 )
 
+_FORESTS = ("train", "cv", "sweep", "tree-dist")
+_SIZED = (*_FORESTS, "budget")  # the commands that build a config; all take --trees
+_PRIVATE = ("train", "cv", "tree-dist", "budget")
+_MULTINOMIAL = ("mrf", "completely_random")
 
-def _budget_value(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
+
+@dataclass(frozen=True)
+class _Reads:
+    """The runs that read a flag: its commands and methods, and the flag
+    that must be given (``needs``) or absent (``unless``) for it to be read.
+    ``field`` is the flag's parser dest: the config field or
+    :func:`allocate_budget` argument it sets."""
+
+    field: str
+    commands: tuple[str, ...] = _FORESTS
+    methods: tuple[str, ...] = METHODS
+    needs: str | None = None
+    unless: str | None = None
 
 
-def _label_col(text: str | None) -> str | int | None:
-    if text is None:
-        return None
+# Who reads what. A run is the command, the method (tree-dist and sweep
+# train mrf) and whether --epsilon (for budget, --estimation-size) is given.
+# --epsilon sets b1, b2, b3 and the depth cap; sweep's grids set b1 and b2;
+# --budget-split only divides b1 from b2. predict and audit build no config.
+_FLAGS = {
+    "--trees": _Reads("t", _SIZED),
+    "--min-leaf": _Reads("k", _SIZED),
+    "--seed": _Reads("seed"),
+    "--criterion": _Reads("criterion"),
+    "--b1": _Reads("b1", ("train", "cv", "tree-dist"), ("mrf",), unless="--epsilon"),
+    "--b2": _Reads("b2", ("train", "cv", "tree-dist"), ("mrf",), unless="--epsilon"),
+    "--b3": _Reads("b3", methods=_MULTINOMIAL, unless="--epsilon"),
+    "--max-depth": _Reads("max_depth", methods=_MULTINOMIAL, unless="--epsilon"),
+    "--partition-rate": _Reads("partition_rate", _SIZED, _MULTINOMIAL, unless="--estimation-size"),
+    "--epsilon": _Reads("epsilon", _PRIVATE, _MULTINOMIAL),
+    "--budget-split": _Reads("split", _PRIVATE, ("mrf",), needs="--epsilon"),
+    "--mtry": _Reads("mtry", ("train",), ("breiman",)),
+    "--no-bootstrap": _Reads("bootstrap", ("train",), ("breiman",)),
+    "--estimation-size": _Reads("estimation_size", ("budget",)),
+    "--data": _Reads("data", _SIZED, unless="--estimation-size"),
+    "--label-col": _Reads("label_col", _SIZED, unless="--estimation-size"),
+    "--delimiter": _Reads("delimiter", _SIZED, unless="--estimation-size"),
+}
+
+
+def _refuse_unread(args: argparse.Namespace) -> None:
+    """Refuse, before any data is read, a given flag that the run does not read."""
+    if args.command not in _SIZED:
+        return
+    method = getattr(args, "method", "mrf")
+    given = [flag for flag, reads in _FLAGS.items() if getattr(args, reads.field, None) is not None]
+    for flag in given:
+        reads = _FLAGS[flag]
+        if args.command not in reads.commands:
+            reason = args.command
+        elif method not in reads.methods:
+            reason = f"--method {method}"
+        elif reads.unless in given:
+            reason = reads.unless
+        elif reads.needs is not None and reads.needs not in given:
+            reason = f"runs without {reads.needs}"
+        else:
+            continue
+        raise errors.ConfigError(f"{flag} does not apply to {reason}")
+
+
+def _given(args: argparse.Namespace, *names: str) -> dict[str, Any]:
+    """The named flags that were given; one left out keeps the library default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
+def _config_from_args(args: argparse.Namespace) -> MrfConfig | BaselineConfig:
+    """The run's config, built from the given flags only."""
+    cls = BaselineConfig if getattr(args, "method", "mrf") == "breiman" else MrfConfig
+    return cls(**_given(args, *(field.name for field in fields(cls))))
+
+
+def _allocate(args: argparse.Namespace, config: MrfConfig, n: int | None = None):
+    """--epsilon's budget for ``n`` training rows, or for --estimation-size rows per tree."""
+    estimation = args.estimation_size if n is None else n - structure_size(n, config.partition_rate)
+    return allocate_budget(args.epsilon, config.t, estimation, config.k, **_given(args, "split"))
+
+
+def _with_epsilon(args: argparse.Namespace, config: MrfConfig | BaselineConfig, n: int):
+    """``config`` with the budgets and depth cap that a given --epsilon allocates to ``n`` rows."""
+    if args.epsilon is None:
+        return config
+    budget = _allocate(args, config, n)
+    return replace(config, b1=budget.b1, b2=budget.b2, b3=budget.b3, max_depth=budget.d)
+
+
+def _label_col(text: str) -> str | int:
     try:
         return int(text)
     except ValueError:
@@ -75,46 +163,51 @@ def _label_col(text: str | None) -> str | int | None:
 
 
 def _grid(text: str) -> list[float]:
-    return [_budget_value(part) for part in text.split(",") if part.strip()]
+    return [float(part) for part in text.split(",") if part.strip()]
 
 
 def _add_data_flags(
     parser: argparse.ArgumentParser,
     label_help: str = "label column name or index (default: last column)",
+    required: bool = True,
 ) -> None:
-    parser.add_argument("--data", required=True, help="CSV file with a header row; blank lines skipped")
-    parser.add_argument("--label-col", default=None, help=label_help)
-    parser.add_argument("--delimiter", default=",", help="cell delimiter (default ,)")
+    data = "CSV file with a header row; blank lines skipped"
+    parser.add_argument("--data", required=required, help=data)
+    parser.add_argument("--label-col", type=_label_col, help=label_help)
+    parser.add_argument("--delimiter", help="cell delimiter, one character (default ,)")
+
+
+def _add_size_flags(parser: argparse.ArgumentParser, data_required: bool = True) -> None:
+    """The table's flags that budget shares with the forest commands."""
+    _add_data_flags(parser, required=data_required)
+    parser.add_argument("--trees", dest="t", type=int, help="ensemble size t")
+    parser.add_argument("--min-leaf", dest="k", type=int, help="minimum estimation rows per leaf k")
+    parser.add_argument("--partition-rate", type=float, help="|structure| / |estimation| ratio")
+    split = "fraction of each layer's budget given to feature selection"
+    parser.add_argument("--budget-split", dest="split", type=float, help=split)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trees", type=int, default=100, help="ensemble size t")
-    parser.add_argument("--min-leaf", type=int, default=5, help="minimum estimation rows per leaf k")
-    parser.add_argument("--b1", type=_budget_value, default=10.0, help="feature-selection budget (or 'inf')")
-    parser.add_argument("--b2", type=_budget_value, default=10.0, help="value-selection budget (or 'inf')")
-    parser.add_argument("--b3", type=_budget_value, default=math.inf, help="label-selection budget (or 'inf')")
-    parser.add_argument("--partition-rate", type=float, default=1.0, help="|structure| / |estimation| ratio")
-    parser.add_argument("--criterion", choices=("gini", "entropy"), default="gini")
-    parser.add_argument("--max-depth", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
+    """Every flag of the table that a forest command takes."""
+    _add_size_flags(parser)
+    parser.add_argument("--b1", type=float, help="feature-selection budget (or 'inf')")
+    parser.add_argument("--b2", type=float, help="value-selection budget (or 'inf')")
+    parser.add_argument("--b3", type=float, help="label-selection budget (or 'inf')")
+    parser.add_argument("--criterion", choices=("gini", "entropy"))
+    parser.add_argument("--max-depth", type=int)
+    parser.add_argument("--seed", type=int)
     parser.add_argument(
         "--epsilon",
         type=float,
-        default=None,
         help=(
-            "total privacy budget; overrides b1/b2/b3 and caps depth (not for breiman). "
+            "total privacy budget; sets b1, b2, b3 and the depth cap, so --b1, --b2, --b3 "
+            "and --max-depth are refused with it (not for breiman or sweep). "
             "The differential-privacy guarantee does not hold for the pipeline as "
             "implemented: (a) estimation rows gate splits; (b) a search's up to 15 draws "
             "are charged as two; (c) thresholds are data midpoints; (d) finite-b3 "
             "prediction spends b3 on every query; (e) models store exact leaf counts; "
             "(f) the feature audit scores a law that training does not draw"
         ),
-    )
-    parser.add_argument(
-        "--budget-split",
-        type=float,
-        default=0.5,
-        help="fraction of each layer's budget given to feature selection",
     )
 
 
@@ -127,25 +220,11 @@ def _add_report_flags(parser: argparse.ArgumentParser) -> None:
     _add_out_flag(parser)
 
 
-def _config_from_args(args: argparse.Namespace, n: int) -> MrfConfig:
-    config = MrfConfig(
-        b1=args.b1,
-        b2=args.b2,
-        b3=args.b3,
-        k=args.min_leaf,
-        t=args.trees,
-        partition_rate=args.partition_rate,
-        criterion=args.criterion,
-        max_depth=args.max_depth,
-        seed=args.seed,
-    )
-    if args.epsilon is not None:
-        estimation = n - structure_size(n, args.partition_rate)
-        budget = allocate_budget(
-            args.epsilon, args.trees, estimation, args.min_leaf, args.budget_split
-        )
-        config = replace(config, b1=budget.b1, b2=budget.b2, b3=budget.b3, max_depth=budget.d)
-    return config
+def _add_cv_flags(parser: argparse.ArgumentParser, folds: int, repeats: int) -> None:
+    parser.add_argument("--folds", type=int, default=folds)
+    parser.add_argument("--repeats", type=int, default=repeats)
+    parser.add_argument("--jobs", type=int, default=1)
+    _add_report_flags(parser)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -161,39 +240,13 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _load(args: argparse.Namespace) -> Dataset:
-    return load_dataset(
-        args.data, label_col=_label_col(args.label_col), delimiter=args.delimiter
-    )
-
-
-def _check_method_flags(args: argparse.Namespace) -> None:
-    """Reject, before any data is read, a flag that the chosen method never reads."""
-    breiman = args.method == "breiman"
-    for flag, given in (
-        ("--epsilon", breiman and args.epsilon is not None),
-        ("--max-depth", breiman and args.max_depth is not None),
-        ("--mtry", not breiman and getattr(args, "mtry", None) is not None),
-        ("--no-bootstrap", not breiman and getattr(args, "no_bootstrap", False)),
-    ):
-        if given:
-            raise errors.ConfigError(f"{flag} does not apply to --method {args.method}")
+    return load_dataset(args.data, **_given(args, "label_col", "delimiter"))
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    _check_method_flags(args)
+    config = _config_from_args(args)
     dataset = _load(args)
-    if args.method == "breiman":
-        config = BaselineConfig(
-            t=args.trees,
-            k=args.min_leaf,
-            mtry=args.mtry,
-            bootstrap=not args.no_bootstrap,
-            criterion=args.criterion,
-            seed=args.seed,
-        )
-    else:
-        config = _config_from_args(args, dataset.n)
-    forest = _train_for_method(dataset, args.method, config)
+    forest = _train_for_method(dataset, args.method, _with_epsilon(args, config, dataset.n))
     save_forest(forest, args.out)
     summary = {
         "model": str(args.out),
@@ -208,9 +261,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     forest = load_forest(args.model)
-    header, rows = read_table(args.data, args.delimiter)
-    label_col = _label_col(args.label_col)
-    label_pos = None if label_col is None else label_position(header, label_col)
+    header, rows = read_table(args.data, **_given(args, "delimiter"))
+    label_pos = None if args.label_col is None else label_position(header, args.label_col)
     features = parse_features(header, rows, [i for i in range(len(header)) if i != label_pos])
     classes, _ = predict_batch(forest, features, np.random.default_rng(args.eval_seed))
     predictions = [forest.label_values[c] for c in classes]
@@ -235,39 +287,21 @@ def _check_cv_flags(args: argparse.Namespace) -> None:
 
 
 def _cmd_cv(args: argparse.Namespace) -> int:
+    """``cv``, and ``sweep``: one cv per grid cell, every cell on the same folds."""
     _check_cv_flags(args)
-    _check_method_flags(args)
+    config = _config_from_args(args)
     dataset = _load(args)
-    config = _config_from_args(args, dataset.n)
-    report = run_cv(
-        dataset,
-        args.method,
-        config,
+    plan = dict(
         folds=args.folds,
         repeats=args.repeats,
-        seed=args.seed,
+        seed=config.seed,
         name=Path(args.data).stem,
         n_jobs=args.jobs,
     )
-    _write(emit_report(report, args.format), args.out)
-    return EXIT_OK
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    _check_cv_flags(args)
-    dataset = _load(args)
-    config = _config_from_args(args, dataset.n)
-    report = sweep(
-        dataset,
-        args.b1_grid,
-        args.b2_grid,
-        config,
-        folds=args.folds,
-        repeats=args.repeats,
-        seed=args.seed,
-        name=Path(args.data).stem,
-        n_jobs=args.jobs,
-    )
+    if args.command == "sweep":
+        report = sweep(dataset, args.b1_grid, args.b2_grid, config, **plan)
+    else:
+        report = run_cv(dataset, args.method, _with_epsilon(args, config, dataset.n), **plan)
     _write(emit_report(report, args.format), args.out)
     return EXIT_OK
 
@@ -275,52 +309,37 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     micro = _load(args)
     neighborhood = enumerate_neighbors(micro)
+    counts = ClassCounts.from_labels(micro.labels, micro.class_count)
     reports = [
         audit_feature_mechanism(micro, args.b1, args.criterion, neighborhood),
+        audit_value_mechanism(micro, args.feature, args.b2, args.criterion, neighborhood),
+        audit_label_mechanism(counts, args.b3),
     ]
-    feature = args.feature if args.feature is not None else 0
-    reports.append(
-        audit_value_mechanism(micro, feature, args.b2, args.criterion, neighborhood)
-    )
-    counts = ClassCounts.from_labels(micro.labels, micro.class_count)
-    reports.append(audit_label_mechanism(counts, args.b3))
     _write(json.dumps([r.to_dict() for r in reports], indent=2), args.out)
-    if not all(r.passed for r in reports):
-        return EXIT_AUDIT
-    return EXIT_OK
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_AUDIT
 
 
 def _cmd_budget(args: argparse.Namespace) -> int:
-    if args.estimation_size is not None:
-        estimation = args.estimation_size
-    elif args.data is not None:
-        if not 0 < args.partition_rate < math.inf:
-            raise errors.ConfigError(
-                f"--partition-rate must be positive and finite, got {args.partition_rate}"
-            )
-        dataset = _load(args)
-        estimation = dataset.n - structure_size(dataset.n, args.partition_rate)
-    else:
+    config = _config_from_args(args)
+    if args.estimation_size is None and args.data is None:
         raise errors.ConfigError("budget needs --estimation-size or --data")
-    budget = allocate_budget(
-        args.epsilon, args.trees, estimation, args.min_leaf, args.budget_split
-    )
-    _write(json.dumps(budget.__dict__, indent=2), args.out)
+    n = None if args.estimation_size is not None else _load(args).n
+    _write(json.dumps(_allocate(args, config, n).__dict__, indent=2), args.out)
     return EXIT_OK
 
 
 def _cmd_tree_dist(args: argparse.Namespace) -> int:
     if not 0.0 < args.holdout < 1.0:
         raise errors.ConfigError("--holdout must lie strictly between 0 and 1")
+    config = _config_from_args(args)
     dataset = _load(args)
     rng = np.random.default_rng(
-        np.random.SeedSequence(args.seed, spawn_key=(99,))
+        np.random.SeedSequence(config.seed, spawn_key=(99,))
     )
     holdout_part = partition(dataset, (1.0 - args.holdout) / args.holdout, rng)
     train_ds = dataset.subset(holdout_part.structure_idx)
     test_idx = holdout_part.estimation_idx
-    config = _config_from_args(args, train_ds.n)
-    forest = train_mrf(train_ds, config)
+    forest = train_mrf(train_ds, _with_epsilon(args, config, train_ds.n))
     test_labels = dataset.labels[test_idx]
     classes, votes = predict_batch(
         forest, dataset.features[test_idx], np.random.default_rng(args.eval_seed)
@@ -343,13 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a forest and save the model")
-    _add_data_flags(p_train)
     _add_config_flags(p_train)
-    p_train.add_argument(
-        "--method", choices=("mrf", "breiman", "completely_random"), default="mrf"
-    )
-    p_train.add_argument("--mtry", type=int, default=None, help="baseline features per node")
-    p_train.add_argument("--no-bootstrap", action="store_true")
+    p_train.add_argument("--method", choices=METHODS, default="mrf")
+    p_train.add_argument("--mtry", type=int, help="baseline features per node")
+    p_train.add_argument("--no-bootstrap", dest="bootstrap", action="store_const", const=False)
     p_train.add_argument("--out", required=True, help="model file to write")
     p_train.set_defaults(func=_cmd_train)
 
@@ -365,53 +381,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.set_defaults(func=_cmd_predict)
 
     p_cv = sub.add_parser("cv", help="repeated cross-validation benchmark")
-    _add_data_flags(p_cv)
     _add_config_flags(p_cv)
-    p_cv.add_argument(
-        "--method", choices=("mrf", "breiman", "completely_random"), default="mrf"
-    )
-    p_cv.add_argument("--folds", type=int, default=10)
-    p_cv.add_argument("--repeats", type=int, default=10)
-    p_cv.add_argument("--jobs", type=int, default=1)
-    _add_report_flags(p_cv)
+    p_cv.add_argument("--method", choices=METHODS, default="mrf")
+    _add_cv_flags(p_cv, folds=10, repeats=10)
     p_cv.set_defaults(func=_cmd_cv)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep over b1 and b2")
-    _add_data_flags(p_sweep)
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--b1-grid", type=_grid, required=True, help="comma list, e.g. 0,5,10")
     p_sweep.add_argument("--b2-grid", type=_grid, required=True)
-    p_sweep.add_argument("--folds", type=int, default=5)
-    p_sweep.add_argument("--repeats", type=int, default=1)
-    p_sweep.add_argument("--jobs", type=int, default=1)
-    _add_report_flags(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    _add_cv_flags(p_sweep, folds=5, repeats=1)
+    p_sweep.set_defaults(func=_cmd_cv)
 
     p_audit = sub.add_parser("audit", help="exhaustive privacy audits on a micro dataset")
     _add_data_flags(p_audit)
     p_audit.add_argument("--b1", type=float, default=1.0)
     p_audit.add_argument("--b2", type=float, default=1.0)
     p_audit.add_argument("--b3", type=float, default=1.0)
-    p_audit.add_argument("--feature", type=int, default=None, help="feature for the value audit")
-    p_audit.add_argument("--criterion", choices=("gini", "entropy"), default="gini")
+    p_audit.add_argument("--feature", type=int, default=0, help="feature for the value audit")
+    p_audit.add_argument("--criterion", choices=("gini", "entropy"), default=MrfConfig.criterion)
     _add_out_flag(p_audit)
     p_audit.set_defaults(func=_cmd_audit)
 
     p_budget = sub.add_parser("budget", help="allocate a privacy budget")
     p_budget.add_argument("--epsilon", type=float, required=True)
-    p_budget.add_argument("--trees", type=int, default=100)
-    p_budget.add_argument("--min-leaf", type=int, default=5)
-    p_budget.add_argument("--estimation-size", type=int, default=None)
-    p_budget.add_argument("--data", default=None)
-    p_budget.add_argument("--label-col", default=None)
-    p_budget.add_argument("--delimiter", default=",")
-    p_budget.add_argument("--partition-rate", type=float, default=1.0)
-    p_budget.add_argument("--budget-split", type=float, default=0.5)
+    p_budget.add_argument("--estimation-size", type=int, help="estimation rows per tree")
+    _add_size_flags(p_budget, data_required=False)
     _add_out_flag(p_budget)
     p_budget.set_defaults(func=_cmd_budget)
 
     p_dist = sub.add_parser("tree-dist", help="per-tree accuracy distribution")
-    _add_data_flags(p_dist)
     _add_config_flags(p_dist)
     p_dist.add_argument("--holdout", type=float, default=0.3)
     p_dist.add_argument("--eval-seed", type=int, default=0)
@@ -424,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_seeds(args: argparse.Namespace) -> None:
     """Reject negative seeds before any data is read; numpy seeds must be >= 0."""
     for flag, dest in (("--seed", "seed"), ("--eval-seed", "eval_seed")):
-        value = getattr(args, dest, 0)
-        if value < 0:
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
             raise errors.ConfigError(f"{flag} must be >= 0, got {value}")
 
 
@@ -434,13 +433,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_seeds(args)
+        _refuse_unread(args)
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
+    except (*_CONFIG_ERRORS, *_DATA_ERRORS) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    except _DATA_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DATA
+        return EXIT_CONFIG if isinstance(exc, _CONFIG_ERRORS) else EXIT_DATA
 
 
 if __name__ == "__main__":

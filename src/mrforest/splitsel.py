@@ -1,20 +1,20 @@
 """Impurity-weighted multinomial selection of split features and values.
 
 Each mechanism is split into its laws and its draws. A law is
-``cumsum(softmax_scaled(normalize(scores), B))``: min-max normalize the raw
-impurity decreases to [0, 1], scale by half the budget B, softmax, and
-accumulate. :func:`selection_cdfs` builds many laws at once, each over its own
-run of scores, into :class:`Laws`. A law built alone is its run's law (its
-sums of eight or more terms add in another order than ``softmax_scaled``'s,
-so the two agree up to rounding). Laws built with one length given for all
-runs, as the privacy audits build theirs, are bit-equal to the laws built
-alone; laws built from a list of run lengths, as a tree level's feature laws
-and value laws are, take the running sum across runs and equal them up to
-rounding, so a law's low bits depend on the runs batched before it.
-:func:`sample_indices` makes one draw per given uniform, each from the law it
-names: the first index whose cumulative probability exceeds the uniform.
-:func:`select_feature` and :func:`select_value` are that draw under each
-mechanism's name.
+``cumsum(softmax_scaled(x, B))``, where x is the raw impurity decreases
+min-max normalized to [0, 1] (all zeros when they are all equal): scale by
+half the budget B, softmax, and accumulate. :func:`selection_cdfs` builds many
+laws at once, each over its own run of scores, into :class:`Laws`. A law built
+alone is its run's law (its sums of eight or more terms add in another order
+than ``softmax_scaled``'s, so the two agree up to rounding). Laws built with
+one length given for all runs, as the privacy audits build theirs, are
+bit-equal to the laws built alone; laws built from a list of run lengths, as a
+tree level's feature laws and value laws are, take the running sum across runs
+and equal them up to rounding, so a law's low bits depend on the runs batched
+before it. :func:`sample_indices` makes one draw per given uniform, each from
+the law it names: the first index whose cumulative probability exceeds the
+uniform. :func:`select_feature` and :func:`select_value` are that draw under
+each mechanism's name.
 
 B = 0 gives uniform selection, B = math.inf gives a uniform draw over the
 argmax set, and anything between interpolates; the normalized scores keep
@@ -33,7 +33,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "normalize",
     "softmax_scaled",
     "Laws",
     "selection_cdfs",
@@ -43,18 +42,6 @@ __all__ = [
     "feature_probability_bounds",
     "value_region_bound",
 ]
-
-
-def normalize(values: np.ndarray | list[float]) -> np.ndarray:
-    """Min-max rescale each vector along the last axis to [0, 1].
-
-    An all-equal vector maps to all zeros.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    lo = arr.min(axis=-1, keepdims=True)
-    span = arr.max(axis=-1, keepdims=True) - lo
-    # an all-equal vector divides its zeros by 1
-    return (arr - lo) / (span + (span == 0))
 
 
 def softmax_scaled(normalized: np.ndarray | list[float], budget: float) -> np.ndarray:

@@ -251,11 +251,13 @@ def _leaf_eta(counts: np.ndarray) -> np.ndarray:
 
 
 def _column(docs: Sequence[dict[str, Any]], name: str, kinds: str) -> np.ndarray:
-    # one conversion per tree and column; numpy raises ValueError on ragged nesting
-    parts = [np.asarray(doc[name]) for doc in docs]
+    # one conversion per tree and column; numpy raises ValueError on ragged nesting.
+    # An empty list adds no values and has no type of its own (numpy makes it
+    # float64), so it is left out, and the shape checks name what is wrong.
+    parts = [part for doc in docs if (part := np.asarray(doc[name])).shape != (0,)]
     if any(part.dtype.kind not in kinds for part in parts):
         raise ParseError(f"tree column {name!r} holds values of the wrong type")
-    return np.concatenate(parts)
+    return np.concatenate(parts) if parts else np.empty(0, kinds[0])
 
 
 def _depth(feature: np.ndarray, left: np.ndarray, roots: np.ndarray) -> int:

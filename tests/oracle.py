@@ -28,7 +28,8 @@ before the library checked feasibility with one mask per node: every
 attempt rebuilds both mechanisms' laws, draws from them, and counts the
 estimation rows its cut sends left; ``reference_build_tree`` searches with
 it. :func:`inverse_cdf_draws` makes ``sample_indices``' inverse-CDF draw from
-one law over many uniforms at once.
+one law over many uniforms at once, and :func:`normalize` the min-max
+rescaling that ``selection_cdfs`` applies to each run of scores.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Any
 import numpy as np
 
 from mrforest.impurity import cut_points, scan_features
-from mrforest.splitsel import normalize, selection_cdfs, softmax_scaled
+from mrforest.splitsel import selection_cdfs, softmax_scaled
 from mrforest.tree import Tree, TreeNode, read_trees
 
 # (feature, value) samples of one split search, and the uniforms they can read
@@ -49,6 +50,18 @@ SPLIT_ATTEMPTS = 10
 BLOCK = 15
 
 GAP = 1e-9  # optima closer than this count as ties and disqualify a dataset
+
+
+def normalize(values: np.ndarray | list[float]) -> np.ndarray:
+    """Min-max rescale each vector along the last axis to [0, 1].
+
+    An all-equal vector maps to all zeros.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    lo = arr.min(axis=-1, keepdims=True)
+    span = arr.max(axis=-1, keepdims=True) - lo
+    # an all-equal vector divides its zeros by 1
+    return (arr - lo) / (span + (span == 0))
 
 
 def impurity_of(labels: np.ndarray, class_count: int, criterion: str = "gini") -> float:

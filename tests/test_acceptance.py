@@ -31,12 +31,11 @@ from mrforest.privacy import (
 )
 from mrforest.splitsel import (
     feature_probability_bounds,
-    normalize,
     select_feature,
     softmax_scaled,
 )
 from mrforest.tree import build_tree
-from oracle import TieError, exhaustive_cart, inverse_cdf_draws, tree_shape
+from oracle import TieError, exhaustive_cart, inverse_cdf_draws, normalize, tree_shape
 
 JOBS = min(8, os.cpu_count() or 1)
 

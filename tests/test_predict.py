@@ -301,6 +301,25 @@ def _threshold_not_a_number(doc):
     doc["trees"][0]["threshold"][0] = "0.5"
 
 
+# An empty column is not a column of the wrong type: each of these returns
+# the fault its document must be refused for.
+
+
+def _split_without_counts(doc):
+    doc["trees"][0] = {"feature": [0], "threshold": [0.5], "counts": []}
+    return "nodes do not form a tree"
+
+
+def _empty_tree(doc):
+    doc["trees"][0] = {"feature": [], "threshold": [], "counts": []}
+    return "nodes do not form a tree"
+
+
+def _leaf_without_counts(doc):
+    doc["trees"][0] = {"feature": [-1], "threshold": [], "counts": []}
+    return "leaf counts are not 3 per leaf"
+
+
 CORRUPTIONS = (
     _self_loop,
     _backward_child,
@@ -312,14 +331,17 @@ CORRUPTIONS = (
     _nan_threshold,
     _orphan_node,
     _threshold_not_a_number,
+    _split_without_counts,
+    _empty_tree,
+    _leaf_without_counts,
 )
 
 
 @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__.strip("_"))
 def test_bad_model_document_raises_parse_error(corrupt):
     doc = _model_doc()
-    corrupt(doc)
-    with pytest.raises(ParseError):
+    fault = corrupt(doc)
+    with pytest.raises(ParseError, match=fault):
         Forest.from_json(json.dumps(doc))
 
 

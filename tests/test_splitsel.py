@@ -14,7 +14,6 @@ from mrforest.errors import DomainError
 from mrforest.splitsel import (
     Laws,
     feature_probability_bounds,
-    normalize,
     sample_indices,
     select_feature,
     select_value,
@@ -22,7 +21,7 @@ from mrforest.splitsel import (
     softmax_scaled,
     value_region_bound,
 )
-from oracle import inverse_cdf_draws
+from oracle import inverse_cdf_draws, normalize
 
 finite_vectors = st.lists(
     st.floats(-100, 100, allow_nan=False, allow_infinity=False), min_size=1, max_size=12

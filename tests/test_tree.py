@@ -16,7 +16,7 @@ from mrforest.errors import ConfigError, ParseError
 from mrforest.forest import Forest, predict_batch
 import mrforest.tree
 from mrforest.impurity import cut_points, scan_features
-from mrforest.splitsel import normalize, softmax_scaled
+from mrforest.splitsel import softmax_scaled
 from mrforest.tree import (
     Tree,
     TreeNode,
@@ -39,6 +39,7 @@ from oracle import (
     flat_tree,
     gather_sorted,
     inverse_cdf_draws,
+    normalize,
     reference_build_baseline_tree,
     reference_build_tree,
     reference_node_split,

@@ -1,6 +1,6 @@
 """Multinomial random forests with privacy budget allocation and auditing."""
 
-from .data import Dataset, FoldPlan, Partition, load_dataset, make_folds, partition
+from .data import Dataset, Partition, load_dataset, make_folds, partition
 from .errors import MrfError
 from .forest import (
     BaselineConfig,
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "Partition",
-    "FoldPlan",
     "load_dataset",
     "partition",
     "make_folds",

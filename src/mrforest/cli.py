@@ -287,21 +287,20 @@ def _check_cv_flags(args: argparse.Namespace) -> None:
 
 
 def _cmd_cv(args: argparse.Namespace) -> int:
-    """``cv``, and ``sweep``: one cv per grid cell, every cell on the same folds."""
+    """``cv``, and ``sweep``: every config on one fold plan, seeded by ``--seed``."""
     _check_cv_flags(args)
     config = _config_from_args(args)
     dataset = _load(args)
-    plan = dict(
-        folds=args.folds,
-        repeats=args.repeats,
-        seed=config.seed,
-        name=Path(args.data).stem,
-        n_jobs=args.jobs,
-    )
+    if args.folds > dataset.n:  # make_folds' refusal, made before any budget is sized
+        count = f"got folds={args.folds} n={dataset.n}"
+        raise errors.SizeError(f"folds must satisfy 2 <= folds <= n, {count}")
+    plan = dict(folds=args.folds, repeats=args.repeats, name=Path(args.data).stem, n_jobs=args.jobs)
     if args.command == "sweep":
         report = sweep(dataset, args.b1_grid, args.b2_grid, config, **plan)
     else:
-        report = run_cv(dataset, args.method, _with_epsilon(args, config, dataset.n), **plan)
+        # --epsilon's budgets are sized for the smallest training fold, n - ceil(n / folds) rows
+        smallest = dataset.n * (args.folds - 1) // args.folds
+        report = run_cv(dataset, args.method, _with_epsilon(args, config, smallest), **plan)
     _write(emit_report(report, args.format), args.out)
     return EXIT_OK
 

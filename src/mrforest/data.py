@@ -3,7 +3,9 @@
 A :class:`Dataset` is an immutable table of finite real features plus dense
 integer class labels. Trees never see raw files: the loader normalizes labels
 to ``0..K-1`` (first-appearance order) and records the original values so
-reports can translate back.
+reports can translate back. A fold plan is plain arrays: :func:`make_folds`
+returns each repeat's sorted test folds, and a fold's training rows are the
+rest.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, NamedTuple, Sequence
+from typing import IO, NamedTuple
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from .errors import ConfigError, EmptyError, ParseError, SchemaError, SizeError
 __all__ = [
     "Dataset",
     "Partition",
-    "FoldPlan",
     "load_dataset",
     "read_table",
     "label_position",
@@ -103,46 +104,6 @@ class Partition(NamedTuple):
 
     structure_idx: np.ndarray
     estimation_idx: np.ndarray
-
-
-class FoldPlan:
-    """Repeated k-fold assignment: per repeat, disjoint test folds covering 0..n-1.
-
-    Train indices are derived on demand from the test folds.
-    """
-
-    def __init__(self, n: int, test_folds: Sequence[Sequence[np.ndarray]]):
-        self.n = int(n)
-        self.test_folds = [
-            [np.asarray(f, dtype=np.int64) for f in repeat] for repeat in test_folds
-        ]
-        self.repeats = len(self.test_folds)
-        self.folds = len(self.test_folds[0]) if self.repeats else 0
-        self._validate()
-
-    def _validate(self) -> None:
-        if self.repeats < 1 or self.folds < 2:
-            raise SizeError("need at least 1 repeat and 2 folds")
-        sizes = []
-        for repeat in self.test_folds:
-            if len(repeat) != self.folds:
-                raise SizeError("ragged fold plan")
-            stacked = np.concatenate(repeat)
-            if stacked.size != self.n or not np.array_equal(
-                np.sort(stacked), np.arange(self.n)
-            ):
-                raise SizeError("test folds must partition 0..n-1")
-            sizes.extend(len(f) for f in repeat)
-        if max(sizes) - min(sizes) > 1:
-            raise SizeError("fold sizes must differ by at most 1")
-
-    def test(self, repeat: int, fold: int) -> np.ndarray:
-        return self.test_folds[repeat][fold]
-
-    def train(self, repeat: int, fold: int) -> np.ndarray:
-        mask = np.ones(self.n, dtype=bool)
-        mask[self.test_folds[repeat][fold]] = False
-        return np.nonzero(mask)[0]
 
 
 def read_table(
@@ -275,14 +236,17 @@ def partition(dataset: Dataset, rate: float, rng: np.random.Generator) -> Partit
 
 def make_folds(
     n: int, folds: int, repeats: int, rng: np.random.Generator
-) -> FoldPlan:
-    """Plan ``repeats`` independent shuffles of ``folds``-fold cross validation."""
+) -> list[list[np.ndarray]]:
+    """Test folds of ``repeats`` independent shuffles of ``folds``-fold cross validation.
+
+    Each repeat's folds are sorted row indices that partition 0..n-1, their
+    sizes differing by at most one; a fold trains on the rest.
+    """
     if repeats < 1:
         raise SizeError("repeats must be >= 1")
     if folds < 2 or folds > n:
         raise SizeError(f"folds must satisfy 2 <= folds <= n, got folds={folds} n={n}")
-    plans: list[list[np.ndarray]] = []
-    for _ in range(repeats):
-        perm = rng.permutation(n)
-        plans.append([np.sort(chunk) for chunk in np.array_split(perm, folds)])
-    return FoldPlan(n, plans)
+    return [
+        [np.sort(chunk) for chunk in np.array_split(rng.permutation(n), folds)]
+        for _ in range(repeats)
+    ]

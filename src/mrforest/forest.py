@@ -194,16 +194,20 @@ class Forest:
         if doc.get("version") != FOREST_VERSION:
             raise ConfigError(f"unsupported model version {doc.get('version')!r}")
         try:
-            raw = {
+            # a config that its class refuses is a corrupt model, not a configuration error
+            config_cls = BaselineConfig if doc.get("variant") == "breiman" else MrfConfig
+            config = config_cls(**{
                 key: (math.inf if value == "inf" else value)
                 for key, value in doc["config"].items()
-            }
-            config_cls = BaselineConfig if doc["variant"] == "breiman" else MrfConfig
+            })
+        except (ConfigError, AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"invalid model config: {exc}") from exc
+        try:
             class_count, width = int(doc["class_count"]), len(doc["feature_names"])
             forest = cls(
                 trees=read_trees(doc["trees"], class_count, width),
                 variant=doc["variant"],
-                config=config_cls(**raw),
+                config=config,
                 class_count=class_count,
                 label_values=tuple(doc["label_values"]),
                 feature_names=tuple(doc["feature_names"]),

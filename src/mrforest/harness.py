@@ -1,8 +1,10 @@
 """Cross-validation benchmarking, paired statistics, sweeps, and reports.
 
-All randomness in a run derives from one master seed: the fold plan, the
-per-cell training seeds, and the per-cell evaluation streams are produced by
-fixed spawn-key domains, so every method sees identical train/test splits
+:func:`run_cv` (one config) and :func:`sweep` (its b1 x b2 configs) share one
+runner: it plans the folds once and runs every (config, repeat, fold) cell in
+one pool. All randomness derives from the master seed ``config.seed``: the
+fold plan, the per-cell training seeds and evaluation streams come from fixed
+spawn-key domains, so every method and grid cell sees identical splits
 (enabling paired comparisons) and results do not depend on execution order.
 """
 
@@ -158,16 +160,46 @@ def _train_for_method(
     raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _run_cell(args: tuple) -> tuple[int, int, float, float]:
-    dataset, method, config, repeat, fold, train_idx, test_idx, seed = args
+def _run_cell(args: tuple) -> tuple[float, float]:
+    dataset, method, config, seed, repeat, fold, test_idx = args
     start = time.perf_counter()
+    # a fold trains on the ascending complement of its test rows
+    train_idx = np.delete(np.arange(dataset.n), test_idx)
     cell_config = replace(config, seed=_cell_seed(seed, repeat, fold))
     forest = _train_for_method(dataset.subset(train_idx), method, cell_config)
-    classes, _ = predict_batch(
-        forest, dataset.features[test_idx], _eval_rng(seed, repeat, fold)
-    )
+    test_rng = _eval_rng(seed, repeat, fold)
+    classes, _ = predict_batch(forest, dataset.features[test_idx], test_rng)
     accuracy = float(np.mean(classes == dataset.labels[test_idx]))
-    return repeat, fold, accuracy, time.perf_counter() - start
+    return accuracy, time.perf_counter() - start
+
+
+def _cross_validate(
+    dataset: Dataset,
+    method: str,
+    configs: Sequence[MrfConfig | BaselineConfig],
+    folds: int,
+    repeats: int,
+    seed: int,
+    n_jobs: int,
+) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+    """Each config's accuracies and seconds, repeat-major then in fold order, on one
+    fold plan of (n, folds, repeats, seed); a cell trains with the seed derived from
+    (seed, repeat, fold), whatever its config's seed."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
+    plan_seed = np.random.SeedSequence(seed, spawn_key=(_PLAN_STREAM,))
+    plan = make_folds(dataset.n, folds, repeats, np.random.default_rng(plan_seed))
+    cells = [(r, f, test_idx) for r, repeat in enumerate(plan) for f, test_idx in enumerate(repeat)]
+    jobs = [(dataset, method, config, seed, *cell) for config in configs for cell in cells]
+    # a forked pool starts all its workers at once: no more than can be used
+    workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_cell, jobs, chunksize=1))
+    else:
+        results = [_run_cell(job) for job in jobs]
+    per_config = len(cells)
+    return [tuple(zip(*results[i : i + per_config])) for i in range(0, len(results), per_config)]
 
 
 def run_cv(
@@ -176,38 +208,16 @@ def run_cv(
     config: MrfConfig | BaselineConfig,
     folds: int,
     repeats: int,
-    seed: int,
     name: str = "dataset",
     n_jobs: int = 1,
 ) -> CvReport:
-    """Repeated k-fold cross validation of one method.
+    """Repeated k-fold cross validation of one method under the master seed ``config.seed``.
 
-    The fold plan depends only on (n, folds, repeats, seed), so different
-    methods at the same seed see byte-identical splits. ``config.seed`` is
-    ignored: each cell trains with a seed derived from (seed, repeat, fold).
+    The fold plan depends only on (n, folds, repeats, config.seed), so different
+    methods at the same seed see byte-identical splits.
     """
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
-    plan_rng = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(_PLAN_STREAM,))
-    )
-    plan = make_folds(dataset.n, folds, repeats, plan_rng)
-    jobs = [
-        (dataset, method, config, r, f, plan.train(r, f), plan.test(r, f), seed)
-        for r in range(repeats)
-        for f in range(folds)
-    ]
-    # a forked pool starts all its workers at once: no more than can be used
-    workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, jobs, chunksize=1))
-    else:
-        results = [_run_cell(job) for job in jobs]
-    ordered = {(r, f): (acc, sec) for r, f, acc, sec in results}
-    accs = [ordered[(r, f)][0] for r in range(repeats) for f in range(folds)]
-    secs = [ordered[(r, f)][1] for r in range(repeats) for f in range(folds)]
-    return CvReport.build(name, method, folds, repeats, seed, accs, secs)
+    [result] = _cross_validate(dataset, method, [config], folds, repeats, config.seed, n_jobs)
+    return CvReport.build(name, method, folds, repeats, config.seed, *result)
 
 
 def sweep(
@@ -217,41 +227,26 @@ def sweep(
     config: MrfConfig,
     folds: int,
     repeats: int,
-    seed: int,
     name: str = "dataset",
     n_jobs: int = 1,
 ) -> SweepReport:
-    """Grid of run_cv results over (b1, b2), all on the seed's shared fold plan."""
+    """Cross-validated mrf accuracy per (b1, b2) grid cell, all on ``config.seed``'s fold plan."""
     if not b1_grid or not b2_grid:
         raise ConfigError("sweep grids must be nonempty")
+    grid = [(float(b1), float(b2)) for b1 in b1_grid for b2 in b2_grid]
+    configs = [replace(config, b1=b1, b2=b2) for b1, b2 in grid]
+    results = _cross_validate(dataset, "mrf", configs, folds, repeats, config.seed, n_jobs)
     cells = []
-    for b1 in b1_grid:
-        for b2 in b2_grid:
-            report = run_cv(
-                dataset,
-                "mrf",
-                replace(config, b1=float(b1), b2=float(b2)),
-                folds,
-                repeats,
-                seed,
-                name=name,
-                n_jobs=n_jobs,
-            )
-            cells.append(
-                {
-                    "b1": float(b1),
-                    "b2": float(b2),
-                    "mean_acc": report.mean,
-                    "std": report.std,
-                }
-            )
+    for (b1, b2), result in zip(grid, results):
+        report = CvReport.build(name, "mrf", folds, repeats, config.seed, *result)
+        cells.append({"b1": b1, "b2": b2, "mean_acc": report.mean, "std": report.std})
     return SweepReport(
         dataset=name,
         b1_grid=tuple(float(b) for b in b1_grid),
         b2_grid=tuple(float(b) for b in b2_grid),
         folds=folds,
         repeats=repeats,
-        seed=seed,
+        seed=config.seed,
         cells=tuple(cells),
     )
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mrforest.data import Dataset, FoldPlan
+from mrforest.data import Dataset
 from mrforest.splitsel import Laws
 
 UCI_FILES = {
@@ -61,11 +61,11 @@ def random_dataset(
     )
 
 
-def same_plan(a: FoldPlan, b: FoldPlan) -> bool:
+def same_plan(a: list[list[np.ndarray]], b: list[list[np.ndarray]]) -> bool:
     """Whether two fold plans hold the same test folds, in the same order."""
-    return (a.n, a.repeats, a.folds) == (b.n, b.repeats, b.folds) and all(
+    return [len(repeat) for repeat in a] == [len(repeat) for repeat in b] and all(
         np.array_equal(fold_a, fold_b)
-        for repeat_a, repeat_b in zip(a.test_folds, b.test_folds)
+        for repeat_a, repeat_b in zip(a, b)
         for fold_a, fold_b in zip(repeat_a, repeat_b)
     )
 

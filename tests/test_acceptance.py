@@ -61,9 +61,9 @@ UCI_TOLERANCE_PP = 2.0
 def test_criterion_1_uci_reproduction(name):
     require_uci(name)
     dataset = load_dataset(uci_path(name))
-    config = MrfConfig()  # t=100, k=5, rate 1, b1=b2=10, b3=inf, gini
+    config = MrfConfig(seed=2024)  # t=100, k=5, rate 1, b1=b2=10, b3=inf, gini
     start = time.perf_counter()
-    report = run_cv(dataset, "mrf", config, folds=10, repeats=10, seed=2024, name=name, n_jobs=JOBS)
+    report = run_cv(dataset, "mrf", config, folds=10, repeats=10, name=name, n_jobs=JOBS)
     elapsed = time.perf_counter() - start
     mean_pct = 100.0 * report.mean
     target = UCI_TARGETS[name]
@@ -392,9 +392,9 @@ def test_criterion_8e_serialization_round_trip():
 def test_criterion_9_value_budget_trend_on_cmc():
     require_uci("cmc")
     dataset = load_dataset(uci_path("cmc"))
-    config = MrfConfig(t=100, k=5, b1=0.0)
+    config = MrfConfig(t=100, k=5, b1=0.0, seed=11)
     report = sweep(
-        dataset, [0.0], [0.0, 10.0], config, folds=5, repeats=5, seed=11, name="cmc", n_jobs=JOBS
+        dataset, [0.0], [0.0, 10.0], config, folds=5, repeats=5, name="cmc", n_jobs=JOBS
     )
     means = {(cell["b1"], cell["b2"]): cell["mean_acc"] for cell in report.cells}
     low, high = means[(0.0, 0.0)], means[(0.0, 10.0)]

@@ -7,11 +7,13 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import mrforest.cli as cli
+import mrforest.harness as harness
 from mrforest.data import load_dataset, partition
 from mrforest.forest import load_forest, predict_batch, train_mrf
 from mrforest.harness import TreeDistReport, emit_report
@@ -541,6 +543,40 @@ class TestExitCodes:
         code = cli.main([command, "--data", str(data_csv), "--trees", "2", *grids, "--folds", "81"])
         assert code == cli.EXIT_DATA
         assert "folds must satisfy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("folds", [2, 3])
+    def test_cv_epsilon_sizes_budgets_for_the_smallest_training_fold(
+        self, data_csv, tmp_path, monkeypatch, capsys, folds
+    ):
+        # each cell gets the budgets and depth cap that train gives n - ceil(n / folds) rows
+        configs = []
+        train = harness._train_for_method
+        monkeypatch.setattr(
+            harness,
+            "_train_for_method",
+            lambda dataset, method, config: configs.append(config) or train(dataset, method, config),
+        )
+        flags = ["--epsilon", "4", "--trees", "2"]
+        argv = ["cv", "--data", str(data_csv), *flags, "--folds", str(folds), "--repeats", "1"]
+        assert cli.main(argv) == cli.EXIT_OK
+        header, *rows = data_csv.read_text(encoding="utf-8").splitlines()
+        smallest = tmp_path / "smallest.csv"
+        smallest.write_text("\n".join([header, *rows[: 80 * (folds - 1) // folds]]) + "\n")
+        model = tmp_path / "m.json"
+        assert cli.main(["train", "--data", str(smallest), *flags, "--out", str(model)]) == 0
+        expected = replace(load_forest(model).config, seed=0)
+        assert [replace(config, seed=0) for config in configs] == [expected] * folds
+
+    def test_corrupt_model_config_exits_3(self, data_csv, model_json, tmp_path, capsys):
+        doc = json.loads(model_json.read_text())
+        doc["config"]["k"] = 0
+        model_json.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = cli.main(["predict", "--model", str(model_json), "--data", str(data_csv)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DATA
+        assert "invalid model config: k must be >= 1, got 0" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "command, flag, extra",

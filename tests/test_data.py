@@ -3,21 +3,21 @@
 from __future__ import annotations
 
 import io
-import json
 
 import numpy as np
 import pytest
 
+import mrforest.harness as harness
 from conftest import same_plan
 from mrforest.data import (
     Dataset,
-    FoldPlan,
     load_dataset,
     make_folds,
     partition,
     structure_size,
 )
 from mrforest.errors import EmptyError, ParseError, SchemaError, SizeError
+from mrforest.forest import MrfConfig
 
 
 def _csv(text: str) -> io.StringIO:
@@ -140,11 +140,11 @@ class TestPartition:
 class TestFoldPlan:
     def test_equal_division(self, rng):
         plan = make_folds(10, 10, 1, rng)
-        assert all(fold.size == 1 for fold in plan.test_folds[0])
+        assert all(fold.size == 1 for fold in plan[0])
 
     def test_remainder_rule(self, rng):
         plan = make_folds(11, 10, 1, rng)
-        sizes = sorted(fold.size for fold in plan.test_folds[0])
+        sizes = sorted(fold.size for fold in plan[0])
         assert sizes == [1] * 9 + [2]
 
     def test_same_seed_same_plan(self):
@@ -154,25 +154,34 @@ class TestFoldPlan:
 
     def test_every_index_in_exactly_one_test_fold(self, rng):
         plan = make_folds(29, 4, 5, rng)
-        for repeat in range(plan.repeats):
-            merged = np.concatenate(plan.test_folds[repeat])
+        assert len(plan) == 5
+        for repeat in plan:
+            merged = np.concatenate(repeat)
             assert np.array_equal(np.sort(merged), np.arange(29))
+            assert all(np.array_equal(fold, np.sort(fold)) for fold in repeat)
 
-    def test_train_complements_test(self, rng):
-        plan = make_folds(17, 3, 2, rng)
-        union = np.union1d(plan.train(1, 2), plan.test(1, 2))
-        assert np.array_equal(union, np.arange(17))
+    def test_train_complements_test(self, monkeypatch):
+        # cross validation trains each cell on the ascending complement of its test fold
+        trained = []
+        train = harness._train_for_method
+
+        def record(dataset, method, config):
+            trained.append(dataset.features[:, 0].astype(np.int64))
+            return train(dataset, method, config)
+
+        monkeypatch.setattr(harness, "_train_for_method", record)
+        rows = Dataset(np.arange(17.0).reshape(-1, 1), np.arange(17) % 2, ("row",), 2)
+        harness.run_cv(rows, "mrf", MrfConfig(t=1, k=1, seed=4), folds=3, repeats=2)
+        plan_seed = np.random.SeedSequence(4, spawn_key=(harness._PLAN_STREAM,))
+        plan = make_folds(17, 3, 2, np.random.default_rng(plan_seed))
+        tests = [fold for repeat in plan for fold in repeat]
+        assert len(trained) == len(tests) == 6
+        for train_rows, test_rows in zip(trained, tests):
+            assert np.array_equal(train_rows, np.setdiff1d(np.arange(17), test_rows))
 
     def test_too_many_folds(self, rng):
         with pytest.raises(SizeError):
             make_folds(5, 6, 1, rng)
-
-    def test_json_round_trip(self, rng):
-        # the test folds are the whole plan: rebuilt from their JSON, it is the same plan
-        plan = make_folds(19, 4, 2, rng)
-        folds = [[fold.tolist() for fold in repeat] for repeat in plan.test_folds]
-        doc = json.loads(json.dumps({"n": plan.n, "test_folds": folds}))
-        assert same_plan(FoldPlan(doc["n"], doc["test_folds"]), plan)
 
 
 def _dummy(n: int) -> Dataset:

@@ -40,36 +40,55 @@ def _separable_dataset(n: int = 120) -> Dataset:
     return Dataset(features, labels, ("sep", "noise"), 2)
 
 
+def _recording_pool(sizes: list):
+    """A pool class that records each pool's size and maps serially: no process starts."""
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    return SerialPool
+
+
 class TestRunCv:
     def test_any_method_perfect_on_trivially_separable_data(self):
         ds = _constant_cluster_dataset()
-        config = MrfConfig(t=5, k=2, seed=0)
+        config = MrfConfig(t=5, k=2, seed=1)
         for method in ("mrf", "breiman", "completely_random"):
-            report = run_cv(ds, method, config, folds=5, repeats=1, seed=1, name="const")
+            report = run_cv(ds, method, config, folds=5, repeats=1, name="const")
             assert report.mean == 1.0
             assert report.std == 0.0
 
     def test_margin_separable_data(self):
         ds = _separable_dataset()
-        config = MrfConfig(t=25, k=3, seed=0)
+        config = MrfConfig(t=25, k=3, seed=4)
         for method in ("mrf", "breiman"):
-            report = run_cv(ds, method, config, folds=5, repeats=2, seed=4)
+            report = run_cv(ds, method, config, folds=5, repeats=2)
             assert report.mean == 1.0
 
     def test_deterministic(self):
         ds = _separable_dataset()
-        config = MrfConfig(t=5, k=3, seed=0)
-        a = run_cv(ds, "mrf", config, 4, 2, seed=9)
-        b = run_cv(ds, "mrf", config, 4, 2, seed=9)
+        config = MrfConfig(t=5, k=3, seed=9)
+        a = run_cv(ds, "mrf", config, 4, 2)
+        b = run_cv(ds, "mrf", config, 4, 2)
         # wall-clock naturally varies; everything else must match exactly
         assert a.accuracies == b.accuracies
         assert (a.mean, a.std, a.seed) == (b.mean, b.std, b.seed)
 
     def test_parallel_equals_sequential(self):
         ds = _separable_dataset(80)
-        config = MrfConfig(t=4, k=3, seed=0)
-        seq = run_cv(ds, "mrf", config, 4, 1, seed=3, n_jobs=1)
-        par = run_cv(ds, "mrf", config, 4, 1, seed=3, n_jobs=2)
+        config = MrfConfig(t=4, k=3, seed=3)
+        seq = run_cv(ds, "mrf", config, 4, 1, n_jobs=1)
+        par = run_cv(ds, "mrf", config, 4, 1, n_jobs=2)
         assert seq.accuracies == par.accuracies
 
     @pytest.mark.parametrize(
@@ -77,52 +96,37 @@ class TestRunCv:
         [(5000, 64, 6), (5000, 4, 4), (3, 64, 3), (5000, None, None), (1, 64, None)],
     )
     def test_workers_capped_at_cells_and_cores(self, monkeypatch, n_jobs, cpus, workers):
-        # a pool that records its size and maps serially: no process starts
         sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(mrforest.harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(mrforest.harness, "ProcessPoolExecutor", _recording_pool(sizes))
         monkeypatch.setattr(mrforest.harness.os, "cpu_count", lambda: cpus)
         ds = _separable_dataset(60)
-        config = MrfConfig(t=2, k=3, seed=0)
-        report = run_cv(ds, "mrf", config, 3, 2, seed=3, n_jobs=n_jobs)
+        config = MrfConfig(t=2, k=3, seed=3)
+        report = run_cv(ds, "mrf", config, 3, 2, n_jobs=n_jobs)
         assert sizes == ([] if workers is None else [workers])
-        assert report.accuracies == run_cv(ds, "mrf", config, 3, 2, seed=3).accuracies
+        assert report.accuracies == run_cv(ds, "mrf", config, 3, 2).accuracies
 
     def test_accuracies_bounded_and_counted(self, rng):
         ds = random_dataset(rng, 90, 3)
-        report = run_cv(ds, "mrf", MrfConfig(t=3, k=3), folds=4, repeats=2, seed=5)
+        report = run_cv(ds, "mrf", MrfConfig(t=3, k=3, seed=5), folds=4, repeats=2)
         assert len(report.accuracies) == 8
         assert all(0.0 <= a <= 1.0 for a in report.accuracies)
         assert report.mean == pytest.approx(np.mean(report.accuracies))
 
     def test_baseline_config_accepted_directly(self, rng):
         ds = random_dataset(rng, 80, 2)
-        report = run_cv(ds, "breiman", BaselineConfig(t=3, k=3), 4, 1, seed=2)
+        report = run_cv(ds, "breiman", BaselineConfig(t=3, k=3, seed=2), 4, 1)
         assert len(report.accuracies) == 4
 
     def test_unknown_method(self, rng):
         ds = random_dataset(rng, 40, 2)
         with pytest.raises(ConfigError):
-            run_cv(ds, "boosting", MrfConfig(t=1), 4, 1, seed=0)
+            run_cv(ds, "boosting", MrfConfig(t=1), 4, 1)
 
     def test_finite_b3_reproducible(self, rng):
         ds = random_dataset(rng, 80, 2)
-        config = MrfConfig(t=5, k=3, b3=2.0, seed=0)
-        a = run_cv(ds, "mrf", config, 4, 1, seed=6)
-        b = run_cv(ds, "mrf", config, 4, 1, seed=6)
+        config = MrfConfig(t=5, k=3, b3=2.0, seed=6)
+        a = run_cv(ds, "mrf", config, 4, 1)
+        b = run_cv(ds, "mrf", config, 4, 1)
         assert a.accuracies == b.accuracies
 
 
@@ -184,9 +188,9 @@ class TestWilcoxon:
 class TestSweep:
     def test_single_cell_equals_run_cv(self):
         ds = _separable_dataset(80)
-        config = MrfConfig(t=3, k=3, b1=4.0, b2=6.0, seed=0)
-        report = sweep(ds, [4.0], [6.0], config, 4, 1, seed=11)
-        single = run_cv(ds, "mrf", config, 4, 1, seed=11)
+        config = MrfConfig(t=3, k=3, b1=4.0, b2=6.0, seed=11)
+        report = sweep(ds, [4.0], [6.0], config, 4, 1)
+        single = run_cv(ds, "mrf", config, 4, 1)
         assert report.cells[0]["mean_acc"] == single.mean
         assert report.cells[0]["std"] == single.std
 
@@ -198,20 +202,37 @@ class TestSweep:
         labels = (x0 > 0.5).astype(int)
         features = np.column_stack([x0, rng.uniform(0, 1, n), rng.uniform(0, 1, n)])
         ds = Dataset(features, labels, ("sig", "n1", "n2"), 2)
-        report = sweep(ds, [0.0], [0.0, 10.0], MrfConfig(t=30, k=5, b1=0.0), 5, 1, seed=7)
+        report = sweep(ds, [0.0], [0.0, 10.0], MrfConfig(t=30, k=5, b1=0.0, seed=7), 5, 1)
         means = {(cell["b1"], cell["b2"]): cell["mean_acc"] for cell in report.cells}
         assert means[(0.0, 10.0)] > means[(0.0, 0.0)]
 
+    def test_one_fold_plan_and_one_pool_per_sweep(self, monkeypatch):
+        # 2 x 2 configs x 3 folds: twelve cells, planned once and run in one pool of 8
+        ds = _separable_dataset(60)
+        config = MrfConfig(t=2, k=3, seed=3)
+        serial = sweep(ds, [0.0, 5.0], [1.0, 2.0], config, 3, 1)
+        sizes, plans = [], []
+        make_folds = mrforest.harness.make_folds
+        monkeypatch.setattr(mrforest.harness, "ProcessPoolExecutor", _recording_pool(sizes))
+        monkeypatch.setattr(mrforest.harness.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            mrforest.harness, "make_folds", lambda *args: plans.append(args) or make_folds(*args)
+        )
+        report = sweep(ds, [0.0, 5.0], [1.0, 2.0], config, 3, 1, n_jobs=8)
+        assert sizes == [8]
+        assert len(plans) == 1
+        assert report.cells == serial.cells
+
     def test_grid_shape(self, rng):
         ds = random_dataset(rng, 70, 2)
-        report = sweep(ds, [0.0, 5.0], [1.0, 2.0, 3.0], MrfConfig(t=2, k=3), 3, 1, seed=2)
+        report = sweep(ds, [0.0, 5.0], [1.0, 2.0, 3.0], MrfConfig(t=2, k=3, seed=2), 3, 1)
         assert len(report.cells) == 6
         assert report.b1_grid == (0.0, 5.0)
 
     def test_empty_grid_rejected(self, rng):
         ds = random_dataset(rng, 40, 2)
         with pytest.raises(ConfigError):
-            sweep(ds, [], [1.0], MrfConfig(t=1), 3, 1, seed=0)
+            sweep(ds, [], [1.0], MrfConfig(t=1), 3, 1)
 
     def test_full_grid_desk_scale_budget(self, rng):
         # 25-cell [0,20] step-5 grid on a small dataset stays well under budget
@@ -220,7 +241,7 @@ class TestSweep:
         ds = random_dataset(rng, 150, 2)
         grid = [0.0, 5.0, 10.0, 15.0, 20.0]
         start = time.perf_counter()
-        report = sweep(ds, grid, grid, MrfConfig(t=10, k=4), 3, 1, seed=3)
+        report = sweep(ds, grid, grid, MrfConfig(t=10, k=4, seed=3), 3, 1)
         elapsed = time.perf_counter() - start
         assert len(report.cells) == 25
         assert elapsed < 600
@@ -290,7 +311,7 @@ class TestReports:
 
     def test_sweep_csv_header(self, rng):
         ds = random_dataset(rng, 60, 2)
-        report = sweep(ds, [0.0], [1.0], MrfConfig(t=1, k=3), 3, 1, seed=1)
+        report = sweep(ds, [0.0], [1.0], MrfConfig(t=1, k=3, seed=1), 3, 1)
         text = emit_report(report, "csv")
         assert text.splitlines()[0] == "B1,B2,mean_acc,std"
 

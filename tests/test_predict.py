@@ -320,6 +320,34 @@ def _leaf_without_counts(doc):
     return "leaf counts are not 3 per leaf"
 
 
+# A config that its class refuses is a corrupt model, refused as its config.
+
+
+def _zero_leaf_size(doc):
+    doc["config"]["k"] = 0
+    return "invalid model config: k must be >= 1"
+
+
+def _zero_trees(doc):
+    doc["config"]["t"] = 0
+    return "invalid model config: t must be >= 1"
+
+
+def _negative_partition_rate(doc):
+    doc["config"]["partition_rate"] = -1
+    return "invalid model config: partition_rate must be positive and finite"
+
+
+def _unknown_criterion(doc):
+    doc["config"]["criterion"] = "foo"
+    return "invalid model config: unknown criterion 'foo'"
+
+
+def _budget_as_text(doc):
+    doc["config"]["b3"] = "-1"
+    return "invalid model config: must be real number, not str"
+
+
 CORRUPTIONS = (
     _self_loop,
     _backward_child,
@@ -334,6 +362,11 @@ CORRUPTIONS = (
     _split_without_counts,
     _empty_tree,
     _leaf_without_counts,
+    _zero_leaf_size,
+    _zero_trees,
+    _negative_partition_rate,
+    _unknown_criterion,
+    _budget_as_text,
 )
 
 

@@ -39,7 +39,7 @@ from .splitsel import (
     softmax_scaled,
     value_region_bound,
 )
-from .tree import Tree, TreeNode, build_tree
+from .tree import Trees, TreeNode, build_tree
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,7 @@ __all__ = [
     "select_value",
     "feature_probability_bounds",
     "value_region_bound",
-    "Tree",
+    "Trees",
     "TreeNode",
     "build_tree",
     "MrfConfig",

@@ -253,7 +253,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "variant": forest.variant,
         "trees": len(forest.trees),
         "classes": forest.class_count,
-        "max_tree_depth": max(t.depth for t in forest.trees),
+        "max_tree_depth": forest.trees.depth,
     }
     sys.stdout.write(json.dumps(summary) + "\n")
     return EXIT_OK

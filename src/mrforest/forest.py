@@ -12,12 +12,13 @@ laws, built in one batch with theirs, agree with its own up to rounding, so
 a draw could differ only where a uniform falls within that rounding of a
 law's step: training is reproducible however trees are grouped.
 
-:func:`predict_batch` rejects rows of the wrong width or with NaN or inf, then
-runs all trees at once on the forest's compiled trees (see
-:mod:`mrforest.tree`), built on its first prediction and kept: its trees must
-not be mutated after that. A model document (version 3) stores each tree's
-columns, in level order, and nothing they determine; it is checked as it
-loads, as whole arrays, all trees' columns at once. Documents of other
+:attr:`Forest.trees` is one :class:`~mrforest.tree.Trees`, and what prediction
+derives from it is kept on it, so ``dataclasses.replace`` copies with another
+config share that too. :func:`predict_batch` rejects rows of the wrong width
+or with NaN or inf, then runs all trees at once. A model document (version
+3) stores each tree's columns, in level order, and nothing they determine;
+it is checked as it loads, all trees' columns at once as whole arrays, and
+so are its config's JSON types and the variant its config implies. Other
 versions, such as the version 1 node lists and version 2 child columns of
 earlier releases, are refused.
 """
@@ -26,8 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
-from functools import cached_property
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -36,13 +36,11 @@ import numpy as np
 from .data import Dataset, partition
 from .errors import ConfigError, ParseError, SchemaError
 from .tree import (
-    CompiledTrees,
-    Tree,
+    Trees,
     build_baseline_tree,
     build_baseline_trees,
     build_tree,
     build_trees,
-    compile_trees,
     read_trees,
     tree_votes,
 )
@@ -72,6 +70,10 @@ _TREE_STREAM = 0
 # in this budget's groups of two), and large groups run slower: t=100 on 1031
 # x 9 rows took 0.72-0.76 s at 2^15 rows against 0.84-0.90 s at 2^16.
 _GROUP_ROWS = 1 << 15
+
+# The JSON types that Forest.to_dict writes for each type of config field
+_JSON_TYPES = {"bool": (bool,), "float": (float, int), "int": (int,), "str": (str,)}
+_JSON_TYPES["int | None"] = (int, type(None))
 
 
 def _tree_rng(seed: int, index: int) -> np.random.Generator:
@@ -151,8 +153,7 @@ class BaselineConfig:
 
 @dataclass(eq=False)
 class Forest:
-    trees: list[Tree]
-    variant: str
+    trees: Trees
     config: MrfConfig | BaselineConfig
     class_count: int
     label_values: tuple[str, ...]
@@ -162,10 +163,12 @@ class Forest:
     def b3(self) -> float:
         return self.config.b3 if isinstance(self.config, MrfConfig) else math.inf
 
-    @cached_property
-    def compiled(self) -> CompiledTrees:
-        """The trees in flat arrays, compiled on first use and then kept."""
-        return compile_trees(self.trees, self.class_count)
+    @property
+    def variant(self) -> str:
+        """``breiman`` for the baseline, ``completely_random`` at b1 = b2 = 0, else ``mrf``."""
+        if isinstance(self.config, BaselineConfig):
+            return "breiman"
+        return "completely_random" if self.config.b1 == self.config.b2 == 0 else "mrf"
 
     def to_dict(self) -> dict[str, Any]:
         config = {
@@ -180,7 +183,7 @@ class Forest:
             "class_count": self.class_count,
             "label_values": list(self.label_values),
             "feature_names": list(self.feature_names),
-            "trees": [tree.to_dict() for tree in self.trees],
+            "trees": self.trees.to_docs(),
         }
 
     def to_json(self) -> str:
@@ -202,11 +205,13 @@ class Forest:
             })
         except (ConfigError, AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"invalid model config: {exc}") from exc
+        for field in fields(config):
+            if type(getattr(config, field.name)) not in _JSON_TYPES[field.type]:
+                raise ParseError(f"invalid model config: {field.name} is not of type {field.type}")
         try:
             class_count, width = int(doc["class_count"]), len(doc["feature_names"])
             forest = cls(
                 trees=read_trees(doc["trees"], class_count, width),
-                variant=doc["variant"],
                 config=config,
                 class_count=class_count,
                 label_values=tuple(doc["label_values"]),
@@ -216,6 +221,8 @@ class Forest:
             raise ParseError(f"malformed model document: {exc!r}") from exc
         if len(forest.trees) != forest.config.t or not 2 <= class_count == len(forest.label_values):
             raise ParseError("model's tree or class count disagrees with its config or labels")
+        if doc.get("variant") != forest.variant:
+            raise ParseError(f"{doc.get('variant')!r} is not the variant of the model's config")
         return forest
 
     @classmethod
@@ -233,19 +240,17 @@ def train_mrf(dataset: Dataset, config: MrfConfig) -> Forest:
         raise ConfigError(
             f"need n >= 2k for a leaf-capable partition, got n={dataset.n} k={config.k}"
         )
-    trees = []
+    groups = []
     for group in _groups(config.t, dataset.n):
         rngs = [_tree_rng(config.seed, index) for index in group]
         parts = [partition(dataset, config.partition_rate, rng) for rng in rngs]
         if len(group) == 1:
             # the one-tree call, which perfbench's tracer times tree by tree
-            trees.append(build_tree(dataset, *parts[0], config, rngs[0]))
+            groups.append(build_tree(dataset, *parts[0], config, rngs[0]))
         else:
-            trees += build_trees(dataset, parts, config, rngs)
-    variant = "completely_random" if config.b1 == 0 and config.b2 == 0 else "mrf"
+            groups.append(build_trees(dataset, parts, config, rngs))
     return Forest(
-        trees=trees,
-        variant=variant,
+        trees=Trees.concatenate(groups),
         config=config,
         class_count=dataset.class_count,
         label_values=dataset.label_values,
@@ -259,7 +264,7 @@ def train_baseline_rf(dataset: Dataset, config: BaselineConfig) -> Forest:
     mtry = config.mtry if config.mtry is not None else max(1, int(math.isqrt(feature_count)))
     if mtry > feature_count:
         raise ConfigError(f"mtry={mtry} exceeds feature count {feature_count}")
-    trees = []
+    groups = []
     for group in _groups(config.t, dataset.n):
         rngs = [_tree_rng(config.seed, index) for index in group]
         rows = np.concatenate([
@@ -270,12 +275,11 @@ def train_baseline_rf(dataset: Dataset, config: BaselineConfig) -> Forest:
         args = (dataset.class_count, config.k, mtry, config.criterion)
         if len(group) == 1:
             # the one-tree call, which perfbench's tracer times tree by tree
-            trees.append(build_baseline_tree(x, y, *args, rngs[0]))
+            groups.append(build_baseline_tree(x, y, *args, rngs[0]))
         else:
-            trees += build_baseline_trees(x, y, [dataset.n] * len(group), *args, rngs)
+            groups.append(build_baseline_trees(x, y, [dataset.n] * len(group), *args, rngs))
     return Forest(
-        trees=trees,
-        variant="breiman",
+        trees=Trees.concatenate(groups),
         config=config,
         class_count=dataset.class_count,
         label_values=dataset.label_values,
@@ -305,7 +309,7 @@ def predict_batch(
     if not math.isinf(b3) and rng is None:
         raise ConfigError("finite b3 prediction requires an rng")
     n = x.shape[0]
-    votes = tree_votes(forest.compiled, x, b3, rng)
+    votes = tree_votes(forest.trees, x, b3, rng)
     tallies = np.bincount(
         (votes * n + np.arange(n)).ravel(), minlength=forest.class_count * n
     ).reshape(forest.class_count, n)

@@ -160,8 +160,18 @@ def _train_for_method(
     raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _run_cell(args: tuple) -> tuple[float, float]:
-    dataset, method, config, seed, repeat, fold, test_idx = args
+# A pool worker's dataset, handed to it once by the pool's initializer, not with each job
+_pool_dataset: Dataset | None = None
+
+
+def _hold_dataset(dataset: Dataset) -> None:
+    global _pool_dataset
+    _pool_dataset = dataset
+
+
+def _run_cell(job: tuple, dataset: Dataset | None = None) -> tuple[float, float]:
+    method, config, seed, repeat, fold, test_idx = job
+    dataset = _pool_dataset if dataset is None else dataset
     start = time.perf_counter()
     # a fold trains on the ascending complement of its test rows
     train_idx = np.delete(np.arange(dataset.n), test_idx)
@@ -190,14 +200,14 @@ def _cross_validate(
     plan_seed = np.random.SeedSequence(seed, spawn_key=(_PLAN_STREAM,))
     plan = make_folds(dataset.n, folds, repeats, np.random.default_rng(plan_seed))
     cells = [(r, f, test_idx) for r, repeat in enumerate(plan) for f, test_idx in enumerate(repeat)]
-    jobs = [(dataset, method, config, seed, *cell) for config in configs for cell in cells]
+    jobs = [(method, config, seed, *cell) for config in configs for cell in cells]
     # a forked pool starts all its workers at once: no more than can be used
     workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(workers, initializer=_hold_dataset, initargs=(dataset,)) as pool:
             results = list(pool.map(_run_cell, jobs, chunksize=1))
     else:
-        results = [_run_cell(job) for job in jobs]
+        results = [_run_cell(job, dataset) for job in jobs]
     per_config = len(cells)
     return [tuple(zip(*results[i : i + per_config])) for i in range(0, len(results), per_config)]
 

@@ -44,23 +44,23 @@ group; :mod:`mrforest.forest` groups a forest's trees under a row budget.
   Each node it searches takes D uniforms, one ``rng.random`` call per tree
   and level, and its subset is the first ``mtry`` features of their order.
 
-A :class:`Tree` is flat per-node arrays in level order, which the grower
-writes, the model file stores, and prediction reads. Level order implies the
-children, so a tree stores none: ``Tree.left`` is derived from which nodes
-split, and :func:`read_trees` checks that the nodes form a tree by counting
-them and checking that every split comes before its implied children.
-``Tree.root`` is a ``TreeNode`` graph view built on demand, which no library
-code reads. :func:`compile_trees` concatenates all trees of a forest, on the
-forest's first prediction, and the result is kept, so its trees must not be
-mutated after that. :func:`route_eta` moves all rows down all trees a level
-per round; :func:`tree_votes` votes.
+A :class:`Trees` is trees in flat per-node arrays, listed one after another,
+each in level order: the grower writes one, the model file stores it, and
+prediction reads it. Level order implies the children, so it stores none:
+``Trees.left`` is derived from which nodes split, and :func:`read_trees`
+checks that the nodes form trees by counting them and checking that every
+split comes before its implied children. What prediction reads besides the
+columns is derived on first use and kept, so they must not be mutated after
+that. ``Trees.root`` is a ``TreeNode`` graph view of the first tree, built on
+demand, which no library code reads. :func:`route_eta` moves all rows down
+all trees a level per round; :func:`tree_votes` votes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -77,14 +77,12 @@ if TYPE_CHECKING:
 
 __all__ = [
     "TreeNode",
-    "Tree",
+    "Trees",
     "read_trees",
     "build_tree",
     "build_trees",
     "build_baseline_tree",
     "build_baseline_trees",
-    "CompiledTrees",
-    "compile_trees",
     "route_eta",
     "tree_votes",
 ]
@@ -96,12 +94,9 @@ _PAIRS = 5
 # Uniforms of a searched node: per pair, one for the feature and one per value.
 _BLOCK = 3 * _PAIRS
 
-_COLUMNS = ("feature", "threshold", "counts")
-
-
 @dataclass(eq=False)
 class TreeNode:
-    """One node of :attr:`Tree.root`'s read-only graph view. Leaves have ``feature is None``."""
+    """One node of :attr:`Trees.root`'s read-only graph view. Leaves have ``feature is None``."""
 
     depth: int
     feature: int | None = None
@@ -117,41 +112,96 @@ class TreeNode:
 
 
 @dataclass(eq=False)
-class Tree:
-    """One tree in flat per-node arrays, its nodes listed in level order.
+class Trees:
+    """Trees in flat per-node arrays, listed one after another.
 
-    The root is node 0, and the children of the r-th split in node order
-    (r = 1, 2, ...) are nodes 2r - 1 and 2r, as in Jacobson's level-order
-    encoding of binary trees, so ``feature`` alone fixes the tree's shape and
-    ``left`` is derived from it. Leaves hold feature -1 and threshold 0;
+    Within a tree the root is its first node, and the children of its r-th
+    split in node order (r = 1, 2, ...) are its nodes 2r - 1 and 2r, as in
+    Jacobson's level-order encoding of binary trees, so ``feature`` and
+    ``sizes`` fix every tree's shape. Leaves hold feature -1 and threshold 0;
     ``counts`` holds one row of estimation class counts per leaf, in node
-    order, and a leaf's distribution is its row over the row's sum.
+    order, and a leaf's distribution is its row over the row's sum. A tree of
+    s splits has 2s + 1 nodes and s + 1 leaves. What prediction reads besides
+    the columns is derived on first use and kept. Indexing, slicing and
+    iteration give ``Trees`` on views of these columns.
     """
 
     feature: np.ndarray  # (nodes,) split feature, -1 at leaves
     threshold: np.ndarray  # (nodes,) rows with value <= threshold go left
     counts: np.ndarray  # (leaves, K) estimation class counts
+    sizes: np.ndarray  # (trees,) nodes of each tree
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["Trees"]) -> "Trees":
+        """The trees of ``parts``, in order; a single part is returned as it is."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def __getitem__(self, index: int | slice) -> "Trees":
+        """Tree ``index``, or the trees of a slice of step 1; iteration gives each tree."""
+        picked = range(len(self))[index]
+        if isinstance(picked, int):
+            picked = range(picked, picked + 1)
+        elif picked.step != 1:
+            raise IndexError("a slice of trees takes consecutive trees")
+        a, b = picked.start, picked.stop
+        node, leaf = (slice(starts[a], starts[b]) for starts in self._starts)
+        return Trees(self.feature[node], self.threshold[node], self.counts[leaf], self.sizes[a:b])
+
+    @cached_property
+    def _starts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each tree's first node and first leaf, then the node and leaf counts."""
+        return tuple(np.concatenate(([0], n.cumsum())) for n in (self.sizes, (self.sizes + 1) // 2))
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Each tree's first node."""
+        return self._starts[0][:-1]
 
     @cached_property
     def left(self) -> np.ndarray:
-        """Each node's left child, -1 at leaves; a split's right child is ``left + 1``."""
-        return _left_children(self.feature, np.array([self.feature.size]))
+        """Each node's left child; a split's right child is ``left + 1``, and a leaf is its own."""
+        return _left_children(self.feature, self.sizes)
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        """Each node's right child; a leaf is its own, so a row routed past its leaf stays there."""
+        return self.left + (self.feature != -1)
+
+    @cached_property
+    def eta(self) -> np.ndarray:
+        """(nodes, K): each leaf's class distribution, its counts over their sum; zero at splits."""
+        eta = np.zeros((self.feature.size, self.counts.shape[1]))
+        eta[self.feature == -1] = self.counts / self.counts.sum(axis=1, keepdims=True)
+        return eta
+
+    @cached_property
+    def label(self) -> np.ndarray:
+        """Each node's argmax class of ``eta``, the lowest index on ties."""
+        return np.argmax(self.eta, axis=1)
 
     @cached_property
     def depth(self) -> int:
-        """Levels below the root of the deepest leaf."""
-        return _depth(self.feature, self.left, np.zeros(1, dtype=np.intp))
+        """Levels below its root of any tree's deepest leaf, walking all trees a level at a time."""
+        depth, frontier = -1, self.roots
+        while frontier.size:
+            depth += 1
+            children = self.left[frontier[self.feature[frontier] != -1]]
+            frontier = np.concatenate((children, children + 1))
+        return depth
 
     @property
     def root(self) -> TreeNode:
-        """The tree as a fresh ``TreeNode`` graph; editing it leaves the arrays as they are."""
-        eta = _leaf_eta(self.counts)
-        nodes = [TreeNode(depth=0) for _ in range(self.feature.size)]
-        leaf = 0
+        """The first tree as a ``TreeNode`` graph, built afresh from the arrays on each call."""
+        nodes = [TreeNode(depth=0) for _ in range(self.sizes[0])]
+        leaves = zip(self.counts, self.eta[self.feature == -1])
         for node, feature, threshold, left in zip(nodes, self.feature, self.threshold, self.left):
             if feature == -1:
-                node.counts, node.eta = self.counts[leaf], eta[leaf]
-                leaf += 1
+                node.counts, node.eta = next(leaves)
                 continue
             node.feature, node.threshold = int(feature), float(threshold)
             node.left, node.right = nodes[left], nodes[left + 1]
@@ -159,17 +209,20 @@ class Tree:
             node.left.depth = node.right.depth = node.depth + 1
         return nodes[0]
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready columns, thresholds of splits only; :func:`read_trees` reads them back."""
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold[self.feature != -1].tolist(),
-            "counts": self.counts.tolist(),
-        }
+    def to_docs(self) -> list[dict[str, Any]]:
+        """JSON-ready columns of each tree, thresholds of splits only, for :func:`read_trees`."""
+        nodes, leaves = (starts.tolist() for starts in self._starts)
+        feature, counts = self.feature.tolist(), self.counts.tolist()
+        threshold = self.threshold[self.feature != -1].tolist()
+        # the splits before a tree are its first node less its first leaf
+        return [
+            {"feature": feature[a:b], "threshold": threshold[a - c : b - d], "counts": counts[c:d]}
+            for a, b, c, d in zip(nodes, nodes[1:], leaves, leaves[1:])
+        ]
 
 
-def read_trees(docs: Sequence[dict[str, Any]], class_count: int, feature_count: int) -> list[Tree]:
-    """Trees of :meth:`Tree.to_dict` documents, checked once as whole arrays for all of them.
+def read_trees(docs: Sequence[dict[str, Any]], class_count: int, feature_count: int) -> Trees:
+    """The trees of :meth:`Trees.to_docs` documents, checked once as whole arrays for all of them.
 
     Each column of all trees is converted once and checked with per-tree
     offsets. The nodes form a tree exactly when the tree has twice as many
@@ -180,11 +233,11 @@ def read_trees(docs: Sequence[dict[str, Any]], class_count: int, feature_count: 
     tree; a threshold count other than the split count; a split feature
     outside ``[0, feature_count)``; a threshold that is NaN or infinite; or
     leaf counts that are not ``class_count`` per leaf, are negative, or sum
-    to zero.
+    to zero, and a list of no trees.
     """
     if not docs:
-        return []
-    lengths = np.array([[len(doc[name]) for name in _COLUMNS] for doc in docs])
+        raise ParseError("a model holds no trees")
+    lengths = np.array([[len(doc[c]) for c in ("feature", "threshold", "counts")] for doc in docs])
     feature, counts = (_column(docs, name, "i") for name in ("feature", "counts"))
     threshold = _column(docs, "threshold", "if").astype(np.float64)
     size = lengths[:, 0]
@@ -217,37 +270,20 @@ def read_trees(docs: Sequence[dict[str, Any]], class_count: int, feature_count: 
         raise ParseError("leaf counts are negative or sum to zero")
     full = np.zeros(feature.size)
     full[split] = threshold
-    return _split_trees(feature.astype(np.intp, copy=False), full, counts, size, leaves)
+    return Trees(feature.astype(np.intp, copy=False), full, counts, size)
 
 
 def _left_children(feature: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Each node's left child, -1 at leaves, in level-order trees of ``sizes``
-    nodes each, listed one after another.
+    """Each node's left child, a leaf being its own, in level-order trees of
+    ``sizes`` nodes each, listed one after another.
 
     A tree of s splits has 2s + 1 nodes, so tree k starts at node 2b + k, b
     counting the splits of the trees before it, and the r-th split of all,
     if it is in tree k, has its left child at 2r + k - 1.
     """
     split = feature != -1
-    return np.where(split, 2 * np.cumsum(split) + np.repeat(np.arange(len(sizes)) - 1, sizes), -1)
-
-
-def _split_trees(
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    counts: np.ndarray,
-    sizes: np.ndarray,
-    leaves: np.ndarray,
-) -> list[Tree]:
-    """One :class:`Tree` per tree, tree i taking the next ``sizes[i]`` nodes and leaves."""
-    cuts, leaf_cuts = np.cumsum(sizes)[:-1], np.cumsum(leaves)[:-1]
-    columns = zip(np.split(feature, cuts), np.split(threshold, cuts), np.split(counts, leaf_cuts))
-    return [Tree(*tree) for tree in columns]
-
-
-def _leaf_eta(counts: np.ndarray) -> np.ndarray:
-    """Each leaf's class distribution: its row of ``counts`` over the row's sum."""
-    return counts / counts.sum(axis=1, keepdims=True)
+    left = 2 * np.cumsum(split) + np.repeat(np.arange(len(sizes)) - 1, sizes)
+    return np.where(split, left, np.arange(feature.size))
 
 
 def _column(docs: Sequence[dict[str, Any]], name: str, kinds: str) -> np.ndarray:
@@ -258,16 +294,6 @@ def _column(docs: Sequence[dict[str, Any]], name: str, kinds: str) -> np.ndarray
     if any(part.dtype.kind not in kinds for part in parts):
         raise ParseError(f"tree column {name!r} holds values of the wrong type")
     return np.concatenate(parts) if parts else np.empty(0, kinds[0])
-
-
-def _depth(feature: np.ndarray, left: np.ndarray, roots: np.ndarray) -> int:
-    """Levels below ``roots`` of the deepest leaf, walking all trees a level at a time."""
-    depth, frontier = -1, roots
-    while frontier.size:
-        depth += 1
-        children = left[frontier[feature[frontier] != -1]]
-        frontier = np.concatenate((children, children + 1))
-    return depth
 
 
 def _sorted_index_matrix(x: np.ndarray) -> np.ndarray:
@@ -356,7 +382,7 @@ def _grow(
     ye: np.ndarray,
     class_count: int,
     rule: _Rule,
-) -> list[Tree]:
+) -> Trees:
     """Grow a group of trees together, a level at a time, from structure rows ``xs``.
 
     Tree i owns the next ``structure_sizes[i]`` rows of ``xs`` and the next
@@ -390,10 +416,8 @@ def _grow(
     feature, threshold, tree = (np.concatenate(column) for column in zip(*columns))
     # a stable sort by tree keeps each tree's nodes in their order, its own level order
     order = np.argsort(tree, kind="stable")
-    leaf_tree = tree[feature < 0]
-    counts = np.concatenate(leaf_counts)[np.argsort(leaf_tree, kind="stable")]
-    sizes, leaves = (np.bincount(owner, minlength=trees) for owner in (tree, leaf_tree))
-    return _split_trees(feature[order], threshold[order], counts, sizes, leaves)
+    counts = np.concatenate(leaf_counts)[np.argsort(tree[feature < 0], kind="stable")]
+    return Trees(feature[order], threshold[order], counts, np.bincount(tree, minlength=trees))
 
 
 def _uniforms(rngs: Sequence[np.random.Generator], node_tree: np.ndarray, width: int) -> np.ndarray:
@@ -418,7 +442,7 @@ def build_trees(
     partitions: Sequence[Partition],
     config: "MrfConfig",
     rngs: Sequence[np.random.Generator],
-) -> list[Tree]:
+) -> Trees:
     """Grow multinomial trees together, tree i from the structure/estimation
     row split ``partitions[i]`` with ``rngs[i]``.
 
@@ -450,7 +474,7 @@ def build_tree(
     estimation_idx: np.ndarray,
     config: "MrfConfig",
     rng: np.random.Generator,
-) -> Tree:
+) -> Trees:
     """Grow one multinomial tree from a structure/estimation row split.
 
     Recursion gate: a node splits only while it holds more than ``k``
@@ -458,7 +482,7 @@ def build_tree(
     and (in privacy mode) depth below the configured cap. All degenerate
     paths resolve to leaves.
     """
-    return build_trees(dataset, [Partition(structure_idx, estimation_idx)], config, [rng])[0]
+    return build_trees(dataset, [Partition(structure_idx, estimation_idx)], config, [rng])
 
 
 def _sample_splits(
@@ -583,7 +607,7 @@ def build_baseline_trees(
     mtry: int,
     criterion: str,
     rngs: Sequence[np.random.Generator],
-) -> list[Tree]:
+) -> Trees:
     """Grow greedy trees together, tree i from the next ``sizes[i]`` rows of
     ``x`` and labels of ``y`` with ``rngs[i]``.
 
@@ -605,7 +629,7 @@ def build_baseline_tree(
     mtry: int,
     criterion: str,
     rng: np.random.Generator,
-) -> Tree:
+) -> Trees:
     """Greedy CART tree over (possibly bootstrapped) rows.
 
     Each node draws ``mtry`` features without replacement and takes the
@@ -614,7 +638,7 @@ def build_baseline_tree(
     or at most ``k`` rows remain; leaves predict their majority class. The
     rows are their own estimation rows.
     """
-    return build_baseline_trees(x, y, [len(y)], class_count, k, mtry, criterion, [rng])[0]
+    return build_baseline_trees(x, y, [len(y)], class_count, k, mtry, criterion, [rng])
 
 
 def _greedy_splits(
@@ -665,65 +689,25 @@ def _greedy_splits(
     return feature, threshold
 
 
-@dataclass(frozen=True)
-class CompiledTrees:
-    """Several trees in flat per-node arrays; tree ``i`` is rooted at ``roots[i]``.
-
-    Leaves point to themselves, so a row routed past its leaf stays there.
-    """
-
-    feature: np.ndarray  # (nodes,) split feature; -1 at leaves, read as the last column
-    threshold: np.ndarray  # (nodes,) rows with value <= threshold go left
-    left: np.ndarray  # (nodes,) node index of the left child
-    right: np.ndarray  # (nodes,) node index of the right child
-    eta: np.ndarray  # (nodes, K) leaf class distribution, zero at splits
-    label: np.ndarray  # (nodes,) argmax class of eta, lowest index on ties
-    roots: np.ndarray  # (trees,) root node of each tree
-    depth: int  # routing rounds that bring every row to its leaf
-
-
-def compile_trees(trees: Sequence[Tree], class_count: int) -> CompiledTrees:
-    """Concatenate the arrays of ``trees`` and derive all their children at once.
-
-    :func:`_leaf_eta` runs once, on all leaves. A level-by-level walk of all
-    trees, not a stored depth, sets ``depth``.
-    """
-    sizes = np.array([tree.feature.size for tree in trees])
-    roots = np.concatenate(([0], np.cumsum(sizes[:-1])))
-    feature = np.concatenate([tree.feature for tree in trees])
-    leaf = feature == -1
-    left = _left_children(feature, sizes)
-    left[leaf] = np.flatnonzero(leaf)
-    eta = np.zeros((feature.size, class_count))
-    eta[leaf] = _leaf_eta(np.concatenate([tree.counts for tree in trees]))
-    return CompiledTrees(
-        feature,
-        np.concatenate([tree.threshold for tree in trees]),
-        left,
-        left + ~leaf,  # the two children of a split are adjacent
-        eta,
-        np.argmax(eta, axis=1),
-        roots,
-        _depth(feature, left, roots),
-    )
-
-
-def route_eta(trees: CompiledTrees, x: np.ndarray) -> np.ndarray:
+def route_eta(trees: Trees, x: np.ndarray) -> np.ndarray:
     """The (trees, rows) matrix of leaves reached; ``trees.eta`` of a leaf is its distribution.
 
     Each of ``trees.depth`` rounds moves every row one level down every tree
-    with one gather (left iff value <= threshold).
+    with one gather (left iff value <= threshold). A leaf's feature -1 reads
+    the last column, and both of its children are the leaf itself.
     """
     rows = np.arange(x.shape[0])
+    # read once: a cached property is slower to look up than a field, round after round
+    feature, threshold, left, right = trees.feature, trees.threshold, trees.left, trees.right
     node = np.repeat(trees.roots[:, None], x.shape[0], axis=1)
     for _ in range(trees.depth):
-        go_left = x[rows, trees.feature[node]] <= trees.threshold[node]
-        node = np.where(go_left, trees.left[node], trees.right[node])
+        go_left = x[rows, feature[node]] <= threshold[node]
+        node = np.where(go_left, left[node], right[node])
     return node
 
 
 def tree_votes(
-    trees: CompiledTrees, x: np.ndarray, b3: float, rng: np.random.Generator | None
+    trees: Trees, x: np.ndarray, b3: float, rng: np.random.Generator | None
 ) -> np.ndarray:
     """The (trees, rows) matrix of class votes.
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from mrforest.impurity import cut_points, scan_features
 from mrforest.splitsel import selection_cdfs, softmax_scaled
-from mrforest.tree import Tree, TreeNode, read_trees
+from mrforest.tree import Trees, TreeNode, read_trees
 
 # (feature, value) samples of one split search, and the uniforms they can read
 SPLIT_ATTEMPTS = 10
@@ -339,7 +339,7 @@ def v1_forest_doc(forest) -> dict:
     }
 
 
-def flat_tree(root: TreeNode, class_count: int, feature_count: int) -> Tree:
+def flat_tree(root: TreeNode, class_count: int, feature_count: int) -> Trees:
     """The library's tree of a ``TreeNode`` graph, its nodes numbered in level order
     as the grower numbers them, and its columns checked by the model reader."""
     feature, threshold, counts = [], [], []
@@ -354,7 +354,7 @@ def flat_tree(root: TreeNode, class_count: int, feature_count: int) -> Tree:
         threshold.append(float(node.threshold))
         queue += (node.left, node.right)
     columns = {"feature": feature, "threshold": threshold, "counts": counts}
-    return read_trees([columns], class_count, feature_count)[0]
+    return read_trees([columns], class_count, feature_count)
 
 
 def v2_forest_doc(forest) -> dict:
@@ -369,7 +369,7 @@ def v2_forest_doc(forest) -> dict:
         {
             "feature": tree.feature.tolist(),
             "threshold": tree.threshold.tolist(),
-            "left": tree.left.tolist(),
+            "left": np.where(tree.feature == -1, -1, tree.left).tolist(),
             "counts": tree.counts.tolist(),
         }
         for tree in forest.trees
@@ -701,7 +701,7 @@ def reference_build_tree(dataset, structure_idx, estimation_idx, config, rng):
     return _grow_reference(xs, ye, dataset.class_count, search)
 
 
-def depth_first_build_tree(dataset, structure_idx, estimation_idx, config, rng) -> Tree:
+def depth_first_build_tree(dataset, structure_idx, estimation_idx, config, rng) -> Trees:
     """``build_tree`` as the library grew trees before it grew a level at a time.
 
     Depth first, right subtree first, into a ``TreeNode`` graph that

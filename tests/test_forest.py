@@ -21,7 +21,7 @@ from mrforest.forest import (
     train_baseline_rf,
     train_mrf,
 )
-from mrforest.tree import build_baseline_tree, build_baseline_trees, build_tree
+from mrforest.tree import Trees, build_baseline_tree, build_baseline_trees, build_tree
 from oracle import flat_tree, naive_decrease
 
 
@@ -76,7 +76,7 @@ class TestScheduling:
             if expected is None:
                 alone = _one_at_a_time(ds, config)
                 expected = Forest(
-                    alone, forest.variant, config, ds.class_count, ds.label_values,
+                    Trees.concatenate(alone), config, ds.class_count, ds.label_values,
                     ds.feature_names,
                 ).to_json()
             assert forest.to_json() == expected
@@ -138,7 +138,7 @@ class TestTrainMrf:
     def test_trees_differ_across_indices(self, rng):
         ds = random_dataset(rng, 80, 3)
         forest = train_mrf(ds, MrfConfig(t=5, k=4, seed=1))
-        dicts = [str(t.to_dict()) for t in forest.trees]
+        dicts = [str(doc) for doc in forest.trees.to_docs()]
         assert len(set(dicts)) > 1
 
     def test_greedy_limit_single_tree_fits_separable_training_set(self):
@@ -266,8 +266,7 @@ class TestPrediction:
             return flat_tree(TreeNode(depth=0, counts=(eta * 5).astype(np.int64), eta=eta), 2, 1)
 
         forest = Forest(
-            trees=[leaf_tree(1), leaf_tree(0)],
-            variant="mrf",
+            trees=Trees.concatenate([leaf_tree(1), leaf_tree(0)]),
             config=MrfConfig(t=2, k=1),
             class_count=2,
             label_values=("a", "b"),

@@ -40,12 +40,14 @@ def _separable_dataset(n: int = 120) -> Dataset:
     return Dataset(features, labels, ("sep", "noise"), 2)
 
 
-def _recording_pool(sizes: list):
-    """A pool class that records each pool's size and maps serially: no process starts."""
+def _recording_pool(monkeypatch, sizes: list, jobs: list) -> None:
+    """Install a pool class that records each pool's size and jobs, runs its
+    initializer and maps serially, all in this process: no process starts."""
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -53,10 +55,17 @@ def _recording_pool(sizes: list):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
+        def map(self, fn, items, chunksize=1):
+            jobs.extend(items)
+            return map(fn, items)
 
-    return SerialPool
+    monkeypatch.setattr(mrforest.harness, "ProcessPoolExecutor", SerialPool)
+    # the dataset that the initializer holds in this process is dropped after the test
+    monkeypatch.setattr(mrforest.harness, "_pool_dataset", None)
+
+
+def _carries_a_dataset(jobs: list) -> bool:
+    return any(isinstance(part, Dataset) for job in jobs for part in job)
 
 
 class TestRunCv:
@@ -96,13 +105,15 @@ class TestRunCv:
         [(5000, 64, 6), (5000, 4, 4), (3, 64, 3), (5000, None, None), (1, 64, None)],
     )
     def test_workers_capped_at_cells_and_cores(self, monkeypatch, n_jobs, cpus, workers):
-        sizes = []
-        monkeypatch.setattr(mrforest.harness, "ProcessPoolExecutor", _recording_pool(sizes))
+        sizes, jobs = [], []
+        _recording_pool(monkeypatch, sizes, jobs)
         monkeypatch.setattr(mrforest.harness.os, "cpu_count", lambda: cpus)
         ds = _separable_dataset(60)
         config = MrfConfig(t=2, k=3, seed=3)
         report = run_cv(ds, "mrf", config, 3, 2, n_jobs=n_jobs)
         assert sizes == ([] if workers is None else [workers])
+        # pooled cells carry no dataset: the pool's initializer hands it over once
+        assert len(jobs) == (0 if workers is None else 6) and not _carries_a_dataset(jobs)
         assert report.accuracies == run_cv(ds, "mrf", config, 3, 2).accuracies
 
     def test_accuracies_bounded_and_counted(self, rng):
@@ -211,9 +222,9 @@ class TestSweep:
         ds = _separable_dataset(60)
         config = MrfConfig(t=2, k=3, seed=3)
         serial = sweep(ds, [0.0, 5.0], [1.0, 2.0], config, 3, 1)
-        sizes, plans = [], []
+        sizes, plans, jobs = [], [], []
         make_folds = mrforest.harness.make_folds
-        monkeypatch.setattr(mrforest.harness, "ProcessPoolExecutor", _recording_pool(sizes))
+        _recording_pool(monkeypatch, sizes, jobs)
         monkeypatch.setattr(mrforest.harness.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(
             mrforest.harness, "make_folds", lambda *args: plans.append(args) or make_folds(*args)
@@ -221,6 +232,7 @@ class TestSweep:
         report = sweep(ds, [0.0, 5.0], [1.0, 2.0], config, 3, 1, n_jobs=8)
         assert sizes == [8]
         assert len(plans) == 1
+        assert len(jobs) == 12 and not _carries_a_dataset(jobs)
         assert report.cells == serial.cells
 
     def test_grid_shape(self, rng):

@@ -17,6 +17,7 @@ import pytest
 
 import mrforest.cli as cli
 import mrforest.forest
+import mrforest.tree
 from conftest import random_dataset
 from mrforest.errors import ParseError, SchemaError
 from mrforest.forest import (
@@ -30,7 +31,8 @@ from mrforest.forest import (
     train_baseline_rf,
     train_mrf,
 )
-from oracle import v1_forest_doc, v2_forest_doc, walk_votes
+from mrforest.tree import Trees, tree_votes
+from oracle import tree_shape, v1_forest_doc, v2_forest_doc, walk_votes
 
 VARIANTS = ("mrf", "completely_random", "breiman")
 
@@ -49,7 +51,7 @@ def _forest(variant: str, t: int, class_count: int, seed: int):
     pairs = enumerate(zip(deep.trees, stumps.trees))
     trees = [stump if i % 3 == 1 else tree for i, (tree, stump) in pairs]
     assert any(tree.depth == 0 for tree in trees) or t < 2
-    return ds, replace(deep, trees=trees)
+    return ds, replace(deep, trees=Trees.concatenate(trees))
 
 
 def _on_thresholds(forest: Forest, ds) -> np.ndarray:
@@ -118,6 +120,41 @@ def test_replaced_forest_compiles_its_own_trees():
     # the original keeps predicting with its own trees and budget
     _, votes = predict_batch(forest, ds.features)
     assert np.array_equal(votes, walk_votes(forest, ds.features)[1])
+
+
+def test_replaced_forest_shares_what_prediction_derives(monkeypatch):
+    # a copy with another b3 holds the same trees, so the children, leaf
+    # distributions and depth that routing reads are derived once for both
+    ds, forest = _forest("mrf", 6, 3, seed=5)
+    calls = []
+    derive = mrforest.tree._left_children
+    monkeypatch.setattr(
+        mrforest.tree, "_left_children", lambda *args: calls.append(args) or derive(*args)
+    )
+    randomized = _with_b3(forest, 1.0)
+    predict_batch(forest, ds.features)
+    predict_batch(randomized, ds.features, np.random.default_rng(2))
+    assert randomized.trees is forest.trees
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_concatenated_slices_are_the_forest_and_vote_as_it(variant):
+    ds, forest = _forest(variant, 5, 3, seed=4)
+    trees = forest.trees
+    for k in range(len(trees) + 1):
+        head, tail = trees[:k], trees[k:]
+        assert (len(head), len(tail)) == (k, len(trees) - k)
+        joined = Trees.concatenate([head, tail])
+        for name in ("feature", "threshold", "counts", "sizes"):
+            assert np.array_equal(getattr(joined, name), getattr(trees, name))
+        # the graph view of several trees is their first tree's
+        assert tree_shape(joined.root) == tree_shape(trees[0].root)
+        for b3 in (math.inf, 2.0):
+            # finite-b3 votes draw tree by tree, so the parts draw what the whole does
+            rngs = np.random.default_rng(k), np.random.default_rng(k)
+            parts = [tree_votes(part, ds.features, b3, rngs[0]) for part in (head, tail)]
+            assert np.array_equal(tree_votes(joined, ds.features, b3, rngs[1]), np.vstack(parts))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -348,6 +385,57 @@ def _budget_as_text(doc):
     return "invalid model config: must be real number, not str"
 
 
+# A config value must have the JSON type that saving writes, and the variant
+# must be the one the config implies.
+
+
+def _bool_leaf_size(doc):
+    doc["config"]["k"] = True
+    return "invalid model config: k is not of type int"
+
+
+def _float_tree_count(doc):
+    doc["config"]["t"] = 2.0
+    return "invalid model config: t is not of type int"
+
+
+def _bool_seed(doc):
+    doc["config"]["seed"] = True
+    return "invalid model config: seed is not of type int"
+
+
+def _bool_budget(doc):
+    doc["config"]["b1"] = True
+    return "invalid model config: b1 is not of type float"
+
+
+def _fractional_max_depth(doc):
+    doc["config"]["max_depth"] = 3.5
+    return "invalid model config: max_depth is not of type int"
+
+
+def _integer_bootstrap(doc):
+    ds = random_dataset(np.random.default_rng(1), 80, 2, n_classes=3)
+    doc.update(json.loads(train_baseline_rf(ds, BaselineConfig(t=2, k=3, seed=1)).to_json()))
+    doc["config"]["bootstrap"] = 0
+    return "invalid model config: bootstrap is not of type bool"
+
+
+def _unknown_variant(doc):
+    doc["variant"] = "foo"
+    return "'foo' is not the variant of the model's config"
+
+
+def _mrf_labelled_completely_random(doc):
+    doc["variant"] = "completely_random"
+    return "'completely_random' is not the variant of the model's config"
+
+
+def _mrf_labelled_breiman(doc):
+    doc["variant"] = "breiman"
+    return "invalid model config: .*unexpected keyword argument 'b1'"
+
+
 CORRUPTIONS = (
     _self_loop,
     _backward_child,
@@ -367,6 +455,15 @@ CORRUPTIONS = (
     _negative_partition_rate,
     _unknown_criterion,
     _budget_as_text,
+    _bool_leaf_size,
+    _float_tree_count,
+    _bool_seed,
+    _bool_budget,
+    _fractional_max_depth,
+    _integer_bootstrap,
+    _unknown_variant,
+    _mrf_labelled_completely_random,
+    _mrf_labelled_breiman,
 )
 
 

@@ -18,7 +18,7 @@ import mrforest.tree
 from mrforest.impurity import cut_points, scan_features
 from mrforest.splitsel import softmax_scaled
 from mrforest.tree import (
-    Tree,
+    Trees,
     TreeNode,
     _Level,
     _sample_splits,
@@ -26,7 +26,6 @@ from mrforest.tree import (
     build_baseline_tree,
     build_tree,
     build_trees,
-    compile_trees,
     read_trees,
     route_eta,
     tree_votes,
@@ -57,18 +56,17 @@ def _build(dataset, config, seed=0):
     return tree, part
 
 
-def leaf_eta(tree: Tree, x: np.ndarray, class_count: int) -> np.ndarray:
-    """Leaf class distribution of each row, routed on the compiled tree."""
-    compiled = compile_trees([tree], class_count)
-    return compiled.eta[route_eta(compiled, x)[0]]
+def leaf_eta(tree: Trees, x: np.ndarray) -> np.ndarray:
+    """Leaf class distribution of each row, routed on the tree's arrays."""
+    return tree.eta[route_eta(tree, x)[0]]
 
 
-def votes(tree: Tree, x: np.ndarray, b3: float, rng=None) -> np.ndarray:
-    """One compiled tree's votes on the rows of ``x``."""
-    return tree_votes(compile_trees([tree], 2), np.atleast_2d(x), b3, rng)[0]
+def votes(tree: Trees, x: np.ndarray, b3: float, rng=None) -> np.ndarray:
+    """One tree's votes on the rows of ``x``."""
+    return tree_votes(tree, np.atleast_2d(x), b3, rng)[0]
 
 
-def iter_leaves(tree: Tree):
+def iter_leaves(tree: Trees):
     stack = [tree.root]
     while stack:
         node = stack.pop()
@@ -111,7 +109,7 @@ def _mrf_case(seed: int) -> tuple[Dataset, MrfConfig]:
     return ds, MrfConfig(t=1, **{"k": k, **MRF_RULES[seed % len(MRF_RULES)]})
 
 
-def _grow_mrf(build, ds: Dataset, config: MrfConfig, seed: int) -> tuple[Tree, float]:
+def _grow_mrf(build, ds: Dataset, config: MrfConfig, seed: int) -> tuple[Trees, float]:
     """The tree ``build`` grows and the next draw of its rng."""
     rng = np.random.default_rng(seed)
     part = partition(ds, config.partition_rate, rng)
@@ -153,7 +151,7 @@ class TestOneGrower:
         reference, reference_draw = _grow_mrf(reference_build_tree, ds, config, seed)
         assert v1_tree_doc(tree) == v1_tree_doc(reference)
         assert draw == reference_draw
-        read_trees([tree.to_dict()], ds.class_count, ds.feature_count)
+        read_trees(tree.to_docs(), ds.class_count, ds.feature_count)
 
     @pytest.mark.parametrize("seed", range(32))
     def test_baseline_matches_reference(self, seed):
@@ -162,7 +160,7 @@ class TestOneGrower:
         reference, reference_draw = _grow_baseline(reference_build_baseline_tree, *case, seed)
         assert v1_tree_doc(tree) == v1_tree_doc(reference)
         assert draw == reference_draw
-        read_trees([tree.to_dict()], case[0].class_count, case[0].feature_count)
+        read_trees(tree.to_docs(), case[0].class_count, case[0].feature_count)
 
     def test_fuzzed_cases_reach_root_only_and_deep_trees(self):
         mrf = [_grow_mrf(build_tree, *_mrf_case(seed), seed)[0].depth for seed in range(48)]
@@ -437,7 +435,7 @@ WITNESS_Y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
 WITNESS_SEEDS = 3000
 
 
-def _split_key(tree: Tree, node: int = 0) -> tuple:
+def _split_key(tree: Trees, node: int = 0) -> tuple:
     """A tree's splits as nested tuples, whatever order its nodes are numbered in."""
     if tree.feature[node] == -1:
         return ()
@@ -587,7 +585,7 @@ class TestInvariants:
         # leaf estimation tallies partition the estimation set
         assert sum(int(leaf.counts.sum()) for leaf in leaves) == part.estimation_idx.size
         # every training row routes to exactly one leaf, the one the node walk finds
-        eta = leaf_eta(tree, ds.features, ds.class_count)
+        eta = leaf_eta(tree, ds.features)
         assert eta.shape == (n, ds.class_count)
         assert np.isfinite(eta).all()
         assert np.array_equal(eta, walk_eta(tree, ds.features, ds.class_count))
@@ -599,7 +597,7 @@ class TestInvariants:
         config = MrfConfig(t=1, k=3, seed=seed)
         t1, _ = _build(ds, config, seed=seed + 100)
         t2, _ = _build(ds, config, seed=seed + 100)
-        assert t1.to_dict() == t2.to_dict()
+        assert t1.to_docs() == t2.to_docs()
 
     @pytest.mark.parametrize("seed", range(12))
     def test_greedy_limit_matches_exhaustive_cart(self, seed):
@@ -667,8 +665,7 @@ class TestPrediction:
 
     def test_finite_b3_requires_rng(self):
         forest = Forest(
-            trees=[self._leaf_tree([0.5, 0.5])],
-            variant="mrf",
+            trees=self._leaf_tree([0.5, 0.5]),
             config=MrfConfig(t=1, b3=1.0),
             class_count=2,
             label_values=("a", "b"),
@@ -714,8 +711,7 @@ class TestDepthAndSerialization:
                     "counts": [[1, 1]] * (size - sum(mask)),
                 }
                 if mask in trees:
-                    (tree,) = read_trees([doc], 2, 1)
-                    assert tree.to_dict() == doc
+                    assert read_trees([doc], 2, 1).to_docs() == [doc]
                 else:
                     with pytest.raises(ParseError, match="do not form a tree"):
                         read_trees([doc], 2, 1)
@@ -723,20 +719,17 @@ class TestDepthAndSerialization:
     def test_depth_examples(self, rng):
         leaf = TreeNode(depth=0, counts=np.array([1, 0]), eta=np.array([1.0, 0.0]))
         single = flat_tree(leaf, 2, 2)
-        assert single.depth == compile_trees([single], 2).depth == 0
+        assert single.depth == 0
         ds = random_dataset(rng, 200, 2)
         tree, _ = _build(ds, MrfConfig(t=1, k=5, seed=4))
         deepest = max(leaf.depth for leaf in iter_leaves(tree))
         assert tree.depth == deepest > 0
-        # the compile walk counts levels itself and ignores the stored depth
-        assert compile_trees([tree, single], 2).depth == deepest
-        tree.depth = 0
-        assert compile_trees([tree], 2).depth == deepest
+        # the walk counts the levels of all trees at once
+        assert Trees.concatenate([single, tree, single]).depth == deepest
 
     def test_dict_round_trip_preserves_structure_and_predictions(self, rng):
         ds = random_dataset(rng, 150, 3)
         tree, _ = _build(ds, MrfConfig(t=1, k=4, seed=5))
-        (clone,) = read_trees([tree.to_dict()], ds.class_count, ds.feature_count)
-        assert clone.to_dict() == tree.to_dict()
-        k = ds.class_count
-        assert np.array_equal(leaf_eta(clone, ds.features, k), leaf_eta(tree, ds.features, k))
+        clone = read_trees(tree.to_docs(), ds.class_count, ds.feature_count)
+        assert clone.to_docs() == tree.to_docs()
+        assert np.array_equal(leaf_eta(clone, ds.features), leaf_eta(tree, ds.features))

@@ -32,13 +32,7 @@ from .privacy import (
     audit_value_mechanism,
     compose_budget,
 )
-from .splitsel import (
-    feature_probability_bounds,
-    select_feature,
-    select_value,
-    softmax_scaled,
-    value_region_bound,
-)
+from .splitsel import select_feature, select_value, softmax_scaled
 from .tree import Trees, TreeNode, build_tree
 
 __version__ = "0.1.0"
@@ -53,8 +47,6 @@ __all__ = [
     "softmax_scaled",
     "select_feature",
     "select_value",
-    "feature_probability_bounds",
-    "value_region_bound",
     "Trees",
     "TreeNode",
     "build_tree",

@@ -206,7 +206,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             "implemented: (a) estimation rows gate splits; (b) a search's up to 15 draws "
             "are charged as two; (c) thresholds are data midpoints; (d) finite-b3 "
             "prediction spends b3 on every query; (e) models store exact leaf counts; "
-            "(f) the feature audit scores a law that training does not draw"
+            "(f) the audits score every row, while training scores only its structure half"
         ),
     )
 

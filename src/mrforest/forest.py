@@ -7,10 +7,11 @@ rows, and then its splits' uniforms, from its own counter-derived substream
 of the master seed. Trees grow in groups, a level at a time (see
 :mod:`mrforest.tree`): consecutive trees whose rows together fit
 ``_GROUP_ROWS`` grow together, and a tree with more rows grows alone. A tree
-reads the same uniforms whatever trees it grows with, and its mechanism
-laws, built in one batch with theirs, agree with its own up to rounding, so
-a draw could differ only where a uniform falls within that rounding of a
-law's step: training is reproducible however trees are grouped.
+reads the same uniforms whatever trees it grows with, and draws from the same
+feature laws; only its value laws, built in one batch with theirs, agree with
+its own up to rounding, so a value draw could differ only where a uniform
+falls within that rounding of a law's step: training is reproducible however
+trees are grouped.
 
 :attr:`Forest.trees` is one :class:`~mrforest.tree.Trees`, and what prediction
 derives from it is kept on it, so ``dataclasses.replace`` copies with another
@@ -18,7 +19,8 @@ config share that too. :func:`predict_batch` rejects rows of the wrong width
 or with NaN or inf, then runs all trees at once. A model document (version
 3) stores each tree's columns, in level order, and nothing they determine;
 it is checked as it loads, all trees' columns at once as whole arrays, and
-so are its config's JSON types and the variant its config implies. Other
+so are the JSON types of its config and of its other fields (an int class
+count, lists of strings for names) and the variant its config implies. Other
 versions, such as the version 1 node lists and version 2 child columns of
 earlier releases, are refused.
 """
@@ -208,14 +210,17 @@ class Forest:
         for field in fields(config):
             if type(getattr(config, field.name)) not in _JSON_TYPES[field.type]:
                 raise ParseError(f"invalid model config: {field.name} is not of type {field.type}")
+        class_count, labels, names = map(doc.get, ("class_count", "label_values", "feature_names"))
+        texts = all(type(v) is list and all(type(s) is str for s in v) for v in (labels, names))
+        if type(class_count) is not int or not texts:
+            raise ParseError("a model's class_count must be an int, and its names lists of strings")
         try:
-            class_count, width = int(doc["class_count"]), len(doc["feature_names"])
             forest = cls(
-                trees=read_trees(doc["trees"], class_count, width),
+                trees=read_trees(doc["trees"], class_count, len(names)),
                 config=config,
                 class_count=class_count,
-                label_values=tuple(doc["label_values"]),
-                feature_names=tuple(doc["feature_names"]),
+                label_values=tuple(labels),
+                feature_names=tuple(names),
             )
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed model document: {exc!r}") from exc

@@ -9,7 +9,8 @@ every neighbor of a micro-dataset (one record replaced from a grid, or one
 record removed), compute both output distributions in closed form, and report
 the worst probability ratio against e^B. Output spaces are held fixed across
 neighbors; where a neighbor would naturally induce a different candidate
-threshold set, the auditor counts the mismatch instead of hiding it.
+threshold set, or another set of features with a valid cut, the auditor
+counts the mismatch instead of hiding it.
 
 Neighbors are stored batched: one stacked (N, m, D) feature block and (N, m)
 label block per row count, replace-one neighbors keeping all n rows and
@@ -18,12 +19,14 @@ remove-one neighbors n - 1. Each neighbor's arrays in
 enumeration order. Each block, and the base dataset, is sorted once per
 feature and scored by one :func:`scan_features` call, the scan training
 runs, and the result is cached per criterion. The feature audit takes each
-feature's best decrease over its valid cuts; the value audit takes, for each
-grid threshold, the decrease of the cut after the last sorted value at most
-it, and compares each neighbor's own candidate thresholds with the grid
-exactly. An audit turns the (N, outputs) score matrix into selection
-probabilities row by row and takes the worst ratio over the matrix; the
-witness is the first neighbor in enumeration order that reaches it.
+feature's best decrease over its valid cuts, -inf where it has none, and
+scores only the datasets with a cut, the ones whose root draws a feature;
+the value audit takes, for each grid threshold, the decrease of the cut
+after the last sorted value at most it, and compares each neighbor's own
+candidate thresholds with the grid exactly. An audit turns the (N, outputs)
+score matrix into selection probabilities row by row and takes the worst
+ratio over the matrix; the witness is the first neighbor in enumeration
+order that reaches it.
 """
 
 from __future__ import annotations
@@ -136,8 +139,8 @@ class Neighborhood:
     ``order``.
 
     ``score_cache`` memoizes, per criterion, each dataset stack's sorted
-    scan (:meth:`scans`), and per audit the budget-independent quality
-    scores, the base dataset's row first and then one row per neighbor, so
+    scan (:meth:`scans`), and per audit what it reads of the
+    budget-independent quality scores, the base dataset's row first, so
     auditing the same neighborhood at several budgets or on several features
     enumerates, sorts and scans only once.
     """
@@ -243,10 +246,9 @@ def _sorted_scan(
 
 
 def _feature_scores(values: np.ndarray, decreases: np.ndarray) -> np.ndarray:
-    """Each feature's best decrease over its valid cuts; 0 for one with none."""
+    """Each feature's best decrease over its valid cuts; -inf, no mass, for one with none."""
     valid, _ = cut_points(values)
-    best = np.where(valid, decreases, -np.inf).max(axis=-1, initial=-np.inf)
-    return np.where(np.isfinite(best), best, 0.0)
+    return np.where(valid, decreases, -np.inf).max(axis=-1, initial=-np.inf)
 
 
 def _grid_scores(
@@ -295,12 +297,13 @@ def _ratio_report(
 ) -> AuditReport:
     """Worst ratio over the (N, outputs) neighbor probabilities, both ways.
 
-    The witness, described by ``describe(i)`` for neighbor i, is the first
-    neighbor whose largest ratio is the worst one, if that exceeds 1; a
-    neighbor whose largest ratio is NaN (0/0 at large budgets) is skipped.
+    An output that both give probability 0 has ratio 1. The witness,
+    described by ``describe(i)`` for neighbor i, is the first neighbor whose
+    largest ratio is the worst one, if that exceeds 1.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.maximum(base_probs / neighbor_probs, neighbor_probs / base_probs)
+        # fmax takes 1 where 0/0 is NaN, and every other ratio is at least 1
+        ratio = np.fmax(np.maximum(base_probs / neighbor_probs, neighbor_probs / base_probs), 1.0)
     outputs = np.argmax(ratio, axis=1)
     largest = ratio[np.arange(ratio.shape[0]), outputs]
     candidates = np.flatnonzero(largest > 1.0)
@@ -322,17 +325,19 @@ def _ratio_report(
     )
 
 
-def _selection_probs(scores: np.ndarray, budget: float) -> np.ndarray:
-    """Per row of ``scores`` (rows, outputs), the probability of each output of
-    the law training draws from.
+def _selection_probs(scores: np.ndarray, budget: float, tail: Any = np.s_[:, -1]) -> np.ndarray:
+    """Per row of ``scores`` (rows, outputs), each with a finite score, the
+    probability of each output of the law training draws from.
 
-    The law is :func:`selection_cdfs` of the row; a draw takes the first index
-    whose cumulative probability exceeds its uniform, and the last index when
-    none does, so the last output's probability runs up to 1.
+    The law is :func:`selection_cdfs` of the row, where a -inf score has no
+    mass; a draw takes the first index whose cumulative probability exceeds
+    its uniform, and the row's last scored output when none does, so that
+    output's probability runs up to 1. ``tail`` indexes, in every row, that
+    output and the ones after it; by default the last output.
     """
     rows, outputs = scores.shape
     cdf = selection_cdfs(scores.ravel(), outputs, budget).cdf.reshape(rows, outputs)
-    cdf[:, -1] = 1.0
+    cdf[tail] = 1.0
     probs = cdf.copy()
     probs[:, 1:] -= cdf[:, :-1]
     return probs
@@ -346,18 +351,36 @@ def audit_feature_mechanism(
 ) -> AuditReport:
     """Worst-case selection-probability ratio of the split-feature mechanism.
 
-    The output space is the fixed feature set; each dataset's quality scores
-    are its own per-feature best impurity decreases at the root.
+    The output space is the fixed feature set. Each dataset's law is the one
+    training draws its root feature from, over its own per-feature best
+    impurity decreases at the root, where a feature without a valid cut has
+    no mass: a neighbor that loses some of the base's cuts, but not all,
+    shows an infinite ratio. A dataset without a valid cut has a leaf root
+    and is not scored: such a neighbor, like one whose features with a cut
+    are not the base's, counts in ``candidate_mismatches``, and such a base
+    raises :class:`DomainError`.
     """
     bound = _audit_bound("b1", b1)
     neigh = neighborhood or enumerate_neighbors(micro)
     key = ("feature", criterion)
     if key not in neigh.score_cache:
         scans = neigh.scans(micro.class_count, criterion)
-        neigh.score_cache[key] = neigh.per_dataset([_feature_scores(*scan) for scan in scans])
-    probs = _selection_probs(neigh.score_cache[key], b1)
+        scores = neigh.per_dataset([_feature_scores(*scan) for scan in scans])
+        has_cut = scores > -np.inf
+        if not has_cut[0].any():
+            raise DomainError("no feature has a valid cut: the root is a leaf and draws no feature")
+        scored = np.flatnonzero(has_cut.any(axis=1))  # the base dataset, row 0, first
+        last = scores.shape[1] - 1 - np.argmax(has_cut[scored, ::-1], axis=1)
+        neigh.score_cache[key] = (
+            scores[scored],
+            np.arange(scores.shape[1]) >= last[:, None],
+            scored[1:] - 1,  # the scored neighbors
+            int((has_cut[1:] != has_cut[0]).any(axis=1).sum()),
+        )
+    scores, tail, kept, mismatches = neigh.score_cache[key]
+    probs = _selection_probs(scores, b1, tail)
     return _ratio_report(
-        "feature", b1, bound, probs[0], probs[1:], lambda i: neigh.neighbors[i][0]
+        "feature", b1, bound, probs[0], probs[1:], lambda i: neigh.neighbors[kept[i]][0], mismatches
     )
 
 

@@ -18,10 +18,11 @@ nodes 2r - 1 and 2r.
 
 Each tree draws its uniforms from its own rng, one ``random`` call per level
 for all of its nodes, in node order, so a tree and its rng's state after it do
-not depend on which trees grow with it. Its mechanism laws are built in one
-batch with the other trees' (see :mod:`mrforest.splitsel` for how a batch
-rounds). All of a group's rows are held at once, so the caller bounds the
-group; :mod:`mrforest.forest` groups a forest's trees under a row budget.
+not depend on which trees grow with it. Its feature laws are its own, one per
+searched node, and its value laws are built in one batch with the other
+trees' (see :mod:`mrforest.splitsel` for how a batch rounds). All of a
+group's rows are held at once, so the caller bounds the group;
+:mod:`mrforest.forest` groups a forest's trees under a row budget.
 
 - The multinomial rule of :func:`build_tree` reads structure rows only;
   estimation rows set the leaf distributions and gate the splits. It
@@ -35,10 +36,10 @@ group; :mod:`mrforest.forest` groups a forest's trees under a row budget.
   uniform 3(a // 2) + 1 + a % 2, so each pair of attempts shares a feature.
   No draw depends on another's outcome, so a level draws all of its
   attempts at once. Impurity is scanned only at nodes where some cut can be
-  accepted. A level builds one batch of feature laws and one batch of value
-  laws, one for each drawn (feature, node) whose feature has an acceptable
-  cut; a drawn feature with none builds no law, and its value uniforms go
-  unread.
+  accepted. A level builds one feature law per searched node, over all D
+  features, and one batch of value laws, one for each drawn (feature, node)
+  whose feature has an acceptable cut; a drawn feature with none builds no
+  law, and its value uniforms go unread.
 - The greedy rule of :func:`build_baseline_tree` takes Breiman's best split
   over a random feature subset, and its rows are their own estimation rows.
   Each node it searches takes D uniforms, one ``rng.random`` call per tree
@@ -511,9 +512,10 @@ def _sample_splits(
        fail every attempt: it is a leaf, no impurity is scanned and no
        mechanism runs.
     3. Scan and draw: one :func:`scan_features` call scores the remaining
-       nodes' cuts, and one batch of feature laws is built from each node's
-       best decreases per feature. No draw reads an outcome, so each node's
-       five feature draws, and then both value draws of each of its pairs,
+       nodes' cuts, and each node's feature law is built over all D features
+       from its best decrease per feature, a feature without a valid cut
+       getting no mass. No draw reads an outcome, so each node's five
+       feature draws, and then both value draws of each of its pairs,
        are made at once for the whole level: one batch of value laws covers
        every drawn (feature, node) whose feature has a feasible cut, over
        that feature's valid cuts at the node. A drawn feature with no
@@ -561,16 +563,14 @@ def _sample_splits(
     decreases = scan_features(ys[pos], class_count, config.criterion, starts)
     best = np.maximum.reduceat(np.where(valid, decreases, -np.inf), starts, axis=1).T
     reachable = np.logical_or.reduceat(feasible, starts, axis=1).T
-    eligible = best > -np.inf
-    feature_laws = selection_cdfs(best[eligible], eligible.sum(axis=1), config.b1)
-    eligible_feature = np.nonzero(eligible)[1]
+    # each node's feature law over all D features, where one without a valid cut has no mass
+    feature_laws = selection_cdfs(best.ravel(), best.shape[1], config.b1)
+    last = best.shape[1] - 1 - np.argmax(best[:, ::-1] > -np.inf, axis=1)
 
     # attempt pair p draws its feature with uniform 3p and its two values with
     # 3p + 1 and 3p + 2; no draw reads an outcome, so all run at once
     block = uniforms[is_searched[has_cut]].reshape(searched.size, _PAIRS, 3)
-    laws = np.repeat(np.arange(searched.size), _PAIRS)
-    picks = select_feature(feature_laws, block[:, :, 0].ravel(), laws)
-    drawn = eligible_feature[feature_laws.start[laws] + picks].reshape(searched.size, _PAIRS)
+    drawn = select_feature(feature_laws.cdf.reshape(best.shape), block[:, :, 0], last)
     # one value law per drawn (feature, node) whose feature has a feasible cut,
     # over its valid cuts there: one run per pair, in feature-major order
     rows = np.arange(searched.size)[:, None]

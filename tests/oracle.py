@@ -27,9 +27,11 @@ a model's.
 before the library checked feasibility with one mask per node: every
 attempt rebuilds both mechanisms' laws, draws from them, and counts the
 estimation rows its cut sends left; ``reference_build_tree`` searches with
-it. :func:`inverse_cdf_draws` makes ``sample_indices``' inverse-CDF draw from
+it. :func:`inverse_cdf_draws` makes ``select_value``'s inverse-CDF draw from
 one law over many uniforms at once, and :func:`normalize` the min-max
 rescaling that ``selection_cdfs`` applies to each run of scores.
+:func:`feature_probability_bounds` and :func:`value_region_bound` are the
+paper's closed-form selection envelope, which no library code reads.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from typing import Any
 
 import numpy as np
 
+from mrforest.errors import DomainError
 from mrforest.impurity import cut_points, scan_features
 from mrforest.splitsel import selection_cdfs, softmax_scaled
 from mrforest.tree import Trees, TreeNode, read_trees
@@ -62,6 +65,37 @@ def normalize(values: np.ndarray | list[float]) -> np.ndarray:
     span = arr.max(axis=-1, keepdims=True) - lo
     # an all-equal vector divides its zeros by 1
     return (arr - lo) / (span + (span == 0))
+
+
+def feature_probability_bounds(feature_count: int, b1: float) -> tuple[float, float]:
+    """Closed-form lower/upper bound on any single feature's selection probability.
+
+    Lower bound 1/(1 + (D-1)e^B1) is attained when every other feature
+    normalizes to 1; upper bound e^B1/(e^B1 + D - 1) when this feature alone
+    normalizes to 1. Computed via e^-B1 so large budgets stay finite.
+    """
+    if feature_count < 1:
+        raise DomainError("feature_count must be >= 1")
+    if not math.isfinite(b1) or b1 < 0:
+        raise DomainError("b1 must be finite and nonnegative")
+    damp = math.exp(-b1)
+    lower = damp / (damp + (feature_count - 1))
+    upper = 1.0 / (1.0 + (feature_count - 1) * damp)
+    return lower, upper
+
+
+def value_region_bound(partitions: int, b2: float) -> float:
+    """Lower bound on picking a split value away from the feature's two end regions.
+
+    For a feature range cut into ``partitions`` >= 3 equal pieces, the chance
+    the chosen value lands in the interior pieces is at least
+    ((N-2)/N) * e^(-2*B2).
+    """
+    if partitions < 3:
+        raise DomainError("need at least 3 partitions")
+    if b2 < 0:
+        raise DomainError("b2 must be nonnegative")
+    return (partitions - 2) / partitions * math.exp(-2.0 * b2)
 
 
 def impurity_of(labels: np.ndarray, class_count: int, criterion: str = "gini") -> float:
@@ -146,7 +180,7 @@ def reference_scan_features(values, labels, class_count, criterion="gini"):
 
 
 def inverse_cdf_draws(probabilities: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Indices ``sample_indices`` draws from ``cumsum(probabilities)`` for each
+    """Indices ``select_value`` draws from ``cumsum(probabilities)`` for each
     uniform: the first cumulative probability above it, clipped to the last index."""
     cum = np.cumsum(probabilities)
     return np.minimum(np.searchsorted(cum, uniforms, side="right"), cum.size - 1)
@@ -442,12 +476,13 @@ def reference_neighbors(x: np.ndarray, y: np.ndarray, records=None) -> list:
 def _selection(scores: np.ndarray, budget: float) -> np.ndarray:
     """Probabilities of the law a tree draws from at a node with these scores alone.
 
-    A draw takes the first index whose cumulative probability exceeds its
-    uniform, clipped to the last index, so the last output takes what the
-    others leave of 1.
+    A -inf score has no mass. A draw takes the first index whose cumulative
+    probability exceeds its uniform, clipped to the last scored index, so the
+    last scored output takes what the others leave of 1.
     """
     cdf = selection_cdfs(scores, np.array([scores.size]), budget).cdf
-    return np.diff(np.append(cdf[:-1], 1.0), prepend=0.0)
+    cdf[np.flatnonzero(scores > -np.inf)[-1] :] = 1.0
+    return np.diff(cdf, prepend=0.0)
 
 
 def _report(mechanism, budget, base, neighbor_probs, descriptions, mismatches=0) -> dict[str, Any]:
@@ -456,6 +491,7 @@ def _report(mechanism, budget, base, neighbor_probs, descriptions, mismatches=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         for desc, probs in zip(descriptions, neighbor_probs):
             ratio = np.maximum(base / probs, probs / base)
+            ratio[base == probs] = 1.0  # 0 against 0 included
             idx = int(np.argmax(ratio))
             if ratio[idx] > worst:
                 worst = float(ratio[idx])
@@ -474,14 +510,14 @@ def _report(mechanism, budget, base, neighbor_probs, descriptions, mismatches=0)
 
 
 def _root_scores(x: np.ndarray, y: np.ndarray, class_count: int, criterion: str) -> np.ndarray:
+    """Each feature's best decrease over its valid cuts; -inf for one with none."""
     if x.shape[0] < 2:
-        return np.zeros(x.shape[1])
+        return np.full(x.shape[1], -np.inf)
     sorted_pos = np.argsort(x, axis=0, kind="stable").T
     cols = np.arange(x.shape[1])[:, None]
     valid, _ = cut_points(x[sorted_pos, cols])
     decreases = scan_features(y[sorted_pos], class_count, criterion)
-    best = np.where(valid, decreases, -np.inf).max(axis=1)
-    return np.where(np.isfinite(best), best, 0.0)
+    return np.where(valid, decreases, -np.inf).max(axis=1)
 
 
 def _grid_scores(x, y, feature, grid, class_count, criterion) -> np.ndarray:
@@ -510,11 +546,21 @@ def _midpoints(x: np.ndarray, feature: int) -> np.ndarray:
 
 
 def reference_feature_audit(micro, b1, criterion="gini", records=None) -> dict[str, Any]:
+    """Scores only the datasets with a valid cut, whose roots draw a feature; the
+    others, and the neighbors whose features with a cut are not the base's, are
+    mismatches."""
     x, y, k = micro.features, micro.labels, micro.class_count
-    neighbors = reference_neighbors(x, y, records)
-    base = _selection(_root_scores(x, y, k, criterion), b1)
-    probs = [_selection(_root_scores(x2, y2, k, criterion), b1) for _, x2, y2 in neighbors]
-    return _report("feature", b1, base, probs, [desc for desc, _, _ in neighbors])
+    base_scores = _root_scores(x, y, k, criterion)
+    if not np.isfinite(base_scores).any():
+        raise DomainError("no feature has a valid cut")
+    probs, descs, mismatches = [], [], 0
+    for desc, x2, y2 in reference_neighbors(x, y, records):
+        scores = _root_scores(x2, y2, k, criterion)
+        mismatches += not np.array_equal(np.isfinite(scores), np.isfinite(base_scores))
+        if np.isfinite(scores).any():
+            probs.append(_selection(scores, b1))
+            descs.append(desc)
+    return _report("feature", b1, _selection(base_scores, b1), probs, descs, mismatches)
 
 
 def reference_value_audit(micro, feature, b2, criterion="gini", grid=None, records=None):

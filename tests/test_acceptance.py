@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import one_law, random_dataset, require_uci, uci_path
+from conftest import random_dataset, require_uci, uci_path
 from mrforest.data import Dataset, load_dataset, partition
 from mrforest.forest import MrfConfig, predict_batch, train_mrf, Forest
 from mrforest.harness import run_cv, sweep
@@ -29,13 +29,16 @@ from mrforest.privacy import (
     compose_budget,
     enumerate_neighbors,
 )
-from mrforest.splitsel import (
-    feature_probability_bounds,
-    select_feature,
-    softmax_scaled,
-)
+from mrforest.splitsel import select_feature, softmax_scaled
 from mrforest.tree import build_tree
-from oracle import TieError, exhaustive_cart, inverse_cdf_draws, normalize, tree_shape
+from oracle import (
+    TieError,
+    exhaustive_cart,
+    feature_probability_bounds,
+    inverse_cdf_draws,
+    normalize,
+    tree_shape,
+)
 
 JOBS = min(8, os.cpu_count() or 1)
 
@@ -127,8 +130,8 @@ def test_criterion_3_completely_random_uniform_selection():
     from mrforest.privacy import _feature_scores, _sorted_scan
 
     scores = _feature_scores(*_sorted_scan(dataset.features, dataset.labels, 2, "gini"))
-    law = one_law(np.cumsum(softmax_scaled(normalize(scores), 0.0)))
-    draws = select_feature(law, rng.random(10_000), np.zeros(10_000, dtype=int))
+    cdf = np.cumsum(softmax_scaled(normalize(scores), 0.0))
+    draws = select_feature(cdf[None], rng.random((1, 10_000)), np.array([4]))[0]
     counts = np.bincount(draws, minlength=5)
     pvalue = scipy.stats.chisquare(counts).pvalue
     assert pvalue > 0.001

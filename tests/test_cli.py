@@ -441,6 +441,15 @@ class TestAuditAndBudget:
         assert code == cli.EXIT_CONFIG
         assert "not one of the 2 columns" in capsys.readouterr().err
 
+    def test_audit_of_data_without_a_cut_exits_2(self, tmp_path, capsys):
+        # every feature is constant: the root is a leaf, and no feature is drawn
+        path = tmp_path / "flat.csv"
+        path.write_text("a,b,y\n1,2,0\n1,2,1\n1,2,0\n", encoding="utf-8")
+        code = cli.main(["audit", "--data", str(path), "--out", str(tmp_path / "audit.json")])
+        assert code == cli.EXIT_CONFIG
+        assert "no feature has a valid cut" in capsys.readouterr().err
+        assert not (tmp_path / "audit.json").exists()
+
     def test_audit_takes_no_format_flag(self, micro_csv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["audit", "--data", str(micro_csv), "--format", "csv"])

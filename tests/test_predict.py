@@ -436,6 +436,34 @@ def _mrf_labelled_breiman(doc):
     return "invalid model config: .*unexpected keyword argument 'b1'"
 
 
+# The fields beside the config and the trees must have their JSON types too.
+
+
+def _class_count_as_text(doc):
+    doc["class_count"] = str(doc["class_count"])
+    return "class_count must be an int"
+
+
+def _class_count_as_float(doc):
+    doc["class_count"] = float(doc["class_count"])
+    return "class_count must be an int"
+
+
+def _fractional_class_count(doc):
+    doc["class_count"] += 0.9
+    return "class_count must be an int"
+
+
+def _label_values_as_text(doc):
+    doc["label_values"] = "".join(doc["label_values"])
+    return "names lists of strings"
+
+
+def _feature_names_as_text(doc):
+    doc["feature_names"] = "".join(doc["feature_names"])
+    return "names lists of strings"
+
+
 CORRUPTIONS = (
     _self_loop,
     _backward_child,
@@ -464,6 +492,11 @@ CORRUPTIONS = (
     _unknown_variant,
     _mrf_labelled_completely_random,
     _mrf_labelled_breiman,
+    _class_count_as_text,
+    _class_count_as_float,
+    _fractional_class_count,
+    _label_values_as_text,
+    _feature_names_as_text,
 )
 
 

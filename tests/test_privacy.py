@@ -305,9 +305,16 @@ def _assert_all_audits_match_reference(micro, criterion, grid=None, records=None
         assert np.array_equal(x, ref_x) and np.array_equal(y, ref_y)
     counts = ClassCounts.from_labels(micro.labels, micro.class_count)
     auditable_value = grid is not None or np.unique(micro.features[:, 0]).size > 1
+    has_cut = any(np.unique(column).size > 1 for column in micro.features.T)
     for budget in REFERENCE_BUDGETS:
-        report = audit_feature_mechanism(micro, budget, criterion, neighborhood)
-        assert report.to_dict() == reference_feature_audit(micro, budget, criterion, records)
+        if has_cut:
+            report = audit_feature_mechanism(micro, budget, criterion, neighborhood)
+            assert report.to_dict() == reference_feature_audit(micro, budget, criterion, records)
+        else:  # the root is a leaf, where no feature is drawn
+            with pytest.raises(DomainError):
+                audit_feature_mechanism(micro, budget, criterion, neighborhood)
+            with pytest.raises(DomainError):
+                reference_feature_audit(micro, budget, criterion, records)
         if auditable_value:
             report = audit_value_mechanism(micro, 0, budget, criterion, neighborhood, grid)
             assert report.to_dict() == reference_value_audit(
@@ -398,6 +405,39 @@ class TestBatchedAuditsMatchReference:
                 enumerate_neighbors(micro, [(record, 0)])
 
 
+class TestFeaturesWithoutACut:
+    def test_a_neighbor_that_loses_a_features_only_cut_has_an_infinite_ratio(self):
+        # feature b's only cut falls below row 2: replacing row 2 with row 0,
+        # or removing it, leaves b without a cut and a with one, so training
+        # never draws b there
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
+        micro = Dataset(x, np.array([0, 1, 0]), ("a", "b"), 2)
+        records = [(x[0], 0)]
+        neighborhood = enumerate_neighbors(micro, records)
+        report = audit_feature_mechanism(micro, 1.0, neighborhood=neighborhood)
+        assert report.worst_ratio == math.inf and not report.passed
+        assert report.witness["neighbor"] == {"kind": "replace", "row": 2, "record": 0}
+        assert report.witness["output"] == 1
+        assert report.candidate_mismatches == 2
+        assert report.to_dict() == reference_feature_audit(micro, 1.0, records=records)
+
+    def test_neighbors_without_a_cut_are_counted_not_scored(self):
+        # every neighbor of two rows that removes one, or copies one onto the
+        # other, has no cut: its root is a leaf, where no feature is drawn
+        micro = Dataset(np.array([[0.0], [1.0]]), np.array([0, 1]), ("a",), 2)
+        neighborhood = enumerate_neighbors(micro)
+        report = audit_feature_mechanism(micro, 1.0, neighborhood=neighborhood)
+        assert len(neighborhood.neighbors) == 8
+        assert report.candidate_mismatches == 6
+        assert report.neighbor_count == 2  # the two that relabel a row
+        assert report.passed
+
+    def test_a_base_without_a_cut_is_refused(self):
+        micro = Dataset(np.array([[1.0, 2.0]] * 3), np.array([0, 1, 0]), ("a", "b"), 2)
+        with pytest.raises(DomainError, match="no feature has a valid cut"):
+            audit_feature_mechanism(micro, 1.0)
+
+
 class TestAuditBudgetOverflow:
     def test_budget_without_finite_bound_rejected(self, rng):
         micro = _micro(rng, n=5, d=2)
@@ -429,6 +469,39 @@ def _captured(monkeypatch, module, name) -> list:
     return results
 
 
+def _assert_audited_root_feature_laws_are_drawn(micro, budget, seed, monkeypatch) -> int:
+    """Each dataset's row of the feature audit is the law that training draws its
+    root feature from, and a dataset without a cut has no row and draws no
+    feature; returns how many datasets have some, but not all, features with a cut."""
+    neighborhood = enumerate_neighbors(micro)
+    audited = _captured(monkeypatch, mrforest.privacy, "_selection_probs")
+    audit_feature_mechanism(micro, budget, "gini", neighborhood)
+    (probs,) = audited  # one row per dataset with a cut: the base dataset's, then its neighbors'
+    rows = iter(probs)
+    laws = _captured(monkeypatch, mrforest.tree, "selection_cdfs")
+    config = MrfConfig(t=1, k=1, b1=budget, b2=budget, max_depth=1)
+    datasets = [(micro.features, micro.labels)] + [(x, y) for _, x, y in neighborhood.neighbors]
+    partial = 0
+    for x, y in datasets:
+        laws.clear()
+        # a root with all of the rows on both sides, the way the audit scores it
+        dataset = Dataset(x, y, micro.feature_names, micro.class_count)
+        every = np.arange(y.size)
+        build_tree(dataset, every, every, config, np.random.default_rng(seed))
+        has_cut = np.array([np.unique(column).size > 1 for column in x.T])
+        if not has_cut.any():
+            assert laws == []  # a leaf root: no feature law, and no audited row
+            continue
+        partial += not has_cut.all()
+        cdf = law_at(laws[0], 0).copy()  # the root's feature law
+        assert cdf.size == x.shape[1]
+        # the last feature with a cut takes what the others leave of 1
+        cdf[np.flatnonzero(has_cut)[-1] :] = 1.0
+        assert np.array_equal(next(rows), np.diff(cdf, prepend=0.0))
+    assert next(rows, None) is None
+    return partial
+
+
 class TestAuditedLawIsTheDrawnLaw:
     """The feature and value audits score each dataset with the laws that
     training draws a tree's root feature and value from, bit for bit: the
@@ -441,29 +514,34 @@ class TestAuditedLawIsTheDrawnLaw:
         rng = np.random.default_rng(900 + seed)
         n, d = int(rng.integers(4, 11)), int(rng.integers(1, 4))
         micro = _micro(rng, n=n, d=d, k_classes=int(rng.integers(2, 4)))
-        neighborhood = enumerate_neighbors(micro)
+        _assert_audited_root_feature_laws_are_drawn(micro, budget, seed, monkeypatch)
+
+    @pytest.mark.parametrize("budget", [0.0, 1.0, 700.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_root_feature_law_where_neighbors_lose_cuts(self, seed, budget, monkeypatch):
+        # two or three rows valued in {0, 1, 2}: some neighbors keep only some
+        # of the features' cuts, and some have none
+        rng = np.random.default_rng(900 + seed)
+        micro = _integer_micro(rng, 2 + seed % 2, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+        partial = _assert_audited_root_feature_laws_are_drawn(micro, budget, seed, monkeypatch)
+        assert partial > 0
+
+    def test_a_feature_without_a_cut_has_no_mass(self, monkeypatch):
+        # feature c is constant: the audit once scored it 0 and kept it in its
+        # law, (0.308, 0.430, 0.261), which training never draws from
+        x = np.array([[0.0, 0, 5], [1, 2, 5], [2, 1, 5], [3, 3, 5]])
+        micro = Dataset(x, np.array([0, 1, 0, 1]), ("a", "b", "c"), 2)
         audited = _captured(monkeypatch, mrforest.privacy, "_selection_probs")
-        audit_feature_mechanism(micro, budget, "gini", neighborhood)
-        (probs,) = audited  # the base dataset's row, then one row per neighbor
-        # the datasets whose every feature has a cut, where training's root law
-        # ranges over every feature, as the audit's does
-        datasets = [(micro.features, micro.labels, probs[0])] + [
-            (x, y, row)
-            for (_, x, y), row in zip(neighborhood.neighbors, probs[1:])
-            if all(np.unique(column).size > 1 for column in x.T)
-        ]
-        assert len(datasets) > n
+        audit_feature_mechanism(micro, 1.0)
+        base = audited[0][0]
+        np.testing.assert_allclose(base, [0.378, 0.622, 0.0], atol=5e-4)
         laws = _captured(monkeypatch, mrforest.tree, "selection_cdfs")
-        config = MrfConfig(t=1, k=1, b1=budget, b2=budget, max_depth=1)
-        for x, y, row in datasets:
-            laws.clear()
-            # a root with all of the rows on both sides, the way the audit scores it
-            dataset = Dataset(x, y, micro.feature_names, micro.class_count)
-            rows = np.arange(y.size)
-            build_tree(dataset, rows, rows, config, np.random.default_rng(seed))
-            cdf = law_at(laws[0], 0)  # the root's feature law
-            assert cdf.size == d
-            assert np.array_equal(row, np.diff(np.append(cdf[:-1], 1.0), prepend=0.0))
+        config = MrfConfig(t=1, k=1, b1=1.0, b2=1.0, max_depth=1)
+        every = np.arange(4)
+        build_tree(micro, every, every, config, np.random.default_rng(0))
+        cdf = law_at(laws[0], 0).copy()
+        cdf[1:] = 1.0  # feature b, the last with a cut, takes the rest of 1
+        assert np.array_equal(base, np.diff(cdf, prepend=0.0))
 
     @pytest.mark.parametrize("budget", [0.0, 1.0, 700.0])
     @pytest.mark.parametrize("seed", range(4))

@@ -11,17 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import law_at, one_law
 from mrforest.errors import DomainError
-from mrforest.splitsel import (
-    Laws,
-    feature_probability_bounds,
-    sample_indices,
-    select_feature,
-    select_value,
-    selection_cdfs,
-    softmax_scaled,
-    value_region_bound,
-)
-from oracle import inverse_cdf_draws, normalize
+from mrforest.splitsel import Laws, select_feature, select_value, selection_cdfs, softmax_scaled
+from oracle import feature_probability_bounds, inverse_cdf_draws, normalize, value_region_bound
 
 finite_vectors = st.lists(
     st.floats(-100, 100, allow_nan=False, allow_infinity=False), min_size=1, max_size=12
@@ -91,13 +82,19 @@ class TestSoftmaxScaled:
 def _draws(probabilities, uniforms: np.ndarray) -> np.ndarray:
     """Draws from ``cumsum(probabilities)``, one per uniform."""
     first = np.zeros(uniforms.size, dtype=int)
-    return sample_indices(one_law(np.cumsum(probabilities)), first, uniforms)
+    return select_value(one_law(np.cumsum(probabilities)), uniforms, first)
 
 
-def _selections(mechanism, scores, budget: float, rng, count: int) -> np.ndarray:
-    """``count`` draws of ``mechanism`` from the one law of ``scores`` at ``budget``."""
+def _feature_draws(scores, budget: float, rng, count: int) -> np.ndarray:
+    """``count`` feature draws from the one feature law of ``scores`` at ``budget``."""
+    cdfs = selection_cdfs(np.asarray(scores), len(scores), budget).cdf[None]
+    return select_feature(cdfs, rng.random((1, count)), np.array([len(scores) - 1]))[0]
+
+
+def _value_draws(scores, budget: float, rng, count: int) -> np.ndarray:
+    """``count`` value draws from the one value law of ``scores`` at ``budget``."""
     laws = selection_cdfs(np.asarray(scores), np.array([len(scores)]), budget)
-    return mechanism(laws, rng.random(count), np.zeros(count, dtype=int))
+    return select_value(laws, rng.random(count), np.zeros(count, dtype=int))
 
 
 class TestSampleIndex:
@@ -122,26 +119,26 @@ class TestSampleIndex:
 class TestSelection:
     def test_zero_budget_uniform_over_features(self):
         rng = np.random.default_rng(1)
-        draws = _selections(select_feature, [0.7, 0.1, 0.4], 0.0, rng, 9000)
+        draws = _feature_draws([0.7, 0.1, 0.4], 0.0, rng, 9000)
         freqs = np.bincount(draws, minlength=3) / draws.size
         assert np.allclose(freqs, 1 / 3, atol=0.02)
 
     def test_two_feature_probability(self):
         rng = np.random.default_rng(2)
-        draws = _selections(select_feature, [0.4, 0.1], 2.0, rng, 40_000)
+        draws = _feature_draws([0.4, 0.1], 2.0, rng, 40_000)
         expected = math.e / (math.e + 1)
         assert (draws == 0).mean() == pytest.approx(expected, abs=0.01)
 
     def test_infinite_budget_greedy(self):
         rng = np.random.default_rng(3)
-        assert (_selections(select_feature, [0.2, 0.9, 0.1], math.inf, rng, 50) == 1).all()
+        assert (_feature_draws([0.2, 0.9, 0.1], math.inf, rng, 50) == 1).all()
 
     def test_value_selection_singleton(self, rng):
-        assert _selections(select_value, [0.3], 5.0, rng, 1).tolist() == [0]
+        assert _value_draws([0.3], 5.0, rng, 1).tolist() == [0]
 
     def test_value_selection_uniform_when_degenerate(self):
         rng = np.random.default_rng(4)
-        draws = _selections(select_value, [0.2, 0.2, 0.2], 50.0, rng, 9000)
+        draws = _value_draws([0.2, 0.2, 0.2], 50.0, rng, 9000)
         freqs = np.bincount(draws, minlength=3) / draws.size
         assert np.allclose(freqs, 1 / 3, atol=0.02)
 
@@ -181,23 +178,68 @@ class TestBatchedLaws:
             laws = selection_cdfs(scores, sizes, budget)
             which = rng.integers(0, sizes.size, size=50)
             uniforms = rng.random(50)
-            drawn = sample_indices(laws, which, uniforms)
+            drawn = select_value(laws, uniforms, which)
             for law, u, index in zip(which, uniforms, drawn):
                 own = int(law_at(laws, law).searchsorted(u, side="right"))
                 assert index == min(own, sizes[law] - 1)
 
     def test_uniform_past_a_laws_end_draws_its_last_index(self):
         laws = Laws(np.array([0.5, 0.75, 0.5, 0.5]), np.array([0, 2]), np.array([2, 2]))
-        drawn = sample_indices(laws, np.array([0, 1, 1]), np.array([0.9, 0.4, 0.6]))
+        drawn = select_value(laws, np.array([0.9, 0.4, 0.6]), np.array([0, 1, 1]))
         assert drawn.tolist() == [1, 0, 1]
 
     def test_mechanisms_draw_batches_from_laws_and_single_draws_from_a_cdf(self):
         laws = selection_cdfs(np.array([0.2, 0.9, 0.1, 0.3]), np.array([3, 1]), math.inf)
         which, uniforms = np.array([0, 1, 0]), np.array([0.1, 0.5, 0.99])
-        assert select_feature(laws, uniforms, which).tolist() == [1, 0, 1]
         assert select_value(laws, uniforms, which).tolist() == [1, 0, 1]
-        single = one_law(law_at(laws, 0))
-        assert select_feature(single, np.array([0.5]), np.array([0])).tolist() == [1]
+        single = law_at(laws, 0)
+        assert select_value(one_law(single), np.array([0.5]), np.array([0])).tolist() == [1]
+        drawn = select_feature(single[None], uniforms[None], np.array([2]))
+        assert drawn.tolist() == [[1, 1, 1]]
+
+
+class TestFeatureLaws:
+    """One law per node over all D features, a feature without a cut scored -inf."""
+
+    @pytest.mark.parametrize("budget", [0.0, 1.0, 10.0, math.inf])
+    def test_unscored_features_get_no_mass(self, budget):
+        rng = np.random.default_rng(int(min(budget, 99)))
+        for _ in range(100):
+            scores = np.round(rng.random(7), int(rng.integers(1, 4)))
+            unscored = rng.random(7) < 0.5
+            unscored[rng.integers(7)] = False
+            scores[unscored] = -np.inf
+            law = selection_cdfs(scores, 7, budget).cdf
+            own = selection_cdfs(scores[~unscored], int((~unscored).sum()), budget).cdf
+            np.testing.assert_array_equal(np.diff(law, prepend=0.0)[unscored], 0.0)
+            # the scored features' law, up to rounding: a sum adds the zeros too
+            np.testing.assert_allclose(law[~unscored], own, rtol=1e-12)
+
+    @pytest.mark.parametrize("budget", [0.0, 1.0, math.inf])
+    def test_a_nodes_law_is_the_same_in_any_batch(self, budget):
+        rng = np.random.default_rng(8)
+        scores = rng.random((50, 9))
+        scores[rng.random((50, 9)) < 0.4] = -np.inf
+        scores[:, 4] = rng.random(50)  # every node has a feature with a cut
+        batched = selection_cdfs(scores.ravel(), 9, budget).cdf.reshape(50, 9)
+        for row, law in zip(scores, batched):
+            np.testing.assert_array_equal(selection_cdfs(row, 9, budget).cdf, law)
+
+    def test_draws_count_steps_and_pass_over_features_without_a_cut(self):
+        # node 0: features 1 and 3 have a cut; node 1: only feature 0 does
+        scores = np.array([[-np.inf, 0.2, -np.inf, 0.9], [0.5, -np.inf, -np.inf, -np.inf]])
+        cdfs = selection_cdfs(scores.ravel(), 4, 0.0).cdf.reshape(2, 4)
+        assert cdfs.tolist() == [[0.0, 0.5, 0.5, 1.0], [1.0, 1.0, 1.0, 1.0]]
+        uniforms = np.array([[0.0, 0.49, 0.5, 0.99], [0.0, 0.3, 0.6, 0.99]])
+        drawn = select_feature(cdfs, uniforms, np.array([3, 0]))
+        assert drawn.tolist() == [[1, 1, 3, 3], [0, 0, 0, 0]]
+
+    def test_a_trailing_feature_without_a_cut_is_never_drawn(self):
+        # rounding leaves the law below 1: a uniform past its end draws the
+        # last feature with a cut, not the feature after it
+        cdfs = np.array([[0.25, 0.999, 0.999]])
+        drawn = select_feature(cdfs, np.array([[0.1, 0.5, 0.9995]]), np.array([1]))
+        assert drawn.tolist() == [[0, 1, 1]]
 
 
 class TestBounds:
@@ -255,5 +297,6 @@ def test_scored_choices_probability_contract(values, budget):
     expected = inverse_cdf_draws(probs, np.random.default_rng(7).random(2))
     uniforms = np.random.default_rng(7).random(2)
     law, first = one_law(np.cumsum(probs)), np.zeros(1, dtype=int)
-    drawn = [select_feature(law, uniforms[:1], first), select_value(law, uniforms[1:], first)]
+    feature = select_feature(law.cdf[None], uniforms[None, :1], np.array([probs.size - 1]))
+    drawn = [feature[0], select_value(law, uniforms[1:], first)]
     assert np.concatenate(drawn).tolist() == expected.tolist()

@@ -370,10 +370,11 @@ class TestSplitSearch:
         assert kinds == {"scanned", "cut, no scan", "no cut"}
 
     def test_each_law_is_built_at_most_once(self, monkeypatch):
-        # per level: one batch of feature laws, equal to each searched node's
-        # own law over its best decreases, and one batch of value laws, once
-        # each for the distinct features its five pairs draw that have a
-        # feasible cut, and for no other
+        # per level: one batch of feature laws, each searched node's law over
+        # all D features, equal to its own law over its best decreases where a
+        # feature has a cut and without mass where it has none, and one batch
+        # of value laws, once each for the distinct features its five pairs
+        # draw that have a feasible cut, and for no other
         built = []
         real_laws = mrforest.tree.selection_cdfs
 
@@ -405,7 +406,7 @@ class TestSplitSearch:
                 decreases = scan_features(ys[sorted_pos], classes, config.criterion)
                 best = np.where(valid, decreases, -np.inf).max(axis=1)
                 own = softmax_scaled(normalize(best[np.array(has_cut)]), config.b1)
-                own_laws.append(np.cumsum(own))
+                own_laws.append((np.array(has_cut), np.cumsum(own)))
                 # the feature draws replay uniforms 0, 3, 6, 9 and 12 of the block
                 drawn = np.flatnonzero(has_cut)[inverse_cdf_draws(own, block[::3])]
                 reached = {int(f) for f in drawn if has_feasible[f]}
@@ -419,8 +420,11 @@ class TestSplitSearch:
                 continue
             (_, _, feature_laws), (_, _, value_laws) = built
             assert len(own_laws) == feature_laws.size.size
-            for i, law in enumerate(own_laws):
-                np.testing.assert_allclose(law_at(feature_laws, i), law, rtol=1e-9)
+            for i, (has_cut, law) in enumerate(own_laws):
+                cdf = law_at(feature_laws, i)
+                assert cdf.size == has_cut.size
+                np.testing.assert_allclose(cdf[has_cut], law, rtol=1e-9)
+                np.testing.assert_array_equal(np.diff(cdf, prepend=0.0)[~has_cut], 0.0)
             assert sorted(value_laws.size.tolist()) == sorted(value_law_sizes)
         assert seen == {"one law", "several laws", "no feasible cut"}
 
